@@ -1,103 +1,104 @@
 package core
 
-// Struct-of-arrays arena for the serving engine's per-request state. One
+// Struct-of-arrays arena for submitted requests (serving mode). One
 // admitted request = one int32 slot across the parallel field slices; freed
 // slots recycle through a freelist, so steady-state serving allocates no
-// per-request objects and the tracking structures (push-waiter lists, pull
-// queue tags) carry generation-packed int64 handles instead of pointers.
+// per-request objects and the engine's request records (pull-queue
+// pullqueue.Request.Tag, pushWaiter.tag) carry generation-packed handles
+// instead of pointers.
 //
-// A handle packs gen<<32 | slot. Generations bump on every slot reuse and
-// start at 1, so the zero handle never resolves and a handle outliving its
-// request (in a pull-queue entry or a push-waiter list) goes inert the
-// moment the slot is recycled — the same staleness contract event.Token
-// gives the scheduler, applied to requests.
+// A handle packs −(gen<<32 | slot). Generations start at 1, bump whenever a
+// slot is released and stay below 2^31, so every handle is negative: it
+// never collides with the simulator's tags, which are span IDs (≥ 0, 0 when
+// the request is unsampled). A handle outliving its request (in a
+// pull-queue entry or a push-waiter list) goes inert the moment the request
+// is answered — the same staleness contract event.Token gives the
+// scheduler, applied to requests.
 
 import (
 	"hybridqos/internal/clients"
 	"hybridqos/internal/clock"
-	"hybridqos/internal/span"
 )
 
-// reqArena holds every live request's fields in parallel slices.
+// maxGen bounds slot generations so the packed handle stays negative.
+const maxGen = 1<<31 - 1
+
+// reqArena holds every live submitted request's fields in parallel slices.
 type reqArena struct {
-	item     []int32
-	class    []clients.Class
-	arrival  []float64
-	deadline []float64
-	done     []func(Result)
-	expiry   []clock.Token
-	sp       []*span.Span // open span, nil when unsampled/disabled
-	gen      []uint32
-	terminal []bool
-	free     []int32 // recycled slots awaiting reuse
+	item    []int32
+	class   []clients.Class
+	arrival []float64
+	span    []int64 // span ID, 0 when unsampled
+	done    []func(Result)
+	expiry  []clock.Token
+	expireH []func() // per-slot expiry handler, built once at grow
+	gen     []uint32
+	free    []int32 // recycled slots awaiting reuse
+
+	// onExpire is the engine's expiry path; the per-slot handlers call it.
+	// A slot's expiry timer is always cancelled before the slot is
+	// released, so its handler only ever fires for the current occupant.
+	onExpire func(slot int32)
 }
 
-// alloc returns a cleared slot with a fresh generation.
+// alloc returns a free slot; its generation was bumped when it was freed.
 //
 //qos:hotpath
 func (a *reqArena) alloc() int32 {
-	var slot int32
 	if n := len(a.free); n > 0 {
-		slot = a.free[n-1]
+		slot := a.free[n-1]
 		a.free = a.free[:n-1]
-	} else {
-		slot = a.grow()
+		return slot
 	}
-	a.gen[slot]++
-	a.terminal[slot] = false
-	return slot
+	return a.grow()
 }
 
 // grow is alloc's cold path: the arena extends to the peak concurrent
 // request count once, then the freelist recycles.
 func (a *reqArena) grow() int32 {
+	slot := int32(len(a.gen))
 	a.item = append(a.item, 0)
 	a.class = append(a.class, 0)
 	a.arrival = append(a.arrival, 0)
-	a.deadline = append(a.deadline, 0)
+	a.span = append(a.span, 0)
 	a.done = append(a.done, nil)
 	a.expiry = append(a.expiry, clock.Token{})
-	a.sp = append(a.sp, nil)
-	a.gen = append(a.gen, 0)
-	a.terminal = append(a.terminal, false)
-	return int32(len(a.gen) - 1)
+	a.expireH = append(a.expireH, func() { a.onExpire(slot) })
+	a.gen = append(a.gen, 1)
+	return slot
 }
 
 // handle packs the slot's current generation into its external identity.
 //
 //qos:hotpath
 func (a *reqArena) handle(slot int32) int64 {
-	return int64(a.gen[slot])<<32 | int64(uint32(slot))
+	return -(int64(a.gen[slot])<<32 | int64(uint32(slot)))
 }
 
-// lookup resolves a handle to its slot, failing when the slot has been
-// recycled for a newer request (stale generation).
+// live resolves a handle to its slot, failing once the request has been
+// answered (its slot released: stale generation).
 //
 //qos:hotpath
-func (a *reqArena) lookup(h int64) (int32, bool) {
-	slot := int32(uint32(h))
-	if int(slot) >= len(a.gen) || a.gen[slot] != uint32(h>>32) {
+func (a *reqArena) live(h int64) (int32, bool) {
+	x := -h
+	slot := int32(uint32(x))
+	if slot < 0 || int(slot) >= len(a.gen) || a.gen[slot] != uint32(x>>32) {
 		return 0, false
 	}
 	return slot, true
 }
 
-// alive reports whether a handle still names an admitted, non-terminal
-// request — the arena equivalent of the retired live-map membership test.
-//
-//qos:hotpath
-func (a *reqArena) alive(h int64) bool {
-	slot, ok := a.lookup(h)
-	return ok && !a.terminal[slot]
-}
-
-// release recycles a terminal request's slot, dropping the pointer-carrying
-// fields immediately so callbacks and spans do not outlive the request.
+// release recycles an answered request's slot: the generation bump makes
+// every handle to it inert, and the callback is dropped so it does not
+// outlive the request.
 //
 //qos:hotpath
 func (a *reqArena) release(slot int32) {
+	if a.gen[slot] == maxGen {
+		a.gen[slot] = 0
+	}
+	a.gen[slot]++
 	a.done[slot] = nil
-	a.sp[slot] = nil
 	a.expiry[slot] = clock.Token{}
 	if n := len(a.free); n < cap(a.free) {
 		a.free = a.free[:n+1]

@@ -63,7 +63,9 @@ func (s *Server) Start() {
 	if s.tele != nil && s.tele.SnapshotEvery() > 0 {
 		s.scheduleSnapshot(1)
 	}
-	s.scheduleNextArrival()
+	if s.arrivals != nil { // a serving Server's requests arrive through Submit
+		s.scheduleNextArrival()
+	}
 	if s.cutoff > 0 {
 		s.startPush()
 	} else {
@@ -157,9 +159,9 @@ func (s *Server) ExtractRoamers(roam func() bool) []Roamer {
 		keep := ws[:0]
 		for _, w := range ws {
 			if roam() {
-				out = append(out, Roamer{Item: rank, Class: w.class, Arrival: w.arrival, Push: true, Span: w.span})
+				out = append(out, Roamer{Item: rank, Class: w.class, Arrival: w.arrival, Push: true, Span: w.tag})
 				s.metrics.PerClass[w.class].HandoffsOut++
-				s.spanHandoff(rank, w.class, w.span)
+				s.spanHandoff(rank, w.class, w.tag)
 			} else {
 				keep = append(keep, w)
 			}
@@ -191,7 +193,7 @@ func (s *Server) Inject(item int, class clients.Class, arrival float64, attempts
 	if item <= s.cutoff {
 		s.acceptHandoff(item, class)
 		s.spanAttach(item, class, span, trace.VerdictPush)
-		s.pushWaiters[item] = append(s.pushWaiters[item], pushWaiter{class: class, arrival: arrival, joined: now, client: -1, span: span})
+		s.pushWaiters[item] = append(s.pushWaiters[item], pushWaiter{class: class, arrival: arrival, joined: now, client: -1, tag: span})
 		return InjectAccepted
 	}
 	if s.shedder != nil {
@@ -214,7 +216,7 @@ func (s *Server) Inject(item int, class clients.Class, arrival float64, attempts
 		Client:   -1,
 		Attempts: attempts,
 		Tag:      span,
-	})
+	}, now)
 	return InjectAccepted
 }
 

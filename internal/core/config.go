@@ -195,7 +195,12 @@ func (c Config) buildPushScheduler() (sched.PushScheduler, error) {
 // α outside [0,1] — surfaced as pullqueue's typed *AlphaError — and unknown
 // policy names), so a bad configuration fails here rather than after
 // Server.Run has started.
-func (c Config) Validate() error {
+func (c Config) Validate() error { return c.validate(true) }
+
+// validate audits the configuration; generated selects the checks of the
+// generated workload (rate, horizon, warm-up), which a serving Server
+// (NewServing) has no use for.
+func (c Config) validate(generated bool) error {
 	if c.Catalog == nil {
 		return fmt.Errorf("core: nil catalog")
 	}
@@ -223,7 +228,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: pull policy: %w", err)
 		}
 	}
-	if c.Lambda <= 0 || math.IsNaN(c.Lambda) || math.IsInf(c.Lambda, 0) {
+	if generated && (c.Lambda <= 0 || math.IsNaN(c.Lambda) || math.IsInf(c.Lambda, 0)) {
 		return fmt.Errorf("core: invalid lambda %g", c.Lambda)
 	}
 	if c.Cutoff < 0 || c.Cutoff > c.Catalog.D() {
@@ -234,10 +239,10 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
-	if c.Horizon <= 0 || math.IsNaN(c.Horizon) || math.IsInf(c.Horizon, 0) {
+	if generated && (c.Horizon <= 0 || math.IsNaN(c.Horizon) || math.IsInf(c.Horizon, 0)) {
 		return fmt.Errorf("core: invalid horizon %g", c.Horizon)
 	}
-	if c.WarmupFraction < 0 || c.WarmupFraction >= 1 || math.IsNaN(c.WarmupFraction) {
+	if generated && (c.WarmupFraction < 0 || c.WarmupFraction >= 1 || math.IsNaN(c.WarmupFraction)) {
 		return fmt.Errorf("core: warmup fraction %g outside [0,1)", c.WarmupFraction)
 	}
 	if c.RequestTTL < 0 || math.IsNaN(c.RequestTTL) {

@@ -21,6 +21,7 @@
 package core
 
 import (
+	"hybridqos/internal/admission"
 	"hybridqos/internal/bandwidth"
 	"hybridqos/internal/cache"
 	"hybridqos/internal/clients"
@@ -44,14 +45,21 @@ type pushWaiter struct {
 	// arrival keeps the origin-cell value for deadline accounting). Span
 	// service segments start no earlier than joined.
 	joined float64
-	client int   // −1 when client identity is not tracked
-	span   int64 // span ID when the request is sampled, 0 otherwise
+	client int // −1 when client identity is not tracked
+	// tag identifies the request exactly as pullqueue.Request.Tag does: a
+	// span ID (0 when unsampled) for generated requests, a negative arena
+	// handle for submitted ones (arena.go).
+	tag int64
 }
 
-// Server is one configured simulation instance. All time access goes
-// through the clock.Clock interface; the sim instantiates it as a Virtual
-// clock (the serving mode's Realtime engine shares the same machinery on a
-// Wall clock).
+// Server is the paper's one slot loop: the broadcast cycle, the pull queue
+// and every request's path to its terminal outcome. All time access goes
+// through the clock.Clock interface. New builds a simulation instance on its
+// own Virtual clock, fed by generated arrivals up to a horizon; NewServing
+// (serve.go) mounts the same loop on a given clock — Wall in cmd/qosd —
+// fed by Submit. The two differ only in where requests come from: the
+// shared slot functions read the difference from each request's tag, never
+// from a mode.
 type Server struct {
 	cfg      Config
 	cutoff   int         // effective K: 0 under the "none" push policy
@@ -120,9 +128,20 @@ type Server struct {
 	pullEntry *pullqueue.Entry // entry of the in-flight pull transmission
 	pullGrant *bandwidth.Grant // its bandwidth grant, nil without an allocator
 
+	// txTok is the in-flight transmission's completion event, cancelled
+	// when a drain quiesces the loop (serve.go).
+	txTok clock.Token
+
 	warmupEnd float64
 	metrics   *Metrics
 	idle      bool // only reachable when the effective cutoff is 0
+
+	// Serving state (serve.go); ctl is nil in a simulation instance.
+	ctl       *admission.Controller
+	reqs      reqArena // submitted requests, addressed by negative tags
+	pending   int      // submitted, admitted, not yet terminal
+	draining  bool
+	onDrained func()
 }
 
 // New builds a Server from the configuration.
@@ -130,17 +149,41 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	root := rng.New(cfg.Seed)
 	vclk := clock.NewVirtual()
+	s, err := newServer(cfg, vclk)
+	if err != nil {
+		return nil, err
+	}
+	s.vclk = vclk
+	s.warmupEnd = cfg.Horizon * cfg.WarmupFraction
+	s.arrivals = cfg.Arrivals
+	if s.arrivals == nil {
+		p, err := workload.NewPoisson(cfg.Lambda)
+		if err != nil {
+			return nil, err
+		}
+		s.arrivals = p
+	}
+	s.items = cfg.Items
+	if s.items == nil {
+		s.items = workload.StaticPopularity{Catalog: cfg.Catalog}
+	}
+	return s, nil
+}
+
+// newServer builds the slot loop shared by New and NewServing on clk:
+// policies, RNG streams (always split in the same order, so a simulation's
+// draws never depend on which constructor ran), tracer, telemetry, handlers
+// and metrics. The arrival source is the caller's.
+func newServer(cfg Config, clk clock.Clock) (*Server, error) {
+	root := rng.New(cfg.Seed)
 	s := &Server{
-		cfg:       cfg,
-		cutoff:    cfg.Cutoff,
-		clk:       vclk,
-		vclk:      vclk,
-		arrRng:    root.Split("arrivals"),
-		itemRng:   root.Split("items"),
-		classRng:  root.Split("classes"),
-		warmupEnd: cfg.Horizon * cfg.WarmupFraction,
+		cfg:      cfg,
+		cutoff:   cfg.Cutoff,
+		clk:      clk,
+		arrRng:   root.Split("arrivals"),
+		itemRng:  root.Split("items"),
+		classRng: root.Split("classes"),
 	}
 
 	pull, err := cfg.buildPullPolicy()
@@ -175,18 +218,6 @@ func New(cfg Config) (*Server, error) {
 		s.alloc = a
 	}
 
-	s.arrivals = cfg.Arrivals
-	if s.arrivals == nil {
-		p, err := workload.NewPoisson(cfg.Lambda)
-		if err != nil {
-			return nil, err
-		}
-		s.arrivals = p
-	}
-	s.items = cfg.Items
-	if s.items == nil {
-		s.items = workload.StaticPopularity{Catalog: cfg.Catalog}
-	}
 	s.tracer = cfg.Tracer
 	if s.tracer == nil {
 		s.tracer = trace.Nop{}
@@ -428,7 +459,7 @@ func (s *Server) handleArrival() {
 			s.emit(trace.Event{T: now, Kind: trace.KindSpanStart, Item: rank, Class: class, Req: span, Reason: trace.VerdictPush})
 		}
 		//lint:allow hotalloc amortized: waiter slices reset to length 0 on drain and reuse capacity across cycles
-		s.pushWaiters[rank] = append(s.pushWaiters[rank], pushWaiter{class: class, arrival: now, joined: now, client: clientID, span: span})
+		s.pushWaiters[rank] = append(s.pushWaiters[rank], pushWaiter{class: class, arrival: now, joined: now, client: clientID, tag: span})
 		return
 	}
 	if span != 0 && s.emitOn {
@@ -454,23 +485,24 @@ func (s *Server) handleArrival() {
 	if s.shedPull(req, now) {
 		return
 	}
-	s.enqueuePull(req)
+	s.enqueuePull(req, now)
 }
 
-// enqueuePull adds an admitted pull request to the selector and kicks the
-// channel if it was idle (only reachable when the effective cutoff is 0).
+// enqueuePull adds an admitted pull request to the selector at now (the
+// caller's reading of the clock, so a span's enqueue lands at its admission
+// instant even on a wall clock) and kicks the channel if it was idle (only
+// reachable when the effective cutoff is 0).
 //
 //qos:hotpath
-func (s *Server) enqueuePull(req pullqueue.Request) {
+func (s *Server) enqueuePull(req pullqueue.Request, now float64) {
 	s.selector.Add(req, s.cfg.Catalog.Length(req.Item))
-	if req.Tag != 0 && s.emitOn {
+	if span := s.spanOf(req.Tag); span != 0 && s.emitOn {
 		// Enqueue provenance: the entry's post-add selection score, the
 		// quantity the next extraction decision will rank it by.
-		now := s.clk.Now()
 		if e := s.selector.Entry(req.Item); e != nil {
 			s.emit(trace.Event{
 				T: now, Kind: trace.KindSpanEnqueue, Item: req.Item, Class: req.Class,
-				Req: req.Tag, Score: s.selector.Score(e, now), Requests: e.NumRequests(),
+				Req: span, Score: s.selector.Score(e, now), Requests: e.NumRequests(),
 			})
 		}
 	}
@@ -620,7 +652,7 @@ func (s *Server) handleRetry(r pullqueue.Request) {
 	if s.shedPull(r, now) {
 		return
 	}
-	s.enqueuePull(r)
+	s.enqueuePull(r, now)
 }
 
 // startPush begins the next broadcast transmission from the push scheduler.
@@ -635,7 +667,7 @@ func (s *Server) startPush() {
 		s.emit(trace.Event{T: s.clk.Now(), Kind: trace.KindPushStart, Item: item, Class: -1})
 	}
 	s.pushItem = item
-	s.clk.After(length, s.pushH)
+	s.txTok = s.clk.After(length, s.pushH)
 }
 
 // completePush satisfies every waiter of the broadcast item, then gives the
@@ -674,7 +706,7 @@ func (s *Server) completePush(item int) {
 			// registration, not at the transmission start.
 			ws = w.joined
 		}
-		s.recordServed(w.class, w.arrival, now, true, item, w.span, ws)
+		s.recordServed(w.class, w.arrival, now, true, item, w.tag, ws)
 		s.fillCache(w.client, item, now)
 	}
 	s.pushWaiters[item] = s.pushWaiters[item][:0]
@@ -696,6 +728,14 @@ func (s *Server) attemptPull() {
 				s.idle = true
 			}
 			return
+		}
+		if !s.anyLive(entry) {
+			// Every request on the entry was already answered (submitted
+			// requests expire in the queue): transmitting would serve no
+			// one. Generated requests never end before their delivery, so
+			// the simulator never takes this branch.
+			s.selector.Recycle(entry)
+			continue
 		}
 		s.observeQueue()
 
@@ -749,7 +789,7 @@ func (s *Server) attemptPull() {
 		// Serial downlink: at most one pull completion in flight, so the
 		// entry and grant ride in fields and the handler is reused.
 		s.pullEntry, s.pullGrant = entry, grant
-		s.clk.After(entry.Length, s.pullH)
+		s.txTok = s.clk.After(entry.Length, s.pullH)
 		return
 	}
 }
@@ -767,7 +807,7 @@ func (s *Server) emitDecision(entry *pullqueue.Entry) {
 	}
 	sampled := false
 	for i := range entry.Requests {
-		if entry.Requests[i].Tag != 0 {
+		if s.spanOf(entry.Requests[i].Tag) != 0 {
 			sampled = true
 			break
 		}
@@ -901,13 +941,23 @@ func (s *Server) CacheHitRate() float64 {
 
 // recordServed logs one satisfied request (post-warmup arrivals only).
 // Under RequestTTL, a request whose deadline passed before the transmission
-// completed is counted as Expired instead. span and start carry span
-// provenance for sampled requests (0s otherwise): the span ID and the
-// request's service-segment start time — transmission start, or the
-// request's own arrival when it joined a broadcast already in flight.
+// completed is counted as Expired instead. tag is the request's identity
+// (pullqueue.Request.Tag); start is its service-segment start time —
+// transmission start, or the request's own arrival when it joined a
+// broadcast already in flight — for span provenance. A submitted request
+// (negative tag) already answered by its deadline is skipped; a live one
+// is resolved to its caller after the books are kept.
 //
 //qos:hotpath
-func (s *Server) recordServed(class clients.Class, arrival, completion float64, push bool, item int, span int64, start float64) {
+func (s *Server) recordServed(class clients.Class, arrival, completion float64, push bool, item int, tag int64, start float64) {
+	span, slot := tag, int32(-1)
+	if tag < 0 {
+		sl, ok := s.reqs.live(tag)
+		if !ok {
+			return
+		}
+		span, slot = s.reqs.span[sl], sl
+	}
 	d := completion - arrival
 	expired := s.cfg.RequestTTL > 0 && d > s.cfg.RequestTTL
 	if span != 0 && s.emitOn {
@@ -923,27 +973,29 @@ func (s *Server) recordServed(class clients.Class, arrival, completion float64, 
 			})
 		}
 	}
-	if arrival < s.warmupEnd {
-		return
+	if arrival >= s.warmupEnd {
+		cm := s.metrics.PerClass[class]
+		if expired {
+			cm.Expired++
+		} else {
+			cm.Served++
+			cm.Delay.Add(d)
+			cm.DelayHist.Add(d)
+			if s.emitOn {
+				s.emit(trace.Event{
+					T: completion, Kind: trace.KindServed, Class: class,
+					Arrival: arrival, Push: push,
+				})
+			}
+			if push {
+				cm.PushDelay.Add(d)
+			} else {
+				cm.PullDelay.Add(d)
+			}
+		}
 	}
-	cm := s.metrics.PerClass[class]
-	if expired {
-		cm.Expired++
-		return
-	}
-	cm.Served++
-	cm.Delay.Add(d)
-	cm.DelayHist.Add(d)
-	if s.emitOn {
-		s.emit(trace.Event{
-			T: completion, Kind: trace.KindServed, Class: class,
-			Arrival: arrival, Push: push,
-		})
-	}
-	if push {
-		cm.PushDelay.Add(d)
-	} else {
-		cm.PullDelay.Add(d)
+	if slot >= 0 {
+		s.resolve(slot, Result{Outcome: OutcomeServed, Delay: d, Push: push})
 	}
 }
 

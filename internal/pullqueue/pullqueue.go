@@ -51,8 +51,9 @@ type Request struct {
 	// corrupted deliveries on a lossy downlink (0 for a first attempt).
 	Attempts int
 	// Tag is an opaque caller identifier carried through the queue. The
-	// simulator leaves it 0; the serving mode uses it to map a delivered
-	// request back to the live connection waiting on it.
+	// core engine stores the request's span ID there for generated
+	// requests (0 when unsampled) and a negative arena handle for submitted
+	// ones, which maps a delivery back to the caller waiting on it.
 	Tag int64
 }
 

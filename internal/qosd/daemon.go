@@ -1,7 +1,9 @@
 // Package qosd is the serving daemon behind cmd/qosd: the hybrid push/pull
-// scheduler (core.Realtime) mounted on a clock, fronted by API-key →
-// service-class authentication and class-aware admission control, exposed
-// over HTTP.
+// slot loop (core.Server, built by core.NewServing) mounted on a clock,
+// fronted by API-key → service-class authentication and class-aware
+// admission control, exposed over HTTP. The daemon's telemetry is derived
+// from the engine's event stream (trace.Apply), and /debug/spans is
+// reconstructed from its span events by a span.Ring.
 //
 // The daemon is clock-agnostic: cmd/qosd runs it on a Wall clock with
 // Wall.Submit bridging HTTP handler goroutines onto the engine loop, while
@@ -22,7 +24,6 @@ import (
 	"hybridqos/internal/clients"
 	"hybridqos/internal/clock"
 	"hybridqos/internal/core"
-	"hybridqos/internal/rng"
 	"hybridqos/internal/span"
 	"hybridqos/internal/telemetry"
 )
@@ -55,8 +56,9 @@ type Daemon struct {
 	cat  *catalog.Catalog
 	clk  clock.Clock
 	exec func(func())
-	rt   *core.Realtime
+	srv  *core.Server
 	tele *telemetry.Collector
+	ring *span.Ring // nil with spans off
 
 	keys         map[string]int
 	defaultClass int
@@ -89,7 +91,7 @@ func New(cfg Config, clk clock.Clock, exec func(func())) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qosd: %w", err)
 	}
-	rtc := core.RealtimeConfig{
+	ccfg := core.Config{
 		Catalog:        cat,
 		Classes:        cls,
 		Cutoff:         cfg.Cutoff,
@@ -97,18 +99,20 @@ func New(cfg Config, clk clock.Clock, exec func(func())) (*Daemon, error) {
 		PullPolicyName: cfg.PullPolicy,
 		PushPolicyName: cfg.PushPolicy,
 		PushDisks:      cfg.PushDisks,
-		Clock:          clk,
-		Admission:      cfg.admissionConfig(),
 		Telemetry:      tele,
 	}
+	var ring *span.Ring
 	if sc := cfg.Spans; sc != nil && sc.Rate > 0 {
-		rtc.Spans = &core.RealtimeSpanConfig{
-			Rate:   sc.Rate,
-			Buffer: sc.Buffer,
-			RNG:    rng.New(sc.Seed).Split("spans"),
+		ring = span.NewRing(sc.Buffer)
+		rates := make([]float64, len(cfg.ClassWeights))
+		for c := range rates {
+			rates[c] = sc.Rate
 		}
+		ccfg.Tracer = ring
+		ccfg.Spans = &core.SpanConfig{Rates: rates}
+		ccfg.Seed = sc.Seed
 	}
-	rt, err := core.NewRealtime(rtc)
+	srv, err := core.NewServing(ccfg, clk, cfg.admissionConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -121,8 +125,9 @@ func New(cfg Config, clk clock.Clock, exec func(func())) (*Daemon, error) {
 		cat:          cat,
 		clk:          clk,
 		exec:         exec,
-		rt:           rt,
+		srv:          srv,
 		tele:         tele,
+		ring:         ring,
 		keys:         keys,
 		defaultClass: cfg.defaultClass(),
 	}, nil
@@ -132,7 +137,7 @@ func New(cfg Config, clk clock.Clock, exec func(func())) (*Daemon, error) {
 // marks the daemon ready.
 func (d *Daemon) Start() {
 	d.exec(func() {
-		d.rt.Start()
+		d.srv.Start()
 		d.state.Store(stateReady)
 	})
 }
@@ -142,11 +147,11 @@ func (d *Daemon) Start() {
 // /request calls are answered 503 immediately.
 func (d *Daemon) Drain(onDrained func()) {
 	d.exec(func() {
-		if d.rt.Draining() {
+		if d.srv.Draining() {
 			return
 		}
 		d.state.Store(stateDraining)
-		d.rt.Drain(func() {
+		d.srv.Drain(func() {
 			d.state.Store(stateDrained)
 			if onDrained != nil {
 				onDrained()
@@ -158,8 +163,18 @@ func (d *Daemon) Drain(onDrained func()) {
 // Telemetry exposes the daemon's collector (tests, embedding).
 func (d *Daemon) Telemetry() *telemetry.Collector { return d.tele }
 
-// Engine exposes the underlying realtime engine (tests, embedding).
-func (d *Daemon) Engine() *core.Realtime { return d.rt }
+// Engine exposes the underlying serving engine (tests, embedding).
+func (d *Daemon) Engine() *core.Server { return d.srv }
+
+// Spans returns the completed spans the ring buffers, oldest first (nil
+// with spans off). Like every engine access it must run on the clock
+// goroutine; handleSpans bridges via exec.
+func (d *Daemon) Spans() []*span.Span {
+	if d.ring == nil {
+		return nil
+	}
+	return d.ring.Spans()
+}
 
 // classOf resolves an API key to a service class; ok=false means reject.
 func (d *Daemon) classOf(key string) (int, bool) {
@@ -178,9 +193,9 @@ func (d *Daemon) classOf(key string) (int, bool) {
 // called on the clock goroutine; ServeHTTP bridges via exec. This is the
 // entry point the virtual-clock chaos tests drive.
 func (d *Daemon) Serve(req Request, class int, respond func(status int, resp Response)) {
-	if d.rt.Draining() {
+	if d.srv.Draining() {
 		d.tele.Rejected(class)
-		d.rt.RefuseDraining(req.Item, clients.Class(class))
+		d.srv.RefuseDraining(req.Item, clients.Class(class))
 		respond(http.StatusServiceUnavailable, Response{Outcome: "draining", Class: class})
 		return
 	}
@@ -188,22 +203,17 @@ func (d *Daemon) Serve(req Request, class int, respond func(status int, resp Res
 		respond(http.StatusBadRequest, Response{Outcome: "bad_item", Class: class})
 		return
 	}
-	verdict := d.rt.Submit(core.RealtimeRequest{
-		Item:       req.Item,
-		Class:      clients.Class(class),
-		DeadlineIn: req.DeadlineIn,
-		Done: func(res core.Result) {
-			if res.Outcome == core.OutcomeServed {
-				respond(http.StatusOK, Response{
-					Outcome:    "served",
-					Class:      class,
-					DelayUnits: res.Delay,
-					Push:       res.Push,
-				})
-			} else {
-				respond(http.StatusGatewayTimeout, Response{Outcome: "expired", Class: class})
-			}
-		},
+	verdict := d.srv.Submit(req.Item, clients.Class(class), req.DeadlineIn, func(res core.Result) {
+		if res.Outcome == core.OutcomeServed {
+			respond(http.StatusOK, Response{
+				Outcome:    "served",
+				Class:      class,
+				DelayUnits: res.Delay,
+				Push:       res.Push,
+			})
+		} else {
+			respond(http.StatusGatewayTimeout, Response{Outcome: "expired", Class: class})
+		}
 	})
 	if verdict != admission.Admitted {
 		respond(http.StatusTooManyRequests, Response{Outcome: verdict.String(), Class: class})
@@ -318,8 +328,8 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Write(out.body)
 }
 
-// handleSpans snapshots the engine's completed-span ring on the clock
-// goroutine and serves it as a JSON array, oldest span first.
+// handleSpans snapshots the completed-span ring on the clock goroutine and
+// serves it as a JSON array, oldest span first.
 func (d *Daemon) handleSpans(w http.ResponseWriter, _ *http.Request) {
 	if d.state.Load() == stateDrained {
 		// The clock loop may already be stopped; nothing left to ask.
@@ -327,7 +337,7 @@ func (d *Daemon) handleSpans(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	ch := make(chan []*span.Span, 1)
-	d.exec(func() { ch <- d.rt.Spans() })
+	d.exec(func() { ch <- d.Spans() })
 	spans := <-ch
 	if spans == nil {
 		spans = []*span.Span{}

@@ -17,7 +17,7 @@ import (
 
 // testConfig is a small pull-only daemon: unit-length items, three classes
 // confined to disjoint hundred-item bands by the load generators, shedding
-// enabled. Mirrors the core.Realtime overload scenario so daemon-level
+// enabled. Mirrors the core serving overload scenario so daemon-level
 // results are comparable.
 func testConfig() Config {
 	return Config{
@@ -460,7 +460,7 @@ func TestDaemonSpans(t *testing.T) {
 	})
 	v.RunUntil(100)
 
-	spans := d.Engine().Spans()
+	spans := d.Spans()
 	if err := span.Verify(spans); err != nil {
 		t.Fatal(err)
 	}
@@ -481,6 +481,38 @@ func TestDaemonSpans(t *testing.T) {
 		if sp.Item != 5 || sp.Verdict != trace.VerdictPull {
 			t.Fatalf("served span misattributed: %+v", sp)
 		}
+	}
+}
+
+// TestDaemonRefusedPushSpanVerdict: a push-band request (item ≤ K) that
+// admission refuses keeps its routing verdict in /debug/spans — "push",
+// beside the pull-band refusal's "pull" — with the refusal taxonomy as its
+// outcome.
+func TestDaemonRefusedPushSpanVerdict(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cutoff = 10
+	cfg.Admission.Classes = []ClassAdmission{{MaxPending: 1}}
+	cfg.Spans = &SpansConfig{Rate: 1}
+	d, v := inlineDaemon(t, cfg)
+	d.Serve(Request{Item: 3}, 0, func(int, Response) {}) // admitted push waiter
+	refused := map[int]string{}
+	for _, item := range []int{4, 200} { // push band, pull band
+		d.Serve(Request{Item: item}, 0, func(status int, resp Response) {
+			refused[item] = resp.Outcome
+		})
+	}
+	v.RunUntil(100)
+	if refused[4] != "quota_exceeded" || refused[200] != "quota_exceeded" {
+		t.Fatalf("refusals answered %v, want quota_exceeded for items 4 and 200", refused)
+	}
+	verdicts := map[int]string{}
+	for _, sp := range d.Spans() {
+		if sp.Outcome == trace.EndRejected {
+			verdicts[sp.Item] = sp.Verdict
+		}
+	}
+	if verdicts[4] != trace.VerdictPush || verdicts[200] != trace.VerdictPull {
+		t.Fatalf("refused span verdicts %v, want item 4 push and item 200 pull", verdicts)
 	}
 }
 

@@ -34,6 +34,12 @@ func Apply(c *telemetry.Collector, e Event) {
 		c.Retry(int(e.Class))
 	case KindShed:
 		c.Shed(int(e.Class))
+	case KindExpired:
+		c.Expired(int(e.Class))
+	case KindRateLimited:
+		c.RateLimited(int(e.Class))
+	case KindQuotaExceeded:
+		c.QuotaExceeded(int(e.Class))
 	case KindHandoff:
 		c.Handoff(int(e.Class))
 	case KindHandoffRefused:

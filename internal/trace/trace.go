@@ -32,6 +32,11 @@ const (
 	KindShed         Kind = "shed"          // request refused by the overload admission controller
 	KindSnapshot     Kind = "snapshot"      // periodic telemetry snapshot (read-only; carries Snap)
 
+	// Serving kinds (core.NewServing): outcomes only submitted requests have.
+	KindExpired       Kind = "expired"        // admitted request answered at its deadline, undelivered
+	KindRateLimited   Kind = "rate-limited"   // request refused by its class's token bucket
+	KindQuotaExceeded Kind = "quota-exceeded" // request refused by its class's pending quota
+
 	// Multi-cell kinds (internal/cluster): cross-cell client mobility.
 	KindHandoff        Kind = "handoff"         // roaming request re-attached at this cell
 	KindHandoffRefused Kind = "handoff-refused" // roaming request turned away at this cell (see Reason)
