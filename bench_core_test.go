@@ -25,7 +25,7 @@ type benchCoreResult struct {
 
 // maxAllocsPerRequest is the steady-state heap-allocation budget per
 // simulated request. The pre-pooling engine sat near 2.75, the slimmed hot
-// path near 1.12; with the calendar-queue event arena and the request arena
+// path near 1.12; with the arena-backed event queue and the request arena
 // the engine measures ~0.014, so a breach means an arena, pooling or
 // histogram regression.
 const maxAllocsPerRequest = 0.5

@@ -8,8 +8,9 @@
 //     determinism tests pin this).
 //   - Wall — real time for the serving mode (cmd/qosd): a single goroutine
 //     owns handler execution and fires callbacks when their scheduled
-//     instant arrives on the machine clock, with the same (time, insertion
-//     order) tie-breaking as the virtual loop.
+//     instant arrives on the machine clock. Its pending handlers sit in the
+//     same event.Queue the virtual loop uses, so (time, insertion order)
+//     tie-breaking and Token semantics are identical in both modes.
 //
 // Time is measured in broadcast units in both modes; the Wall clock maps a
 // unit onto a configurable wall duration. All handlers of one clock run on
@@ -44,7 +45,4 @@ type Clock interface {
 // Token identifies a scheduled handler so it can be cancelled. The zero
 // Token is valid and cancels nothing. A Token held past its handler's
 // firing goes stale and cancels nothing.
-type Token struct {
-	ev event.Token // set by the virtual clock
-	we *wallEvent  // set by the wall clock
-}
+type Token struct{ ev event.Token }

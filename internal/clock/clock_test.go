@@ -165,6 +165,51 @@ func TestWallCancel(t *testing.T) {
 	}
 }
 
+// TestWallStaleTokensAfterSlotReuse pins the Token contract on the wall
+// clock, whose handlers live in recycled arena slots: a fired handler's
+// Token cannot cancel the handler that reuses its slot, a cancelled Token
+// stays dead after its slot is reused, and the reusing handlers still fire.
+func TestWallStaleTokensAfterSlotReuse(t *testing.T) {
+	w, err := NewWall(time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Run()
+	defer w.Stop()
+	wait := func(ch chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never fired", what)
+		}
+	}
+
+	// The queue's arena holds one slot while a is the only handler, so b
+	// reuses a's slot once a has fired.
+	aFired := make(chan struct{})
+	a := w.At(0, func() { close(aFired) })
+	wait(aFired, "due handler")
+	bFired := make(chan struct{})
+	w.After(20, func() { close(bFired) })
+	if w.Cancel(a) {
+		t.Fatal("a fired handler's Token cancelled the handler reusing its slot")
+	}
+
+	// c takes the next fresh slot; d reuses it after c is cancelled.
+	c := w.After(1e6, func() { t.Error("cancelled wall handler fired") })
+	if !w.Cancel(c) {
+		t.Fatal("Cancel of a pending wall handler returned false")
+	}
+	dFired := make(chan struct{})
+	w.After(30, func() { close(dFired) })
+	if w.Cancel(c) {
+		t.Fatal("a cancelled Token cancelled the handler reusing its slot")
+	}
+	wait(bFired, "handler in the fired handler's slot")
+	wait(dFired, "handler in the cancelled handler's slot")
+}
+
 func TestWallStopIdempotent(t *testing.T) {
 	w, err := NewWall(time.Millisecond)
 	if err != nil {

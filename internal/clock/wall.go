@@ -6,11 +6,12 @@ package clock
 // admission — must take time as an argument or schedule through a Clock.
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync"
 	"time"
+
+	"hybridqos/internal/event"
 )
 
 // Wall is real time: one broadcast unit lasts a configurable wall duration,
@@ -19,57 +20,18 @@ import (
 // At/After/Submit/Cancel are safe to call from any goroutine, so HTTP
 // handlers can hand work to the engine loop without extra locking.
 //
-// Ties are broken by insertion order, matching the virtual loop, and a
-// handler scheduled in the past runs as soon as the loop reaches it.
+// Pending handlers live in an event.Queue, the virtual loop's queue, so
+// ties are broken by insertion order exactly as there; a handler scheduled
+// in the past runs as soon as the loop reaches it.
 type Wall struct {
 	unit   time.Duration
 	origin time.Time
 
 	mu      sync.Mutex
-	events  wallHeap
-	nextSeq uint64
+	q       event.Queue
 	stopped bool
 	wake    chan struct{}
 	done    chan struct{}
-}
-
-// wallEvent is one scheduled wall-clock handler.
-type wallEvent struct {
-	t         float64
-	seq       uint64
-	h         func()
-	index     int // heap index; -1 once popped or cancelled
-	cancelled bool
-}
-
-// wallHeap orders events by (time, seq).
-type wallHeap []*wallEvent
-
-func (h wallHeap) Len() int { return len(h) }
-func (h wallHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h wallHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *wallHeap) Push(x any) {
-	ev := x.(*wallEvent)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *wallHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
 }
 
 // NewWall returns a Wall clock whose broadcast unit lasts the given wall
@@ -106,12 +68,10 @@ func (w *Wall) At(t float64, h func()) Token {
 		panic("clock: nil handler")
 	}
 	w.mu.Lock()
-	ev := &wallEvent{t: t, seq: w.nextSeq, h: h}
-	w.nextSeq++
-	heap.Push(&w.events, ev)
+	tok := w.q.Push(t, h)
 	w.mu.Unlock()
 	w.nudge()
-	return Token{we: ev}
+	return Token{ev: tok}
 }
 
 // After implements Clock. Negative delay panics, as on the virtual clock.
@@ -122,27 +82,18 @@ func (w *Wall) After(delay float64, h func()) Token {
 	return w.At(w.Now()+delay, h)
 }
 
-// Submit schedules h to run as soon as possible on the loop goroutine,
-// after handlers already due. It is the bridge from foreign goroutines
-// (HTTP handlers, signal handlers) into the engine's single-threaded world.
+// Submit schedules h to run as soon as possible on the loop goroutine. It
+// is scheduled at −Inf, so it runs before every handler already due and
+// after handlers submitted earlier. It is the bridge from foreign
+// goroutines (HTTP handlers, signal handlers) into the engine's
+// single-threaded world.
 func (w *Wall) Submit(h func()) { w.At(math.Inf(-1), h) }
 
 // Cancel implements Clock.
 func (w *Wall) Cancel(tok Token) bool {
-	ev := tok.we
-	if ev == nil {
-		return false
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if ev.cancelled || ev.index < 0 {
-		return false
-	}
-	ev.cancelled = true
-	heap.Remove(&w.events, ev.index)
-	ev.index = -1
-	ev.h = nil
-	return true
+	return w.q.Cancel(tok.ev)
 }
 
 // nudge wakes the Run loop without blocking.
@@ -166,15 +117,12 @@ func (w *Wall) Run() {
 		}
 		var h func()
 		wait := time.Duration(-1)
-		if len(w.events) > 0 {
-			ev := w.events[0]
+		if t, ok := w.q.PeekTime(); ok {
 			nowU := float64(time.Since(w.origin)) / float64(w.unit)
-			if ev.t <= nowU {
-				heap.Pop(&w.events)
-				h = ev.h
-				ev.h = nil
+			if t <= nowU {
+				_, h = w.q.Pop()
 			} else {
-				d := (ev.t - nowU) * float64(w.unit)
+				d := (t - nowU) * float64(w.unit)
 				// Clamp absurd horizons so the float→Duration conversion
 				// cannot overflow; the loop re-derives the wait each pass.
 				if d > float64(time.Hour) {

@@ -8,11 +8,11 @@ import (
 )
 
 // BenchmarkQueueMix measures steady-state schedule/pop (and optionally
-// cancel) cycles at several pending-event densities, for the calendar queue
-// and the retired container/heap reference. The pending count is held
-// constant: each iteration pops the earliest event and schedules a
-// replacement a uniform random gap ahead, so the time-axis density matches
-// the event count. cancel=1of4 replaces every fourth op with a cancel of a
+// cancel) cycles at several pending-event densities, for the arena heap
+// (Simulator over Queue) and the retired container/heap reference. The
+// pending count is held constant: each iteration pops the earliest event
+// and schedules a replacement a uniform random gap ahead, so the time-axis
+// density matches the event count. cancel=1of4 replaces every fourth op with a cancel of a
 // random outstanding token followed by a reschedule.
 func BenchmarkQueueMix(b *testing.B) {
 	for _, pending := range []int{8, 64, 1024, 16384} {
@@ -22,7 +22,7 @@ func BenchmarkQueueMix(b *testing.B) {
 				mix = "1of4"
 			}
 			spread := float64(pending) // mean pop gap ~1 at every density
-			b.Run(fmt.Sprintf("impl=calendar/pending=%d/cancel=%s", pending, mix), func(b *testing.B) {
+			b.Run(fmt.Sprintf("impl=arena/pending=%d/cancel=%s", pending, mix), func(b *testing.B) {
 				s := New()
 				r := rng.New(7)
 				h := func() {}

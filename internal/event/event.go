@@ -3,15 +3,14 @@
 // timestamped events with deterministic FIFO tie-breaking, so that two runs
 // with the same seed replay the exact same event order.
 //
-// The pending-event set is a hybrid calendar queue (see calendar.go): a
-// bucket array covering the dense near-future band gives O(1) amortised
-// schedule and pop, and a spill heap absorbs far-future events. Events live
-// in an index-addressed arena — the structures move int32 slot numbers, not
-// pointers, so steady-state scheduling allocates nothing and the garbage
-// collector has no per-event pointers to trace. Pop order is exactly the
-// binary heap's: ascending (time, insertion sequence), bit-identical under
-// any bucket-sizing heuristic (TestDifferentialAgainstReferenceHeap pins
-// this against the retired container/heap implementation).
+// Queue is the one pending-event structure in the repository: a binary
+// min-heap on (time, insertion sequence) over an index-addressed arena.
+// The heap moves int32 slot numbers, not pointers, so steady-state
+// scheduling allocates nothing and the garbage collector has no per-event
+// pointers to trace. Simulator runs a Queue under a causal clock; the wall
+// clock in internal/clock runs one under its mutex. Pop order is exactly
+// ascending (time, seq) — TestDifferentialAgainstReferenceHeap pins both
+// Queue and Simulator against the retired container/heap implementation.
 package event
 
 import (
@@ -25,67 +24,236 @@ import (
 // both the virtual event loop and the wall-clock loop in internal/clock.
 type Handler func()
 
-// event is one scheduled occurrence, stored in the Simulator's arena and
+// event is one scheduled occurrence, stored in the Queue's arena and
 // addressed by slot index. Fired and cancelled events park on the freelist
-// and are reused by later At calls; gen increments on every reuse so stale
-// Tokens can never cancel the recycled slot.
+// and are reused by later Push calls; gen increments on every reuse so
+// stale Tokens can never cancel the recycled slot.
 type event struct {
 	time    float64
 	seq     uint64 // insertion order, breaks time ties deterministically
 	handler Handler
 	gen     uint64 // reuse generation, guards Token validity
-	where   int32  // bucket index, whereSpill, or whereFree once popped/cancelled
-	slot    int32  // position within its bucket slice or the spill heap
+	pos     int32  // index in the heap, or -1 once popped/cancelled
 }
-
-// where values outside the bucket range.
-const (
-	whereSpill int32 = -1 // in the far-future spill heap
-	whereFree  int32 = -2 // fired or cancelled; slot awaiting reuse
-)
 
 // Token identifies a scheduled event so it can be cancelled. A Token held
 // past its event's firing (or cancellation) goes stale and cancels nothing,
-// even after the simulator reuses the event's storage. The zero Token is
-// valid and cancels nothing (arena generations start at 1).
+// even after the queue reuses the event's storage. The zero Token is valid
+// and cancels nothing (arena generations start at 1).
 type Token struct {
 	slot int32
 	gen  uint64
 }
 
-// Simulator owns the clock and the pending-event set.
+// Queue is a min-priority queue of handlers ordered by ascending time, with
+// insertion order breaking ties. It imposes no causality: any time may be
+// pushed at any moment, including times before the last pop and −Inf. The
+// zero Queue is empty and ready to use. A Queue is not safe for concurrent
+// use.
+type Queue struct {
+	events  []event // index-addressed arena; the heap references slots
+	free    []int32 // fired/cancelled slots awaiting reuse
+	heap    []int32 // binary min-heap of pending slots on (time, seq)
+	nextSeq uint64
+}
+
+// Len returns the number of pending events.
+func (q *Queue) Len() int { return len(q.heap) }
+
+// Push schedules h at time t and returns a Token for cancellation. t must
+// not be NaN and h must not be nil; Push does not check (Simulator.At and
+// the wall clock's At do).
+//
+//qos:hotpath
+func (q *Queue) Push(t float64, h Handler) Token {
+	var i int32
+	if n := len(q.free); n > 0 {
+		i = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		i = q.grow()
+	}
+	ev := &q.events[i]
+	ev.time = t
+	ev.seq = q.nextSeq
+	ev.handler = h
+	ev.gen++
+	q.nextSeq++
+	n := len(q.heap)
+	if n < cap(q.heap) {
+		q.heap = q.heap[:n+1]
+		q.heap[n] = i
+	} else {
+		q.heapGrow(i)
+	}
+	ev.pos = int32(n)
+	q.up(n)
+	return Token{slot: i, gen: ev.gen}
+}
+
+// grow appends a fresh zero slot to the arena (cold path: the arena reaches
+// the peak pending count once, then the freelist recycles).
+func (q *Queue) grow() int32 {
+	q.events = append(q.events, event{})
+	return int32(len(q.events) - 1)
+}
+
+// heapGrow is Push's cold path: the heap's backing array grows to the peak
+// pending count once.
+func (q *Queue) heapGrow(i int32) {
+	q.heap = append(q.heap, i)
+}
+
+// Cancel removes a pending event. Cancelling an already-fired or
+// already-cancelled event is a no-op and returns false.
+func (q *Queue) Cancel(tok Token) bool {
+	if tok.gen == 0 || int(tok.slot) >= len(q.events) {
+		return false
+	}
+	ev := &q.events[tok.slot]
+	if ev.gen != tok.gen || ev.pos < 0 {
+		return false
+	}
+	q.remove(int(ev.pos))
+	q.recycle(tok.slot)
+	return true
+}
+
+// PeekTime returns the earliest pending event's time; ok is false when the
+// queue is empty.
+//
+//qos:hotpath
+func (q *Queue) PeekTime() (t float64, ok bool) {
+	if len(q.heap) == 0 {
+		return 0, false
+	}
+	return q.events[q.heap[0]].time, true
+}
+
+// Pop removes the earliest pending event and returns its time and handler.
+// It panics on an empty queue.
+//
+//qos:hotpath
+func (q *Queue) Pop() (float64, Handler) {
+	i := q.heap[0]
+	q.remove(0)
+	ev := &q.events[i]
+	t, h := ev.time, ev.handler
+	q.recycle(i)
+	return t, h
+}
+
+// recycle parks a popped or cancelled slot for reuse. The handler is
+// dropped immediately so captured state does not outlive the event.
+//
+//qos:hotpath
+func (q *Queue) recycle(i int32) {
+	ev := &q.events[i]
+	ev.handler = nil
+	ev.pos = -1
+	if n := len(q.free); n < cap(q.free) {
+		q.free = q.free[:n+1]
+		q.free[n] = i
+	} else {
+		q.freeGrow(i)
+	}
+}
+
+// freeGrow is recycle's cold path: the freelist grows to the peak pending
+// count once, then recycles.
+func (q *Queue) freeGrow(i int32) {
+	q.free = append(q.free, i)
+}
+
+// before reports whether slot a pops before slot b: ascending time,
+// insertion sequence breaking ties. This single comparison defines the
+// queue's total order.
+//
+//qos:hotpath
+func (q *Queue) before(a, b int32) bool {
+	ea, eb := &q.events[a], &q.events[b]
+	if ea.time != eb.time {
+		return ea.time < eb.time
+	}
+	return ea.seq < eb.seq
+}
+
+// remove deletes the element at heap index j, restoring heap order.
+//
+//qos:hotpath
+func (q *Queue) remove(j int) {
+	last := len(q.heap) - 1
+	moved := q.heap[last]
+	q.heap = q.heap[:last]
+	if j == last {
+		return
+	}
+	q.heap[j] = moved
+	q.events[moved].pos = int32(j)
+	if !q.down(j) {
+		q.up(j)
+	}
+}
+
+// up sifts the element at heap index j toward the root.
+//
+//qos:hotpath
+func (q *Queue) up(j int) {
+	for j > 0 {
+		parent := (j - 1) / 2
+		if !q.before(q.heap[j], q.heap[parent]) {
+			break
+		}
+		q.swap(j, parent)
+		j = parent
+	}
+}
+
+// down sifts the element at heap index j toward the leaves, reporting
+// whether it moved.
+//
+//qos:hotpath
+func (q *Queue) down(j int) bool {
+	start := j
+	n := len(q.heap)
+	for {
+		left := 2*j + 1
+		if left >= n {
+			break
+		}
+		least := left
+		if right := left + 1; right < n && q.before(q.heap[right], q.heap[left]) {
+			least = right
+		}
+		if !q.before(q.heap[least], q.heap[j]) {
+			break
+		}
+		q.swap(j, least)
+		j = least
+	}
+	return j != start
+}
+
+// swap exchanges heap positions a and b, fixing back-references.
+//
+//qos:hotpath
+func (q *Queue) swap(a, b int) {
+	q.heap[a], q.heap[b] = q.heap[b], q.heap[a]
+	q.events[q.heap[a]].pos = int32(a)
+	q.events[q.heap[b]].pos = int32(b)
+}
+
+// Simulator is a causal event loop: a clock and a Queue whose events may
+// only be scheduled at or after the current time.
 type Simulator struct {
 	now     float64
-	nextSeq uint64
 	fired   uint64
 	stopped bool
-
-	events []event // index-addressed arena; structures reference slots
-	free   []int32 // fired/cancelled slots awaiting reuse
-
-	// Calendar band: buckets[i] holds the slots of pending events whose
-	// time maps into [bandStart + i·width, bandStart + (i+1)·width). Buckets
-	// are unsorted; the pop path min-scans the first non-empty bucket, which
-	// is O(occupancy) — the sizing heuristics keep occupancy near one.
-	buckets   [][]int32
-	bandStart float64
-	width     float64
-	invWidth  float64
-	cur       int // all buckets below cur are empty (see pop)
-	bandCount int
-
-	// Far-future spill: a manual binary min-heap on (time, seq) holding the
-	// slots whose time falls beyond the band. Migrated into a fresh band by
-	// retarget when the band drains.
-	spill []int32
-
-	minSlot int32   // cached arg-min slot, -1 when unknown
-	avgGap  float64 // EWMA of pop-to-pop gaps; sets the bucket width at retarget
-	lastPop float64 // previous popped time, feeds avgGap
+	q       Queue
 }
 
 // New returns a Simulator with the clock at zero.
-func New() *Simulator { return &Simulator{minSlot: -1} }
+func New() *Simulator { return &Simulator{} }
 
 // Now returns the current simulated time.
 func (s *Simulator) Now() float64 { return s.now }
@@ -94,56 +262,7 @@ func (s *Simulator) Now() float64 { return s.now }
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of scheduled-but-unfired events.
-func (s *Simulator) Pending() int { return s.bandCount + len(s.spill) }
-
-// alloc returns a recycled arena slot (bumping its generation) or a fresh
-// one, initialised for time t and handler h.
-//
-//qos:hotpath
-func (s *Simulator) alloc(t float64, h Handler) int32 {
-	var i int32
-	if n := len(s.free); n > 0 {
-		i = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		i = s.grow()
-	}
-	ev := &s.events[i]
-	ev.time = t
-	ev.seq = s.nextSeq
-	ev.handler = h
-	ev.gen++
-	return i
-}
-
-// grow appends a fresh zero slot to the arena (cold path: the arena reaches
-// the peak in-flight event count once, then the freelist recycles).
-func (s *Simulator) grow() int32 {
-	s.events = append(s.events, event{})
-	return int32(len(s.events) - 1)
-}
-
-// recycle parks a popped or cancelled slot for reuse. The handler is
-// dropped immediately so captured state does not outlive the event.
-//
-//qos:hotpath
-func (s *Simulator) recycle(i int32) {
-	ev := &s.events[i]
-	ev.handler = nil
-	ev.where = whereFree
-	if n := len(s.free); n < cap(s.free) {
-		s.free = s.free[:n+1]
-		s.free[n] = i
-	} else {
-		s.freeGrow(i)
-	}
-}
-
-// freeGrow is recycle's cold path: the freelist grows to the peak in-flight
-// event count once, then recycles.
-func (s *Simulator) freeGrow(i int32) {
-	s.free = append(s.free, i)
-}
+func (s *Simulator) Pending() int { return s.q.Len() }
 
 // At schedules h to run at absolute time t. Scheduling in the past panics —
 // it would silently corrupt causality. Returns a Token for cancellation.
@@ -156,13 +275,7 @@ func (s *Simulator) At(t float64, h Handler) Token {
 	if h == nil {
 		panic("event: nil handler")
 	}
-	i := s.alloc(t, h)
-	s.nextSeq++
-	s.place(i)
-	if m := s.minSlot; m >= 0 && s.before(i, m) {
-		s.minSlot = i
-	}
-	return Token{slot: i, gen: s.events[i].gen}
+	return s.q.Push(t, h)
 }
 
 // After schedules h to run delay time units from now. Negative delay panics.
@@ -177,21 +290,7 @@ func (s *Simulator) After(delay float64, h Handler) Token {
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op and returns false.
-func (s *Simulator) Cancel(tok Token) bool {
-	if tok.gen == 0 || int(tok.slot) >= len(s.events) {
-		return false
-	}
-	ev := &s.events[tok.slot]
-	if ev.gen != tok.gen || ev.where == whereFree {
-		return false
-	}
-	s.unlink(tok.slot)
-	if s.minSlot == tok.slot {
-		s.minSlot = -1
-	}
-	s.recycle(tok.slot)
-	return true
-}
+func (s *Simulator) Cancel(tok Token) bool { return s.q.Cancel(tok) }
 
 // Stop makes the current Run/RunUntil call return after the in-flight
 // handler finishes. Pending events remain queued.
@@ -201,15 +300,12 @@ func (s *Simulator) Stop() { s.stopped = true }
 //
 //qos:hotpath
 func (s *Simulator) step() bool {
-	i := s.popMin()
-	if i < 0 {
+	if s.q.Len() == 0 {
 		return false
 	}
-	ev := &s.events[i]
-	s.now = ev.time
+	t, h := s.q.Pop()
+	s.now = t
 	s.fired++
-	h := ev.handler
-	s.recycle(i)
 	h()
 	return true
 }
@@ -229,8 +325,7 @@ func (s *Simulator) RunUntil(horizon float64) {
 	}
 	s.stopped = false
 	for !s.stopped {
-		i := s.peekMin()
-		if i < 0 || s.events[i].time > horizon {
+		if t, ok := s.q.PeekTime(); !ok || t > horizon {
 			break
 		}
 		s.step()

@@ -322,12 +322,12 @@ func TestEventStorageIsReused(t *testing.T) {
 		s.At(s.Now(), func() {})
 		s.Run()
 	}
-	if len(s.free) == 0 {
+	if len(s.q.free) == 0 {
 		t.Fatal("no events parked for reuse")
 	}
-	before := len(s.free)
+	before := len(s.q.free)
 	s.At(s.Now(), func() {})
-	if len(s.free) != before-1 {
-		t.Fatalf("At did not pop the freelist: %d -> %d", before, len(s.free))
+	if len(s.q.free) != before-1 {
+		t.Fatalf("At did not pop the freelist: %d -> %d", before, len(s.q.free))
 	}
 }

@@ -3,9 +3,10 @@ package event
 import "container/heap"
 
 // refSim is the retired container/heap scheduler, preserved verbatim as the
-// reference implementation for the differential tests and the heap-vs-
-// calendar benchmarks. Its pop order — ascending (time, seq) — is the
-// contract the calendar queue must reproduce bit-identically.
+// reference implementation for the differential test and the QueueMix
+// benchmark. Its pop order — ascending (time, seq) — is the contract Queue
+// and Simulator must reproduce bit-identically. It checks no causality, so
+// it also models the wall clock's acausal pushes.
 type refSim struct {
 	now     float64
 	queue   refHeap
