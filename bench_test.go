@@ -1,6 +1,7 @@
 // Benchmarks regenerating every evaluation artefact of the paper (one bench
 // per figure — the paper has no numbered tables; Figures 3–7 are its entire
-// evaluation) plus the ablation benches DESIGN.md lists. Figure benches
+// evaluation) plus the ablation benches DESIGN.md lists, and the tier-1
+// allocation ceiling on the workload those benches share. Figure benches
 // report the headline domain metric via b.ReportMetric so `go test -bench`
 // output carries the reproduced numbers alongside the timing.
 //
@@ -19,8 +20,6 @@ import (
 	"hybridqos/internal/clients"
 	"hybridqos/internal/core"
 	"hybridqos/internal/experiments"
-	"hybridqos/internal/pullqueue"
-	"hybridqos/internal/rng"
 	"hybridqos/internal/workload"
 )
 
@@ -128,65 +127,18 @@ func minY(b *testing.B, ys []float64) float64 {
 
 // --- Ablation benches (DESIGN.md) ---
 
-func benchWorkload(n int) []pullqueue.Request {
-	r := rng.New(7)
-	reqs := make([]pullqueue.Request, n)
-	for i := range reqs {
-		reqs[i] = pullqueue.Request{
-			Item:     r.Intn(60) + 41,
-			Class:    clients.Class(r.Intn(3)),
-			Priority: float64(3 - r.Intn(3)),
-			Arrival:  float64(i) * 0.2,
-		}
-	}
-	return reqs
-}
-
-// BenchmarkPullQueueHeap (ABL-PULLQ): indexed-heap pull queue.
-func BenchmarkPullQueueHeap(b *testing.B) {
-	reqs := benchWorkload(2048)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q, err := pullqueue.NewHeap(0.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, rq := range reqs {
-			q.Add(rq, 2)
-		}
-		for q.Items() > 0 {
-			q.ExtractMax(0)
-		}
-	}
-}
-
-// BenchmarkPullQueueLinear (ABL-PULLQ): linear-scan reference pull queue.
-func BenchmarkPullQueueLinear(b *testing.B) {
-	reqs := benchWorkload(2048)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q, err := pullqueue.NewLinear(0.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, rq := range reqs {
-			q.Add(rq, 2)
-		}
-		for q.Items() > 0 {
-			q.ExtractMax(0)
-		}
-	}
-}
-
-func benchCoreConfig(b *testing.B) core.Config {
-	b.Helper()
+// benchCoreConfig is the paper workload the ablation benches and the
+// allocation ceiling share: θ=0.6, λ=5, K=40, α=0.5 at a short horizon,
+// enough steady state for a stable allocation ratio.
+func benchCoreConfig(tb testing.TB) core.Config {
+	tb.Helper()
 	cat, err := catalog.Generate(catalog.PaperConfig(0.6, 42))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cl, err := clients.New(clients.PaperConfig())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return core.Config{
 		Catalog:        cat,
@@ -197,6 +149,33 @@ func benchCoreConfig(b *testing.B) core.Config {
 		Horizon:        3000,
 		WarmupFraction: 0.1,
 		Seed:           9,
+	}
+}
+
+// maxAllocsPerRequest is the steady-state heap-allocation budget per
+// simulated request. The pre-pooling engine sat near 2.75, the slimmed hot
+// path near 1.12; with the arena-backed event queue and the request arena
+// the engine measures ~0.014, so a breach means an arena, pooling or
+// histogram regression.
+const maxAllocsPerRequest = 0.5
+
+// TestAllocsPerRequestCeiling measures the live engine, so an allocation
+// regression fails tier-1.
+func TestAllocsPerRequestCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement needs full runs")
+	}
+	cfg := benchCoreConfig(t)
+	requests := cfg.Horizon * cfg.Lambda
+	perRun := testing.AllocsPerRun(3, func() {
+		if _, err := core.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	got := perRun / requests
+	t.Logf("%.3f allocs per simulated request", got)
+	if got > maxAllocsPerRequest {
+		t.Fatalf("%.3f allocs/request exceeds budget %.1f", got, maxAllocsPerRequest)
 	}
 }
 
@@ -292,20 +271,6 @@ func BenchmarkBandwidthBlocking(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkSimulatorThroughput measures raw simulator speed (events are
-// dominated by arrivals at λ=5 per broadcast unit).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	cfg := benchCoreConfig(b)
-	cfg.Horizon = 10000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(cfg.Horizon*cfg.Lambda*float64(b.N)/b.Elapsed().Seconds(), "requests/sec")
 }
 
 // BenchmarkExtMultiClass regenerates the five-class extension experiment.

@@ -29,6 +29,9 @@ func main() {
 		step   = flag.Int("step", 10, "cutoff sweep step")
 	)
 	flag.Parse()
+	if *step < 1 {
+		fatal("-step must be at least 1, got %d", *step)
+	}
 
 	cat, err := catalog.Generate(catalog.PaperConfig(*theta, *seed))
 	if err != nil {

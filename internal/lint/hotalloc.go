@@ -9,9 +9,9 @@ import (
 )
 
 // hotalloc: functions annotated //qos:hotpath may not contain allocating
-// constructs. This is the static complement of the corebench
-// allocs/request gate — the benchmark catches a regression after the fact,
-// this rule points at the exact expression in review.
+// constructs. This is the static complement of TestAllocsPerRequestCeiling
+// and the CI benchmark A/B — those catch a regression after the fact, this
+// rule points at the exact expression in review.
 //
 // Flagged constructs:
 //

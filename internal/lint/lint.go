@@ -37,8 +37,8 @@
 //   - hotalloc: functions annotated //qos:hotpath may not contain allocating
 //     constructs — growing append, make with a non-constant size, closures
 //     that capture locals, explicit interface conversions, or string
-//     concatenation. This is the static gate backing the corebench
-//     allocs/request ceiling.
+//     concatenation. This is the static gate backing the
+//     allocs/request ceiling (TestAllocsPerRequestCeiling).
 //   - goroutines: only internal/workpool, internal/clock and
 //     internal/httpserve may spawn goroutines; every mutex Lock/RLock must
 //     be balanced by a defer or a same-block Unlock/RUnlock on all paths.
