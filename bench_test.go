@@ -11,7 +11,9 @@
 package hybridqos
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"hybridqos/internal/analytic"
 	"hybridqos/internal/bandwidth"
@@ -20,6 +22,8 @@ import (
 	"hybridqos/internal/clients"
 	"hybridqos/internal/core"
 	"hybridqos/internal/experiments"
+	"hybridqos/internal/telemetry"
+	"hybridqos/internal/trace"
 	"hybridqos/internal/workload"
 )
 
@@ -176,6 +180,57 @@ func TestAllocsPerRequestCeiling(t *testing.T) {
 	t.Logf("%.3f allocs per simulated request", got)
 	if got > maxAllocsPerRequest {
 		t.Fatalf("%.3f allocs/request exceeds budget %.1f", got, maxAllocsPerRequest)
+	}
+}
+
+// maxTracedBytesPerEvent is the heap budget of a traced, telemetry-on run:
+// bytes allocated per recorded event, as a multiple of the event's own
+// size, not counting the unused tail of the final trace.Buffer (which
+// depends only on where the event count falls between two capacities). A
+// doubling Buffer allocates its final capacity plus the earlier ones, which
+// sum to less than the final one, so with the tail excluded it costs 2–3
+// event sizes per event and the engine, telemetry and spans add little.
+// append's 1.25× growth for large slices allocates earlier capacities
+// summing to about four times the final one, over 5 event sizes per event,
+// so reverting the growth policy fails this test.
+const maxTracedBytesPerEvent = 4
+
+// TestTracedBytesPerEventCeiling measures the recorded-run path — trace
+// buffer, telemetry collector and span sampling on the paper workload — so
+// a trace-cost regression fails tier-1 on a count, not a timing.
+func TestTracedBytesPerEventCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement needs full runs")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 3
+	size := uint64(unsafe.Sizeof(trace.Event{}))
+	var bytes uint64
+	var events int
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		cfg := benchCoreConfig(t)
+		tele, err := telemetry.New(telemetry.Options{SnapshotEvery: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := &trace.Buffer{}
+		cfg.Telemetry, cfg.Tracer = tele, buf
+		cfg.Spans = &core.SpanConfig{Rates: []float64{0.2, 0.1, 0.05}}
+		runtime.ReadMemStats(&before)
+		if _, err := core.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		tail := uint64(cap(buf.Events)-len(buf.Events)) * size
+		bytes += after.TotalAlloc - before.TotalAlloc - tail
+		events += len(buf.Events)
+	}
+	got := float64(bytes) / float64(events) / float64(size)
+	t.Logf("%.0f heap bytes per recorded event = %.2f × sizeof(trace.Event) (%d B), %d events per run",
+		float64(bytes)/float64(events), got, size, events/runs)
+	if got > maxTracedBytesPerEvent {
+		t.Fatalf("%.2f event sizes of heap per recorded event exceeds budget %d", got, maxTracedBytesPerEvent)
 	}
 }
 

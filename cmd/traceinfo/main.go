@@ -105,16 +105,16 @@ func writeCensus(w io.Writer, events []trace.Event) {
 	for _, e := range events {
 		counts[e.Kind]++
 	}
-	kinds := make([]string, 0, len(counts))
+	kinds := make([]trace.Kind, 0, len(counts))
 	for k := range counts {
-		kinds = append(kinds, string(k))
+		kinds = append(kinds, k)
 	}
-	sort.Strings(kinds)
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i].String() < kinds[j].String() })
 	fmt.Fprintf(w, "trace: %d events over [%.1f, %.1f] broadcast units\n\n",
 		len(events), events[0].T, events[len(events)-1].T)
 	census := report.NewTable("Event census", "kind", "count")
 	for _, k := range kinds {
-		census.AddRow(k, fmt.Sprint(counts[trace.Kind(k)]))
+		census.AddRow(k.String(), fmt.Sprint(counts[k]))
 	}
 	fmt.Fprintln(w, census.String())
 }
@@ -243,7 +243,7 @@ func writeCells(w io.Writer, events []trace.Event, classes int) {
 		case trace.KindHandoffRefused:
 			r := get(e.Cell)
 			r.refusals[c]++
-			if col, known := reasonCol[e.Reason]; known {
+			if col, known := reasonCol[e.Reason.String()]; known {
 				r.byReason[col]++
 			}
 		}
@@ -386,7 +386,7 @@ func writeSpans(w io.Writer, events []trace.Event, opts options) error {
 	}
 	byOutcome := map[string]*outRow{}
 	for _, sp := range spans {
-		key := sp.Outcome
+		key := sp.Outcome.String()
 		if sp.Open {
 			key = "(open)"
 		}

@@ -72,12 +72,12 @@ func clusterEvents() []trace.Event {
 		{T: 0.5, Kind: trace.KindArrival, Item: 51, Class: 1, Cell: 1},
 		{T: 1, Kind: trace.KindArrival, Item: 52, Class: 2, Cell: 1},
 		{T: 2, Kind: trace.KindHandoff, Item: 50, Class: 0, Cell: 1},
-		{T: 3, Kind: trace.KindHandoffRefused, Item: 90, Class: 2, Cell: 0, Reason: "no-item"},
+		{T: 3, Kind: trace.KindHandoffRefused, Item: 90, Class: 2, Cell: 0, Reason: trace.RefusalNoItem},
 		{T: 4, Kind: trace.KindHandoff, Item: 51, Class: 1, Cell: 0},
-		{T: 5, Kind: trace.KindHandoffRefused, Item: 52, Class: 2, Cell: 0, Reason: "expired"},
-		{T: 5.5, Kind: trace.KindHandoffRefused, Item: 60, Class: 1, Cell: 1, Reason: "shed"},
+		{T: 5, Kind: trace.KindHandoffRefused, Item: 52, Class: 2, Cell: 0, Reason: trace.RefusalExpired},
+		{T: 5.5, Kind: trace.KindHandoffRefused, Item: 60, Class: 1, Cell: 1, Reason: trace.RefusalShed},
 		{T: 6, Kind: trace.KindServed, Class: 0, Arrival: 0, Cell: 1},
-		{T: 6.5, Kind: trace.KindHandoffRefused, Item: 61, Class: 0, Cell: 1, Reason: "horizon"},
+		{T: 6.5, Kind: trace.KindHandoffRefused, Item: 61, Class: 0, Cell: 1, Reason: trace.RefusalHorizon},
 		{T: 7, Kind: trace.KindArrival, Item: 53, Class: 0, Cell: 0},
 	}
 }

@@ -918,7 +918,7 @@ func WriteSpans(c Config, perfettoPath, otlpPath string) ([]SpanSummary, error) 
 	for i, sp := range spans {
 		out[i] = SpanSummary{
 			ID: sp.ID, Class: int(sp.Class), Item: sp.Item,
-			Verdict: sp.Verdict, Outcome: sp.Outcome,
+			Verdict: sp.Verdict.String(), Outcome: sp.Outcome.String(),
 			Start: sp.Start, End: sp.End, Delay: sp.Delay(),
 			Segments: len(sp.Segments), Retries: sp.Retries,
 		}

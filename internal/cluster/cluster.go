@@ -401,12 +401,12 @@ func (c *Cluster) exchange(t float64, loads []int) {
 			dc := c.cells[dst]
 			if rm.Item > c.shared {
 				// Cell-local content does not exist at the destination.
-				dc.srv.RefuseHandoff(rm.Item, rm.Class, "no-item", rm.Arrival, rm.Span)
+				dc.srv.RefuseHandoff(rm.Item, rm.Class, trace.RefusalNoItem, rm.Arrival, rm.Span)
 				continue
 			}
 			attach := t + c.cfg.Mobility.AttachDelay
 			if attach > horizon {
-				dc.srv.RefuseHandoff(rm.Item, rm.Class, "horizon", rm.Arrival, rm.Span)
+				dc.srv.RefuseHandoff(rm.Item, rm.Class, trace.RefusalHorizon, rm.Arrival, rm.Span)
 				continue
 			}
 			loads[dst]++

@@ -261,14 +261,14 @@ func TestCatalogOverlap(t *testing.T) {
 	}
 	full := mk(1)
 	for _, e := range full.Trace {
-		if e.Reason == "no-item" {
+		if e.Reason == trace.RefusalNoItem {
 			t.Fatal("full overlap refused a handoff for a missing item")
 		}
 	}
 	none := mk(0)
 	sawNoItem := false
 	for _, e := range none.Trace {
-		if e.Reason == "no-item" {
+		if e.Reason == trace.RefusalNoItem {
 			sawNoItem = true
 		}
 	}

@@ -187,7 +187,7 @@ func (s *Server) Inject(item int, class clients.Class, arrival float64, attempts
 		if arrival >= s.warmupEnd {
 			s.metrics.PerClass[class].Expired++
 		}
-		s.refuseHandoff(item, class, "expired", arrival, span)
+		s.refuseHandoff(item, class, trace.RefusalExpired, arrival, span)
 		return InjectExpired
 	}
 	if item <= s.cutoff {
@@ -202,7 +202,7 @@ func (s *Server) Inject(item int, class clients.Class, arrival float64, attempts
 			if arrival >= s.warmupEnd {
 				s.metrics.PerClass[class].Shed++
 			}
-			s.refuseHandoff(item, class, "shed", arrival, span)
+			s.refuseHandoff(item, class, trace.RefusalShed, arrival, span)
 			return InjectShed
 		}
 	}
@@ -235,12 +235,13 @@ func (s *Server) ScheduleInject(at float64, item int, class clients.Class, arriv
 }
 
 // RefuseHandoff records a roamer this cell turned away without processing:
-// reason "no-item" when the item is absent from the cell's catalog, or
-// "horizon" when the transit would end past the simulation horizon. (The
-// refusals Inject decides itself — "expired", "shed" — book themselves.)
+// reason trace.RefusalNoItem when the item is absent from the cell's
+// catalog, or trace.RefusalHorizon when the transit would end past the
+// simulation horizon. (The refusals Inject decides itself —
+// trace.RefusalExpired, trace.RefusalShed — book themselves.)
 // arrival and span carry the roamer's original arrival and span ID for the
 // refusal's span terminal (0s when the roamer is unsampled).
-func (s *Server) RefuseHandoff(item int, class clients.Class, reason string, arrival float64, span int64) {
+func (s *Server) RefuseHandoff(item int, class clients.Class, reason trace.Reason, arrival float64, span int64) {
 	s.refuseHandoff(item, class, reason, arrival, span)
 }
 
@@ -253,8 +254,8 @@ func (s *Server) acceptHandoff(item int, class clients.Class) {
 }
 
 // refuseHandoff books a refused inbound roamer. A sampled roamer's span
-// terminates here with the refusal taxonomy ("refused-" + reason).
-func (s *Server) refuseHandoff(item int, class clients.Class, reason string, arrival float64, span int64) {
+// terminates here with the refusal taxonomy (reason.Refused()).
+func (s *Server) refuseHandoff(item int, class clients.Class, reason trace.Reason, arrival float64, span int64) {
 	s.metrics.PerClass[class].HandoffRefusals++
 	if s.emitOn {
 		s.emit(trace.Event{T: s.clk.Now(), Kind: trace.KindHandoffRefused, Item: item, Class: class, Reason: reason})
@@ -262,7 +263,7 @@ func (s *Server) refuseHandoff(item int, class clients.Class, reason string, arr
 	if span != 0 && s.emitOn {
 		s.emit(trace.Event{
 			T: s.clk.Now(), Kind: trace.KindSpanEnd, Item: item, Class: class,
-			Req: span, Reason: "refused-" + reason, Arrival: arrival,
+			Req: span, Reason: reason.Refused(), Arrival: arrival,
 		})
 	}
 }
@@ -281,7 +282,7 @@ func (s *Server) spanHandoff(item int, class clients.Class, span int64) {
 // spanAttach emits the roam-in provenance event for a sampled request
 // (no-op for span 0). verdict records how the request re-attached: a push
 // waiter or a pull enqueue (whose span-enqueue follows).
-func (s *Server) spanAttach(item int, class clients.Class, span int64, verdict string) {
+func (s *Server) spanAttach(item int, class clients.Class, span int64, verdict trace.Reason) {
 	if span == 0 || !s.emitOn {
 		return
 	}

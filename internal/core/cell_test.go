@@ -234,7 +234,7 @@ func TestInjectShed(t *testing.T) {
 	}
 	sawRefusal := false
 	for _, e := range buf.Events {
-		if e.Kind == trace.KindHandoffRefused && e.Reason == "shed" {
+		if e.Kind == trace.KindHandoffRefused && e.Reason == trace.RefusalShed {
 			sawRefusal = true
 		}
 	}

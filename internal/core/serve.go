@@ -140,7 +140,7 @@ func (s *Server) Draining() bool { return s.draining }
 // routing is the verdict a request for item takes: push waiter or pull
 // queue. It reads the push band as built (the waiter table spans it), which
 // a completed drain's retired push set does not change.
-func (s *Server) routing(item int) string {
+func (s *Server) routing(item int) trace.Reason {
 	if item < len(s.pushWaiters) {
 		return trace.VerdictPush
 	}
@@ -245,7 +245,7 @@ func (s *Server) RefuseDraining(item int, class clients.Class) {
 // refusalSpan emits the zero-length span of a sampled request turned away
 // at the door, so the full refusal taxonomy is visible, not only
 // successes.
-func (s *Server) refusalSpan(item int, class clients.Class, span int64, outcome string) {
+func (s *Server) refusalSpan(item int, class clients.Class, span int64, outcome trace.Reason) {
 	if span == 0 || !s.emitOn {
 		return
 	}

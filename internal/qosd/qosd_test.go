@@ -464,7 +464,7 @@ func TestDaemonSpans(t *testing.T) {
 	if err := span.Verify(spans); err != nil {
 		t.Fatal(err)
 	}
-	outcomes := map[string]int{}
+	outcomes := map[trace.Reason]int{}
 	for _, sp := range spans {
 		outcomes[sp.Outcome]++
 	}
@@ -505,7 +505,7 @@ func TestDaemonRefusedPushSpanVerdict(t *testing.T) {
 	if refused[4] != "quota_exceeded" || refused[200] != "quota_exceeded" {
 		t.Fatalf("refusals answered %v, want quota_exceeded for items 4 and 200", refused)
 	}
-	verdicts := map[int]string{}
+	verdicts := map[int]trace.Reason{}
 	for _, sp := range d.Spans() {
 		if sp.Outcome == trace.EndRejected {
 			verdicts[sp.Item] = sp.Verdict

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"hybridqos/internal/trace"
 )
 
 // One broadcast unit is rendered as one millisecond on the OTLP timeline.
@@ -87,10 +89,10 @@ func WriteOTLP(w io.Writer, spans []*Span) error {
 		attrs := []otlpAttr{
 			intAttr("qos.class", int64(sp.Class)),
 			intAttr("qos.item", int64(sp.Item)),
-			strAttr("qos.verdict", sp.Verdict),
+			strAttr("qos.verdict", sp.Verdict.String()),
 		}
-		if sp.Outcome != "" {
-			attrs = append(attrs, strAttr("qos.outcome", sp.Outcome))
+		if sp.Outcome != trace.ReasonNone {
+			attrs = append(attrs, strAttr("qos.outcome", sp.Outcome.String()))
 		}
 		if sp.Open {
 			attrs = append(attrs, boolAttr("qos.open", true))

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"hybridqos/internal/trace"
 )
 
 // One broadcast unit is rendered as one millisecond: the Chrome trace-event
@@ -49,10 +51,10 @@ func WritePerfetto(w io.Writer, spans []*Span) error {
 			"span":    sp.ID,
 			"class":   int(sp.Class),
 			"item":    sp.Item,
-			"verdict": sp.Verdict,
+			"verdict": sp.Verdict.String(),
 		}
-		if sp.Outcome != "" {
-			rootArgs["outcome"] = sp.Outcome
+		if sp.Outcome != trace.ReasonNone {
+			rootArgs["outcome"] = sp.Outcome.String()
 		}
 		if sp.Open {
 			rootArgs["open"] = true

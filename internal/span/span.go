@@ -16,7 +16,6 @@ package span
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"hybridqos/internal/clients"
 	"hybridqos/internal/trace"
@@ -87,10 +86,11 @@ type Span struct {
 	// only globally replicated items can follow a roaming client).
 	Item int `json:"item"`
 	// Verdict is the admission verdict at arrival: "pull", "push", "cache".
-	Verdict string `json:"verdict"`
+	Verdict trace.Reason `json:"verdict"`
 	// Outcome is the terminal taxonomy ("served", "expired", "blocked",
-	// "failed", "shed", "uplink-lost", "refused-*", ...); empty while Open.
-	Outcome string `json:"outcome,omitempty"`
+	// "failed", "shed", "uplink-lost", "refused-*", ...); ReasonNone while
+	// Open.
+	Outcome trace.Reason `json:"outcome,omitempty"`
 	// Start is the request arrival, End the terminal time (last observed
 	// event time while Open).
 	Start float64 `json:"start"`
@@ -209,7 +209,7 @@ func Build(events []trace.Event) ([]*Span, error) {
 			// stream; the origin's same-instant span-handoff can merge in
 			// after it (tie broken by cell index). The zero-length transit
 			// it would have opened was already elided — drop it.
-			if e.Kind == trace.KindSpanHandoff && e.T == b.span.End && strings.HasPrefix(b.span.Outcome, "refused-") {
+			if e.Kind == trace.KindSpanHandoff && e.T == b.span.End && b.span.Outcome.IsRefused() {
 				continue
 			}
 			return nil, fmt.Errorf("span: event %d: %s for closed span %d", i, e.Kind, e.Req)
@@ -299,7 +299,7 @@ func Build(events []trace.Event) ([]*Span, error) {
 }
 
 // startMode maps the admission verdict onto the first segment's kind.
-func startMode(verdict string) string {
+func startMode(verdict trace.Reason) string {
 	if verdict == trace.VerdictPush {
 		return SegPushWait
 	}
@@ -322,7 +322,7 @@ func Verify(spans []*Span) error {
 		if sp.Open {
 			continue
 		}
-		if sp.Outcome == "" {
+		if sp.Outcome == trace.ReasonNone {
 			return fmt.Errorf("span %d: closed without an outcome", sp.ID)
 		}
 		cursor := sp.Start

@@ -89,7 +89,7 @@ func TestBuildAndVerifyFaultyRun(t *testing.T) {
 	if len(spans) != arrivals {
 		t.Fatalf("got %d spans for %d arrivals", len(spans), arrivals)
 	}
-	outcomes := map[string]int{}
+	outcomes := map[trace.Reason]int{}
 	withRetries, withLoss := 0, 0
 	for _, sp := range spans {
 		if !sp.Open {
@@ -323,7 +323,7 @@ func TestDeadlineExpiryInTransit(t *testing.T) {
 	}
 	found := false
 	for _, sp := range spans {
-		if sp.Outcome != "refused-expired" {
+		if sp.Outcome != trace.EndRefusedExpired {
 			continue
 		}
 		found = true
@@ -491,7 +491,7 @@ func TestOpenSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 1 || !spans[0].Open || spans[0].Outcome != "" {
+	if len(spans) != 1 || !spans[0].Open || spans[0].Outcome != trace.ReasonNone {
 		t.Fatalf("unexpected reconstruction: %+v", spans[0])
 	}
 	if err := span.Verify(spans); err != nil {

@@ -93,6 +93,115 @@ type Collector struct {
 	exK        int
 	exRng      *rng.Source
 	exemplars  map[exemplarKey]*exemplarRes
+
+	// Handle caches, indexed by class+1 (ClassNone in slot 0): the
+	// registry instance each metric{class} resolved to on first touch, so
+	// the per-event path skips the registry's string-keyed map.
+	counters [numCounters][handleSlots]*Counter
+	gauges   [numGauges][handleSlots]*Gauge
+	delay    [handleSlots]*Histogram
+}
+
+// handleSlots bounds the cached class range: classes ClassNone through
+// handleSlots−2 are cached; any other class goes to the registry directly.
+const handleSlots = 16
+
+// counterID and gaugeID index the handle caches; counterNames and
+// gaugeNames give each its metric name.
+type (
+	counterID uint8
+	gaugeID   uint8
+)
+
+const (
+	cArrivals counterID = iota
+	cServedPush
+	cServedPull
+	cBlockedReqs
+	cRetries
+	cShed
+	cPushBroadcasts
+	cPullTx
+	cBlocked
+	cCorruptPush
+	cCorruptPull
+	cExpired
+	cRateLimited
+	cQuotaExceeded
+	cRejected
+	cHandoffs
+	cHandoffRefused
+	numCounters
+)
+
+var counterNames = [numCounters]string{
+	cArrivals: MetricArrivals, cServedPush: MetricServedPush, cServedPull: MetricServedPull,
+	cBlockedReqs: MetricBlockedReqs, cRetries: MetricRetries, cShed: MetricShed,
+	cPushBroadcasts: MetricPushBroadcasts, cPullTx: MetricPullTx, cBlocked: MetricBlocked,
+	cCorruptPush: MetricCorruptPush, cCorruptPull: MetricCorruptPull,
+	cExpired: MetricExpired, cRateLimited: MetricRateLimited, cQuotaExceeded: MetricQuotaExceeded,
+	cRejected: MetricRejected, cHandoffs: MetricHandoffs, cHandoffRefused: MetricHandoffRefused,
+}
+
+const (
+	gQueueItems gaugeID = iota
+	gQueueRequests
+	gQueueRequestsMax
+	gPendingRetries
+	gBandwidthInUse
+	gShedLevel
+	gDraining
+	numGauges
+)
+
+var gaugeNames = [numGauges]string{
+	gQueueItems: MetricQueueItems, gQueueRequests: MetricQueueRequests,
+	gQueueRequestsMax: MetricQueueRequestsMax, gPendingRetries: MetricPendingRetries,
+	gBandwidthInUse: MetricBandwidthInUse, gShedLevel: MetricShedLevel, gDraining: MetricDraining,
+}
+
+// counter returns the counter metric{class}, creating it in the registry on
+// first touch.
+func (c *Collector) counter(id counterID, class int) *Counter {
+	slot := class + 1
+	if uint(slot) >= handleSlots {
+		return c.reg.Counter(counterNames[id], class)
+	}
+	h := c.counters[id][slot]
+	if h == nil {
+		h = c.reg.Counter(counterNames[id], class)
+		c.counters[id][slot] = h
+	}
+	return h
+}
+
+// gauge returns the gauge metric{class}, creating it on first touch.
+func (c *Collector) gauge(id gaugeID, class int) *Gauge {
+	slot := class + 1
+	if uint(slot) >= handleSlots {
+		return c.reg.Gauge(gaugeNames[id], class)
+	}
+	h := c.gauges[id][slot]
+	if h == nil {
+		h = c.reg.Gauge(gaugeNames[id], class)
+		c.gauges[id][slot] = h
+	}
+	return h
+}
+
+// delayHist returns the delay histogram for class, creating it on first
+// touch.
+func (c *Collector) delayHist(class int) *Histogram {
+	slot := class + 1
+	if uint(slot) >= handleSlots {
+		return c.reg.Histogram(MetricDelay, class)
+	}
+	h := c.delay[slot]
+	if h == nil {
+		h = c.reg.Histogram(MetricDelay, class)
+		c.delay[slot] = h
+	}
+	return h
 }
 
 // exemplarKey addresses one delay-bucket reservoir.
@@ -141,7 +250,7 @@ func (c *Collector) Registry() *Registry { return c.reg }
 
 // Arrival counts one request arrival for the class.
 func (c *Collector) Arrival(class int) {
-	c.reg.Counter(MetricArrivals, class).Inc()
+	c.counter(cArrivals, class).Inc()
 }
 
 // Served counts one satisfied request and observes its access delay. push
@@ -149,81 +258,81 @@ func (c *Collector) Arrival(class int) {
 // as pull-served with zero delay, mirroring the trace event it comes from).
 func (c *Collector) Served(class int, delay float64, push bool) {
 	if push {
-		c.reg.Counter(MetricServedPush, class).Inc()
+		c.counter(cServedPush, class).Inc()
 	} else {
-		c.reg.Counter(MetricServedPull, class).Inc()
+		c.counter(cServedPull, class).Inc()
 	}
-	c.reg.Histogram(MetricDelay, class).Observe(delay)
+	c.delayHist(class).Observe(delay)
 }
 
 // PushComplete counts one completed broadcast transmission.
 func (c *Collector) PushComplete() {
-	c.reg.Counter(MetricPushBroadcasts, ClassNone).Inc()
+	c.counter(cPushBroadcasts, ClassNone).Inc()
 }
 
 // PullComplete counts one completed pull transmission.
 func (c *Collector) PullComplete() {
-	c.reg.Counter(MetricPullTx, ClassNone).Inc()
+	c.counter(cPullTx, ClassNone).Inc()
 }
 
 // Blocked counts one pull entry dropped for bandwidth, attributing its
 // pending requests to the entry's governing class.
 func (c *Collector) Blocked(class, requests int) {
-	c.reg.Counter(MetricBlocked, ClassNone).Inc()
-	c.reg.Counter(MetricBlockedReqs, class).Add(int64(requests))
+	c.counter(cBlocked, ClassNone).Inc()
+	c.counter(cBlockedReqs, class).Add(int64(requests))
 }
 
 // Corrupt counts one transmission lost on the lossy downlink.
 func (c *Collector) Corrupt(push bool) {
 	if push {
-		c.reg.Counter(MetricCorruptPush, ClassNone).Inc()
+		c.counter(cCorruptPush, ClassNone).Inc()
 	} else {
-		c.reg.Counter(MetricCorruptPull, ClassNone).Inc()
+		c.counter(cCorruptPull, ClassNone).Inc()
 	}
 }
 
 // Retry counts one client re-request for the class.
 func (c *Collector) Retry(class int) {
-	c.reg.Counter(MetricRetries, class).Inc()
+	c.counter(cRetries, class).Inc()
 }
 
 // Shed counts one admission-control refusal for the class.
 func (c *Collector) Shed(class int) {
-	c.reg.Counter(MetricShed, class).Inc()
+	c.counter(cShed, class).Inc()
 }
 
 // Expired counts one admitted request that missed its deadline (serving
 // mode: the client was answered 504 before the item's transmission).
 func (c *Collector) Expired(class int) {
-	c.reg.Counter(MetricExpired, class).Inc()
+	c.counter(cExpired, class).Inc()
 }
 
 // RateLimited counts one request refused by the class's token bucket.
 func (c *Collector) RateLimited(class int) {
-	c.reg.Counter(MetricRateLimited, class).Inc()
+	c.counter(cRateLimited, class).Inc()
 }
 
 // QuotaExceeded counts one request refused by the class's pending quota.
 func (c *Collector) QuotaExceeded(class int) {
-	c.reg.Counter(MetricQuotaExceeded, class).Inc()
+	c.counter(cQuotaExceeded, class).Inc()
 }
 
 // Handoff counts one roaming request accepted into the cell (multi-cell
 // runs).
 func (c *Collector) Handoff(class int) {
-	c.reg.Counter(MetricHandoffs, class).Inc()
+	c.counter(cHandoffs, class).Inc()
 }
 
 // HandoffRefused counts one roaming request the cell turned away — deadline
 // expired in transit, admission shed, or item absent from the cell's catalog.
 func (c *Collector) HandoffRefused(class int) {
-	c.reg.Counter(MetricHandoffRefused, class).Inc()
+	c.counter(cHandoffRefused, class).Inc()
 }
 
 // Rejected counts one request refused before admission control was
 // consulted — unknown API key (ClassNone) or a draining server.
 func (c *Collector) Rejected(class int) {
-	c.reg.Counter(MetricRejected, class).Inc()
+	c.counter(cRejected, class).Inc()
 }
 
 // Exemplar attaches a sampled span ID to the delay bucket the observation
@@ -255,7 +364,7 @@ func (c *Collector) Exemplar(class int, delay float64, span int64) {
 
 // ObserveShedLevel samples the admission controller's shed level.
 func (c *Collector) ObserveShedLevel(level int) {
-	c.reg.Gauge(MetricShedLevel, ClassNone).Set(float64(level))
+	c.gauge(gShedLevel, ClassNone).Set(float64(level))
 }
 
 // ObserveDraining marks whether graceful drain has begun.
@@ -264,27 +373,27 @@ func (c *Collector) ObserveDraining(draining bool) {
 	if draining {
 		v = 1
 	}
-	c.reg.Gauge(MetricDraining, ClassNone).Set(v)
+	c.gauge(gDraining, ClassNone).Set(v)
 }
 
 // ObserveQueue samples the pull queue depth (distinct items and pending
 // requests). Called by the engine whenever the queue changes, so the gauges
 // hold the exact current depth at every snapshot tick.
 func (c *Collector) ObserveQueue(items, requests int) {
-	c.reg.Gauge(MetricQueueItems, ClassNone).Set(float64(items))
-	c.reg.Gauge(MetricQueueRequests, ClassNone).Set(float64(requests))
-	c.reg.Gauge(MetricQueueRequestsMax, ClassNone).SetMax(float64(requests))
+	c.gauge(gQueueItems, ClassNone).Set(float64(items))
+	c.gauge(gQueueRequests, ClassNone).Set(float64(requests))
+	c.gauge(gQueueRequestsMax, ClassNone).SetMax(float64(requests))
 }
 
 // ObservePendingRetries samples the count of booked-but-undelivered client
 // re-requests.
 func (c *Collector) ObservePendingRetries(n int) {
-	c.reg.Gauge(MetricPendingRetries, ClassNone).Set(float64(n))
+	c.gauge(gPendingRetries, ClassNone).Set(float64(n))
 }
 
 // ObserveBandwidth samples one class's reserved bandwidth units.
 func (c *Collector) ObserveBandwidth(class int, inUse float64) {
-	c.reg.Gauge(MetricBandwidthInUse, class).Set(inUse)
+	c.gauge(gBandwidthInUse, class).Set(inUse)
 }
 
 // Snapshots returns how many snapshots have been taken.

@@ -171,6 +171,39 @@ func TestSnapshotSortedAndQueryable(t *testing.T) {
 	}
 }
 
+// TestHandleCacheMatchesRegistry: cached handles and the uncached path for
+// classes outside the cache resolve to the registry's own instances, so a
+// snapshot reads the same whichever path an update took.
+func TestHandleCacheMatchesRegistry(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := []int{ClassNone, 0, handleSlots - 2, handleSlots - 1, 1000, -5}
+	for _, class := range classes {
+		c.Arrival(class)
+		c.Arrival(class)
+		c.Served(class, 3, false)
+		c.ObserveBandwidth(class, 2)
+	}
+	s := c.TakeSnapshot(1)
+	if len(s.Counters) != 2*len(classes) || len(s.Hists) != len(classes) || len(s.Gauges) != len(classes) {
+		t.Fatalf("%d counters, %d histograms, %d gauges; want one instance per metric and class",
+			len(s.Counters), len(s.Hists), len(s.Gauges))
+	}
+	for _, class := range classes {
+		if got := s.Counter(MetricArrivals, class); got != 2 {
+			t.Errorf("arrivals{%d} = %d, want 2", class, got)
+		}
+		if h, _ := s.Hist(MetricDelay, class); h.N() != 1 {
+			t.Errorf("delay{%d} has %d observations, want 1", class, h.N())
+		}
+		if c.counter(cArrivals, class) != c.reg.Counter(MetricArrivals, class) {
+			t.Errorf("arrivals{%d}: handle is not the registry's instance", class)
+		}
+	}
+}
+
 func TestOnSnapshotHook(t *testing.T) {
 	var got []*Snapshot
 	c, err := New(Options{SnapshotEvery: 5, OnSnapshot: func(s *Snapshot) { got = append(got, s) }})

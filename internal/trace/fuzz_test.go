@@ -18,6 +18,13 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("{}\n{}\n"))
 	f.Add([]byte(`{"t":1,"kind":"arrival"`)) // truncated
 	f.Add([]byte("\x00\x01\x02"))
+	for k := Kind(0); int(k) < len(kindNames); k++ {
+		f.Add([]byte(`{"t":1,"kind":"` + k.String() + `"}`))
+	}
+	for r := Reason(0); int(r) < len(reasonNames); r++ {
+		f.Add([]byte(`{"t":1,"kind":"span-end","reason":"` + r.String() + `"}`))
+	}
+	f.Add([]byte(`{"t":1,"kind":"no-such-kind"}`)) // unknown names must error
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := Read(bytes.NewReader(data))
 		if err != nil {

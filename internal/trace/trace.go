@@ -15,71 +15,214 @@ import (
 	"hybridqos/internal/telemetry"
 )
 
-// Kind enumerates traced event types.
-type Kind string
+// Kind enumerates traced event types. It is a one-byte code so Event keeps
+// Snap as its only pointer; JSON carries the kind's name (String), and
+// decoding rejects a name outside the table below.
+type Kind uint8
 
-// Trace event kinds.
+// Trace event kinds; kindNames holds their wire names. The zero Kind is
+// unset and named "".
 const (
-	KindArrival      Kind = "arrival"       // a request reached the server
-	KindPushStart    Kind = "push-start"    // flat broadcast transmission began
-	KindPushComplete Kind = "push-complete" // broadcast finished; waiters satisfied
-	KindPullStart    Kind = "pull-start"    // pull transmission began
-	KindPullComplete Kind = "pull-complete" // pull finished; pending requests satisfied
-	KindBlocked      Kind = "blocked"       // pull entry dropped for bandwidth
-	KindServed       Kind = "served"        // one request satisfied
-	KindCorrupt      Kind = "corrupt"       // transmission corrupted on the lossy downlink
-	KindRetry        Kind = "retry"         // client scheduled a re-request after corruption
-	KindShed         Kind = "shed"          // request refused by the overload admission controller
-	KindSnapshot     Kind = "snapshot"      // periodic telemetry snapshot (read-only; carries Snap)
+	KindArrival      Kind = iota + 1 // a request reached the server
+	KindPushStart                    // flat broadcast transmission began
+	KindPushComplete                 // broadcast finished; waiters satisfied
+	KindPullStart                    // pull transmission began
+	KindPullComplete                 // pull finished; pending requests satisfied
+	KindBlocked                      // pull entry dropped for bandwidth
+	KindServed                       // one request satisfied
+	KindCorrupt                      // transmission corrupted on the lossy downlink
+	KindRetry                        // client scheduled a re-request after corruption
+	KindShed                         // request refused by the overload admission controller
+	KindSnapshot                     // periodic telemetry snapshot (read-only; carries Snap)
 
 	// Serving kinds (core.NewServing): outcomes only submitted requests have.
-	KindExpired       Kind = "expired"        // admitted request answered at its deadline, undelivered
-	KindRateLimited   Kind = "rate-limited"   // request refused by its class's token bucket
-	KindQuotaExceeded Kind = "quota-exceeded" // request refused by its class's pending quota
+	KindExpired       // admitted request answered at its deadline, undelivered
+	KindRateLimited   // request refused by its class's token bucket
+	KindQuotaExceeded // request refused by its class's pending quota
 
 	// Multi-cell kinds (internal/cluster): cross-cell client mobility.
-	KindHandoff        Kind = "handoff"         // roaming request re-attached at this cell
-	KindHandoffRefused Kind = "handoff-refused" // roaming request turned away at this cell (see Reason)
+	KindHandoff        // roaming request re-attached at this cell
+	KindHandoffRefused // roaming request turned away at this cell (see Reason)
 
 	// Span provenance kinds (internal/span): emitted only for head-sampled
 	// requests when span tracing is enabled, so spans-off streams stay
 	// byte-identical. They are additive provenance — Apply treats them as
 	// metric no-ops (exemplars aside) because the primary kinds above
 	// already carry every metric increment.
-	KindSpanStart   Kind = "span-start"   // sampled request arrived; Reason is the admission verdict
-	KindSpanEnqueue Kind = "span-enqueue" // sampled request entered the pull queue; Score is the entry's post-add score
-	KindDecision    Kind = "decision"     // pull extraction decision: winning and runner-up scores
-	KindSpanLoss    Kind = "span-loss"    // sampled request's transmission corrupted; Start is the transmission start
-	KindSpanRetry   Kind = "span-retry"   // sampled request re-submitted after loss backoff
-	KindSpanHandoff Kind = "span-handoff" // sampled request roamed out of this cell (Cell tags carry origin/destination)
-	KindSpanAttach  Kind = "span-attach"  // sampled request re-attached after transit; Reason is the inject verdict
-	KindSpanEnd     Kind = "span-end"     // sampled request reached a terminal; Reason is the outcome taxonomy
+	KindSpanStart   // sampled request arrived; Reason is the admission verdict
+	KindSpanEnqueue // sampled request entered the pull queue; Score is the entry's post-add score
+	KindDecision    // pull extraction decision: winning and runner-up scores
+	KindSpanLoss    // sampled request's transmission corrupted; Start is the transmission start
+	KindSpanRetry   // sampled request re-submitted after loss backoff
+	KindSpanHandoff // sampled request roamed out of this cell (Cell tags carry origin/destination)
+	KindSpanAttach  // sampled request re-attached after transit; Reason is the inject verdict
+	KindSpanEnd     // sampled request reached a terminal; Reason is the outcome taxonomy
 )
 
-// Admission verdicts carried in KindSpanStart/KindSpanAttach Reason fields.
+// kindNames is the wire name of every Kind, indexed by code.
+var kindNames = [...]string{
+	KindArrival: "arrival", KindPushStart: "push-start", KindPushComplete: "push-complete",
+	KindPullStart: "pull-start", KindPullComplete: "pull-complete", KindBlocked: "blocked",
+	KindServed: "served", KindCorrupt: "corrupt", KindRetry: "retry", KindShed: "shed",
+	KindSnapshot: "snapshot", KindExpired: "expired", KindRateLimited: "rate-limited",
+	KindQuotaExceeded: "quota-exceeded", KindHandoff: "handoff", KindHandoffRefused: "handoff-refused",
+	KindSpanStart: "span-start", KindSpanEnqueue: "span-enqueue", KindDecision: "decision",
+	KindSpanLoss: "span-loss", KindSpanRetry: "span-retry", KindSpanHandoff: "span-handoff",
+	KindSpanAttach: "span-attach", KindSpanEnd: "span-end",
+}
+
+// String returns the kind's wire name.
+func (k Kind) String() string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// MarshalText encodes the kind as its wire name.
+func (k Kind) MarshalText() ([]byte, error) {
+	if int(k) >= len(kindNames) {
+		return nil, fmt.Errorf("trace: invalid kind code %d", uint8(k))
+	}
+	return []byte(kindNames[k]), nil
+}
+
+// UnmarshalText decodes a wire name; an unknown name is an
+// *UnknownNameError.
+func (k *Kind) UnmarshalText(text []byte) error {
+	i, err := lookup(kindNames[:], "kind", text)
+	*k = Kind(i)
+	return err
+}
+
+// Reason qualifies an event: the admission verdict on KindSpanStart and
+// KindSpanAttach, the terminal outcome on KindSpanEnd, and the refusal on
+// KindHandoffRefused. Like Kind it is a one-byte code carried on the wire
+// by name; ReasonNone is omitted from JSON.
+type Reason uint8
+
+// Reasons; reasonNames holds their wire names. A reason may serve several
+// kinds: EndExpired ("expired") is also the RefusalExpired handoff refusal.
 const (
-	VerdictPull  = "pull"  // enqueued on the pull queue
-	VerdictPush  = "push"  // waiting for the item's scheduled broadcast
-	VerdictCache = "cache" // satisfied instantly from the client cache
+	ReasonNone Reason = iota // no reason
+
+	// Admission verdicts (KindSpanStart, KindSpanAttach).
+	VerdictPull  // enqueued on the pull queue
+	VerdictPush  // waiting for the item's scheduled broadcast
+	VerdictCache // satisfied instantly from the client cache
+
+	// Terminal outcomes (KindSpanEnd).
+	EndServed     // delivered; Start is the service start, Arrival the request arrival
+	EndExpired    // TTL/deadline passed before delivery
+	EndBlocked    // pull entry dropped for bandwidth
+	EndFailed     // corrupted delivery and the retry policy gave up
+	EndShed       // refused by the overload admission controller
+	EndUplinkLost // request lost on the uplink before reaching the server
+	EndRejected   // refused by serving-mode admission control
+	EndDraining   // refused because the daemon is draining
+
+	// Handoff-refusal terminals (KindSpanEnd): a sampled roamer's span ends
+	// with its refusal's name prefixed "refused-" (Reason.Refused).
+	EndRefusedExpired
+	EndRefusedShed
+	EndRefusedHorizon
+	EndRefusedNoItem
+
+	// Handoff refusals (KindHandoffRefused) the terminal names do not
+	// already cover; RefusalExpired and RefusalShed complete the set.
+	RefusalHorizon // transit would end past the simulation horizon
+	RefusalNoItem  // item absent from the destination cell's catalog
 )
 
-// Terminal outcomes carried in the KindSpanEnd Reason field. Handoff
-// refusals reuse the cluster taxonomy prefixed with "refused-":
-// refused-expired, refused-shed, refused-horizon, refused-no-item.
+// Handoff refusals shared with the terminal taxonomy.
 const (
-	EndServed     = "served"      // delivered; Start is the service start, Arrival the request arrival
-	EndExpired    = "expired"     // TTL/deadline passed before delivery
-	EndBlocked    = "blocked"     // pull entry dropped for bandwidth
-	EndFailed     = "failed"      // corrupted delivery and the retry policy gave up
-	EndShed       = "shed"        // refused by the overload admission controller
-	EndUplinkLost = "uplink-lost" // request lost on the uplink before reaching the server
-	EndRejected   = "rejected"    // refused by serving-mode admission control
-	EndDraining   = "draining"    // refused because the daemon is draining
+	RefusalExpired = EndExpired // deadline passed in transit
+	RefusalShed    = EndShed    // destination's admission control refused it
 )
+
+// reasonNames is the wire name of every Reason, indexed by code.
+var reasonNames = [...]string{
+	ReasonNone: "", VerdictPull: "pull", VerdictPush: "push", VerdictCache: "cache",
+	EndServed: "served", EndExpired: "expired", EndBlocked: "blocked", EndFailed: "failed",
+	EndShed: "shed", EndUplinkLost: "uplink-lost", EndRejected: "rejected", EndDraining: "draining",
+	EndRefusedExpired: "refused-expired", EndRefusedShed: "refused-shed",
+	EndRefusedHorizon: "refused-horizon", EndRefusedNoItem: "refused-no-item",
+	RefusalHorizon: "horizon", RefusalNoItem: "no-item",
+}
+
+// String returns the reason's wire name ("" for ReasonNone).
+func (r Reason) String() string {
+	if int(r) < len(reasonNames) {
+		return reasonNames[r]
+	}
+	return fmt.Sprintf("Reason(%d)", uint8(r))
+}
+
+// MarshalText encodes the reason as its wire name.
+func (r Reason) MarshalText() ([]byte, error) {
+	if int(r) >= len(reasonNames) {
+		return nil, fmt.Errorf("trace: invalid reason code %d", uint8(r))
+	}
+	return []byte(reasonNames[r]), nil
+}
+
+// UnmarshalText decodes a wire name; an unknown name is an
+// *UnknownNameError.
+func (r *Reason) UnmarshalText(text []byte) error {
+	i, err := lookup(reasonNames[:], "reason", text)
+	*r = Reason(i)
+	return err
+}
+
+// Refused returns the span terminal for a handoff refusal — the refusal's
+// name prefixed "refused-" — and ReasonNone when r is not a handoff refusal.
+func (r Reason) Refused() Reason {
+	switch r {
+	case RefusalExpired:
+		return EndRefusedExpired
+	case RefusalShed:
+		return EndRefusedShed
+	case RefusalHorizon:
+		return EndRefusedHorizon
+	case RefusalNoItem:
+		return EndRefusedNoItem
+	}
+	return ReasonNone
+}
+
+// IsRefused reports whether r is a handoff-refusal span terminal
+// ("refused-*").
+func (r Reason) IsRefused() bool { return r >= EndRefusedExpired && r <= EndRefusedNoItem }
+
+// UnknownNameError reports a kind or reason name outside the trace
+// vocabulary.
+type UnknownNameError struct {
+	// Field is "kind" or "reason".
+	Field string
+	// Name is the unrecognised name.
+	Name string
+}
+
+func (e *UnknownNameError) Error() string {
+	return fmt.Sprintf("trace: unknown %s %q", e.Field, e.Name)
+}
+
+// lookup returns the index of text in names.
+func lookup(names []string, field string, text []byte) (int, error) {
+	for i, name := range names {
+		if string(text) == name {
+			return i, nil
+		}
+	}
+	return 0, &UnknownNameError{Field: field, Name: string(text)}
+}
 
 // Event is one trace record. Fields are compact so a run can emit millions
-// of them; the only pointer is Snap, set solely on the (rare) periodic
-// KindSnapshot events.
+// of them: Kind and Reason are one-byte codes, every other field is a
+// scalar, and the only pointer is Snap, set solely on the (rare) periodic
+// KindSnapshot events — 128 bytes on 64-bit platforms, pinned by
+// TestEventLayout. The field order is the JSON field order, so it is part
+// of the wire format.
 type Event struct {
 	// T is the simulated time.
 	T float64 `json:"t"`
@@ -107,7 +250,7 @@ type Event struct {
 	// the simulation horizon). On span kinds it carries the admission
 	// verdict (KindSpanStart/KindSpanAttach) or terminal outcome
 	// (KindSpanEnd).
-	Reason string `json:"reason,omitempty"`
+	Reason Reason `json:"reason,omitempty"`
 	// Req is the globally unique span/request ID on span provenance events
 	// (0 = not a span event). Cluster runs namespace IDs per cell so links
 	// survive stream merging.
@@ -228,8 +371,20 @@ type Buffer struct {
 	Events []Event
 }
 
-// Event implements Tracer.
-func (b *Buffer) Event(e Event) { b.Events = append(b.Events, e) }
+// minBufferCap is the capacity of a Buffer's first allocation.
+const minBufferCap = 64
+
+// Event implements Tracer. The slice doubles when full: append's growth
+// drops to 1.25× for large slices, which for a long run re-allocates,
+// zeroes and copies the buffer several times more than doubling does.
+func (b *Buffer) Event(e Event) {
+	if len(b.Events) == cap(b.Events) {
+		grown := make([]Event, len(b.Events), max(2*cap(b.Events), minBufferCap))
+		copy(grown, b.Events)
+		b.Events = grown
+	}
+	b.Events = append(b.Events, e)
+}
 
 // MergeByTime merges per-cell event streams — each already in nondecreasing
 // time order, as the engine emits them — into one stream ordered by time,

@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestNopAcceptsEverything(t *testing.T) {
@@ -122,4 +126,119 @@ func TestReplayErrors(t *testing.T) {
 	if _, err := Replay([]Event{{Kind: KindServed, Class: 5}}, 3); err == nil {
 		t.Fatal("out-of-range class accepted")
 	}
+}
+
+// TestNamesRoundTrip: every Kind and Reason code has a distinct wire name
+// that survives a JSON round trip, and JSONL carries the name, not the code.
+func TestNamesRoundTrip(t *testing.T) {
+	seen := map[string]bool{}
+	for k := Kind(0); int(k) < len(kindNames); k++ {
+		if seen[k.String()] {
+			t.Fatalf("kind %d: duplicate name %q", k, k)
+		}
+		seen[k.String()] = true
+		if b := roundTrip(t, Event{T: 1, Kind: k}); !strings.Contains(b, `"kind":"`+k.String()+`"`) {
+			t.Fatalf("kind %d encoded as %s", k, b)
+		}
+	}
+	seen = map[string]bool{}
+	for r := Reason(0); int(r) < len(reasonNames); r++ {
+		if seen[r.String()] {
+			t.Fatalf("reason %d: duplicate name %q", r, r)
+		}
+		seen[r.String()] = true
+		b := roundTrip(t, Event{T: 1, Kind: KindSpanEnd, Reason: r})
+		if r == ReasonNone && strings.Contains(b, `"reason"`) ||
+			r != ReasonNone && !strings.Contains(b, `"reason":"`+r.String()+`"`) {
+			t.Fatalf("reason %d encoded as %s", r, b)
+		}
+	}
+}
+
+// roundTrip encodes e, checks Read decodes it back unchanged, and returns
+// the encoding.
+func roundTrip(t *testing.T, e Event) string {
+	t.Helper()
+	b, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != e {
+		t.Fatalf("%s decoded to %+v, want %+v", b, got, e)
+	}
+	return string(b)
+}
+
+func TestRefusedTerminals(t *testing.T) {
+	for r, want := range map[Reason]string{
+		RefusalExpired: "refused-expired", RefusalShed: "refused-shed",
+		RefusalHorizon: "refused-horizon", RefusalNoItem: "refused-no-item",
+	} {
+		end := r.Refused()
+		if end.String() != want || !end.IsRefused() {
+			t.Errorf("%s.Refused() = %s (refused %v), want %s", r, end, end.IsRefused(), want)
+		}
+	}
+	if EndBlocked.Refused() != ReasonNone || EndShed.IsRefused() {
+		t.Error("non-refusal reason mapped to a refused terminal")
+	}
+}
+
+// TestReadRejectsUnknownNames: a kind or reason outside the vocabulary is a
+// named decode error, not an opaque value carried through.
+func TestReadRejectsUnknownNames(t *testing.T) {
+	for _, tc := range []struct{ in, field, name string }{
+		{`{"t":1,"kind":"x"}`, "kind", "x"},
+		{`{"t":1,"kind":"span-end","reason":"refused-x"}`, "reason", "refused-x"},
+	} {
+		_, err := Read(strings.NewReader(tc.in))
+		var unknown *UnknownNameError
+		if !errors.As(err, &unknown) || unknown.Field != tc.field || unknown.Name != tc.name {
+			t.Fatalf("%s: error %v, want unknown %s %q", tc.in, err, tc.field, tc.name)
+		}
+		if want := `trace: unknown ` + tc.field + ` "` + tc.name + `"`; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not name %s", tc.in, err, want)
+		}
+	}
+	if _, err := Read(strings.NewReader(`{"t":1,"kind":3}`)); err == nil {
+		t.Fatal("numeric kind accepted")
+	}
+}
+
+// TestEventLayout pins Event's size and that Snap is its only pointer, so a
+// recorded run's buffer stays compact and mostly pointer-free.
+func TestEventLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size > 128 {
+		t.Errorf("sizeof(Event) = %d B, want <= 128", size)
+	}
+	typ := reflect.TypeOf(Event{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if hasPointers(f.Type) != (f.Name == "Snap") {
+			t.Errorf("field %s (%s): pointer-bearing = %v; only Snap may hold pointers", f.Name, f.Type, hasPointers(f.Type))
+		}
+	}
+}
+
+// hasPointers reports whether a value of type t contains any pointer.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.Map, reflect.Slice, reflect.String, reflect.Interface,
+		reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	}
+	return false
 }
