@@ -22,6 +22,7 @@ import (
 	"hybridqos/internal/clients"
 	"hybridqos/internal/core"
 	"hybridqos/internal/experiments"
+	"hybridqos/internal/sim"
 	"hybridqos/internal/telemetry"
 	"hybridqos/internal/trace"
 	"hybridqos/internal/workload"
@@ -293,7 +294,11 @@ func BenchmarkCutoffOptimizers(b *testing.B) {
 		cfg := benchCoreConfig(b)
 		cfg.Horizon = 1500
 		for i := 0; i < b.N; i++ {
-			best, err := core.OptimizeCutoff(cfg, 10, 90, 20, core.ByTotalCost)
+			points, err := sim.SweepCutoffs(cfg, []int{10, 30, 50, 70, 90}, 1, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			best, err := sim.OptimalByTotalCost(points)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -49,39 +49,22 @@ func main() {
 	p.CutoffStep = *step
 	p.Seed = *seed
 
-	gens := map[string]func(experiments.Params) (*experiments.Figure, error){
-		"3":          experiments.Fig3,
-		"4":          experiments.Fig4,
-		"5":          experiments.Fig5,
-		"6":          experiments.Fig6,
-		"7":          experiments.Fig7,
-		"blocking":   experiments.ExtBlocking,
-		"multiclass": experiments.ExtMultiClass,
-		"channels":   experiments.ExtChannels,
-		"indexing":   experiments.ExtIndexing,
-		"load":       experiments.ExtLoad,
-		"faults":     experiments.ExtFaults,
-		"policy":     experiments.ExtPolicy,
-		"cluster":    experiments.ExtCluster,
-	}
-	order := []string{"3", "4", "5", "6", "7", "blocking", "multiclass", "channels", "indexing", "load", "faults", "policy", "cluster"}
-
-	var selected []string
-	if *fig == "all" {
-		selected = order
-	} else {
-		if _, ok := gens[*fig]; !ok {
-			fatal("unknown figure %q (want 3|4|5|6|7|blocking|multiclass|channels|indexing|load|faults|policy|cluster|all)", *fig)
+	var selected []experiments.Generator
+	for _, g := range experiments.Generators() {
+		if *fig == "all" || *fig == g.ID {
+			selected = append(selected, g)
 		}
-		selected = []string{*fig}
+	}
+	if len(selected) == 0 {
+		fatal("unknown figure %q (want 3|4|5|6|7|blocking|multiclass|channels|indexing|load|faults|policy|cluster|all)", *fig)
 	}
 
 	failures := 0
-	for _, id := range selected {
-		fmt.Printf("=== generating %s ===\n", name(id))
-		f, err := gens[id](p)
+	for _, g := range selected {
+		fmt.Printf("=== generating %s ===\n", name(g.ID))
+		f, err := g.Run(p)
 		if err != nil {
-			fatal("%s: %v", name(id), err)
+			fatal("%s: %v", name(g.ID), err)
 		}
 		fmt.Println(f.Table().String())
 		for _, c := range f.Claims {

@@ -82,7 +82,7 @@ func main() {
 		telEvery  = flag.Float64("telemetry-every", 0, "telemetry snapshot cadence in broadcast units (0 with -telemetry-addr defaults to horizon/100)")
 		predict   = flag.Bool("predict", false, "also print the analytic model's prediction")
 		traceOut  = flag.String("trace", "", "write a JSONL event trace of one run to this file")
-		confIn    = flag.String("config", "", "load configuration from a JSON file (flags are ignored)")
+		confIn    = flag.String("config", "", "load configuration from a JSON file (model flags are ignored; telemetry, cluster and span flags apply on top)")
 		confOut   = flag.String("saveconfig", "", "write the effective configuration to a JSON file")
 		workers   = flag.Int("workers", 0, "replication worker count (0 = one per spare CPU)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
@@ -187,13 +187,8 @@ func main() {
 			HotFactor:      *hotFactor,
 		}
 	}
-	if *confOut != "" {
-		if err := hybridqos.SaveConfig(cfg, *confOut); err != nil {
-			fatal("writing -saveconfig: %v", err)
-		}
-	}
-
-	// Span tracing applies on top of a loaded -config too, like telemetry.
+	// Span tracing applies on top of a loaded -config too, and before
+	// -saveconfig so the sampling rates persist.
 	if *spansIn != "" {
 		rates, err := parseFloats(*spansIn)
 		if err != nil {
@@ -201,6 +196,12 @@ func main() {
 		}
 		cfg.Spans = &hybridqos.SpanTraceConfig{Rates: rates}
 	}
+	if *confOut != "" {
+		if err := hybridqos.SaveConfig(cfg, *confOut); err != nil {
+			fatal("writing -saveconfig: %v", err)
+		}
+	}
+
 	if (*perfetto != "" || *otlp != "") && cfg.Spans == nil {
 		fatal("-perfetto and -otlp need span tracing (-spans)")
 	}

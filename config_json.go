@@ -1,8 +1,10 @@
 package hybridqos
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -20,16 +22,23 @@ func SaveConfig(c Config, path string) error {
 }
 
 // LoadConfig reads a configuration previously written by SaveConfig (or
-// hand-authored). The configuration is validated by building it; an invalid
-// file errors here rather than at Simulate time.
+// hand-authored). A field the Config does not have (a typo such as "Cutof")
+// or data after the JSON object is an error, not a silently ignored
+// setting. The configuration is validated by building it; an invalid file
+// errors here rather than at Simulate time.
 func LoadConfig(path string) (Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, err
 	}
 	var c Config
-	if err := json.Unmarshal(data, &c); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c); err != nil {
 		return Config{}, fmt.Errorf("hybridqos: decoding %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, fmt.Errorf("hybridqos: decoding %s: trailing data after the config object", path)
 	}
 	if _, err := c.build(); err != nil {
 		return Config{}, fmt.Errorf("hybridqos: %s: %w", path, err)

@@ -1,9 +1,11 @@
 package hybridqos
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -230,6 +232,39 @@ func TestLoadConfigRejectsInvalid(t *testing.T) {
 	}
 	if _, err := LoadConfig(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file loaded")
+	}
+}
+
+// TestLoadConfigRejectsUnknownAndTrailing: a misspelt field must not load as
+// a default (a "Cutof" typo would otherwise run at K=0), and nothing may
+// follow the config object.
+func TestLoadConfigRejectsUnknownAndTrailing(t *testing.T) {
+	dir := t.TempDir()
+	saved := filepath.Join(dir, "cfg.json")
+	if err := SaveConfig(PaperConfig(), saved); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typo := bytes.Replace(good, []byte(`"Cutoff"`), []byte(`"Cutof"`), 1)
+	for name, data := range map[string][]byte{
+		"unknown field":   typo,
+		"second object":   append(append([]byte{}, good...), []byte("{}")...),
+		"stray delimiter": append(append([]byte{}, good...), '}'),
+	} {
+		path := filepath.Join(dir, "bad.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadConfig(path)
+		if err == nil || !strings.HasPrefix(err.Error(), "hybridqos: ") {
+			t.Errorf("%s: LoadConfig error = %v, want a hybridqos: error", name, err)
+		}
+	}
+	if _, err := LoadConfig(saved); err != nil {
+		t.Fatalf("the saved config itself must still load: %v", err)
 	}
 }
 

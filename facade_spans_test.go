@@ -81,7 +81,10 @@ func TestExemplarSpanIDsResolve(t *testing.T) {
 		if err := span.Verify(spans); err != nil {
 			t.Fatal(err)
 		}
-		idx := span.Index(spans)
+		idx := make(map[int64]*span.Span, len(spans))
+		for _, sp := range spans {
+			idx[sp.ID] = sp
+		}
 		classOf := map[int64]int{}
 		for _, s := range trace.Snapshots(events) {
 			for _, ex := range s.Exemplars {

@@ -23,7 +23,6 @@ package hybridqos
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -567,7 +566,7 @@ func Simulate(c Config) (*Result, error) {
 	if reps <= 0 {
 		reps = 1
 	}
-	summary, err := sim.RunReplicationsWith(cfg, reps, c.perRun())
+	summary, err := sim.RunReplications(cfg, reps, c.perRun())
 	if err != nil {
 		return nil, err
 	}
@@ -658,44 +657,28 @@ func OptimizeCutoff(c Config, kMin, kMax, step int, objective string) (*Result, 
 	if err != nil {
 		return nil, err
 	}
+	var optimal func([]sim.SweepPoint) (sim.SweepPoint, error)
+	switch objective {
+	case "delay":
+		optimal = sim.OptimalByOverallDelay
+	case "cost", "":
+		optimal = sim.OptimalByTotalCost
+	default:
+		return nil, fmt.Errorf("hybridqos: unknown objective %q (want \"delay\" or \"cost\")", objective)
+	}
 	reps := c.Replications
 	if reps <= 0 {
 		reps = 1
 	}
 	ks := make([]int, 0, (kMax-kMin)/step+1)
-	cfgs := make([]core.Config, 0, cap(ks))
 	for k := kMin; k <= kMax; k += step {
-		kCfg := cfg
-		kCfg.Cutoff = k
 		ks = append(ks, k)
-		cfgs = append(cfgs, kCfg)
 	}
-	perRun := c.perRun()
-	var hook func(point, rep int, kc *core.Config) error
-	if perRun != nil {
-		hook = func(_, rep int, kc *core.Config) error { return perRun(rep, kc) }
-	}
-	sums, err := sim.SweepConfigsWith(cfgs, reps, hook)
+	points, err := sim.SweepCutoffs(cfg, ks, reps, c.perRun())
 	if err != nil {
-		var pe *sim.PointError
-		if errors.As(err, &pe) {
-			return nil, pe.Err
-		}
 		return nil, err
 	}
-	points := make([]sim.SweepPoint, len(ks))
-	for i, k := range ks {
-		points[i] = sim.SweepPoint{K: k, Alpha: c.Alpha, Summary: sums[i]}
-	}
-	var best sim.SweepPoint
-	switch objective {
-	case "delay":
-		best, err = sim.OptimalByOverallDelay(points)
-	case "cost", "":
-		best, err = sim.OptimalByTotalCost(points)
-	default:
-		return nil, fmt.Errorf("hybridqos: unknown objective %q (want \"delay\" or \"cost\")", objective)
-	}
+	best, err := optimal(points)
 	if err != nil {
 		return nil, err
 	}

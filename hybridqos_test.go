@@ -180,6 +180,15 @@ func TestOptimizeCutoff(t *testing.T) {
 	if _, err := OptimizeCutoff(c, 20, 10, 5, "cost"); err == nil {
 		t.Fatal("inverted range accepted")
 	}
+	if _, err := OptimizeCutoff(c, -1, 10, 5, "cost"); err == nil {
+		t.Fatal("negative kMin accepted")
+	}
+	if _, err := OptimizeCutoff(c, 0, 10, 0, "cost"); err == nil {
+		t.Fatal("zero step accepted")
+	}
+	if _, err := OptimizeCutoff(c, c.NumItems+1, c.NumItems+1, 1, "cost"); err == nil {
+		t.Fatal("cutoff beyond the catalog accepted")
+	}
 }
 
 func TestPredictAndSweep(t *testing.T) {

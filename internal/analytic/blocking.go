@@ -56,6 +56,8 @@ func BlockingProbability(demandMean, length, capacity float64) (float64, error) 
 // the pull items it would serve (weighted by each item's popularity within
 // the pull set). This is the analytic counterpart of the simulator's
 // per-class BlockingRate under strict partitioning.
+//
+//lint:allow deadcode oracle: TestBlockingRateMatchesAnalyticModel compares the simulated blocking rate against it
 func ExpectedBlockingRate(cat *catalog.Catalog, k int, demandMean, capacity float64) (float64, error) {
 	if cat == nil {
 		return 0, fmt.Errorf("analytic: nil catalog")

@@ -103,6 +103,8 @@ type GeneralPriorityClass struct {
 // is fixed) have E[S²] = E[S]², which HALVES the residual relative to the
 // exponential model — CobhamWaits with Mu = 1/ES is the E[S²] = 2·E[S]²
 // special case of this function.
+//
+//lint:allow deadcode oracle: Cobham's M/G/1 waits, the deterministic-service closed form; its tests pin it against CobhamWaits
 func CobhamWaitsMG1(classes []GeneralPriorityClass) ([]float64, error) {
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("analytic: no priority classes")

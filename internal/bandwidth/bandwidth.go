@@ -64,6 +64,8 @@ func (c Config) Validate() error {
 }
 
 // EqualSplit returns per-class fractions 1/n each.
+//
+//lint:allow deadcode pending deletion with its only test, TestEqualSplit (see ROADMAP)
 func EqualSplit(n int) []float64 {
 	fr := make([]float64, n)
 	for i := range fr {
@@ -149,6 +151,8 @@ func New(cfg Config, src *rng.Source) (*Allocator, error) {
 }
 
 // Must is New that panics on error.
+//
+//lint:allow deadcode shared test fixture: tests in several packages build allocators with it
 func Must(cfg Config, src *rng.Source) *Allocator {
 	a, err := New(cfg, src)
 	if err != nil {

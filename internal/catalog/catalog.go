@@ -121,6 +121,8 @@ func Generate(cfg Config) (*Catalog, error) {
 }
 
 // MustGenerate is Generate that panics on error.
+//
+//lint:allow deadcode shared test fixture: tests in several packages build catalogs with it
 func MustGenerate(cfg Config) *Catalog {
 	c, err := Generate(cfg)
 	if err != nil {

@@ -100,6 +100,8 @@ func New(cfg Config) (*Classification, error) {
 }
 
 // Must is New that panics on error.
+//
+//lint:allow deadcode shared test fixture: tests in several packages build classifications with it
 func Must(cfg Config) *Classification {
 	cl, err := New(cfg)
 	if err != nil {
@@ -161,6 +163,8 @@ type Population struct {
 
 // NewPopulation assigns n clients to classes by sampling the classification's
 // class distribution with the given seed. n must be positive.
+//
+//lint:allow deadcode pending deletion with its only tests, TestPopulation* and TestSampleClientInRange (see ROADMAP)
 func NewPopulation(cl *Classification, n int, seed uint64) (*Population, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("clients: population size must be positive, got %d", n)

@@ -107,6 +107,8 @@ func (c *Cluster) TakeSnapshot() Snapshot { return c.takeSnapshot(c.now) }
 // and the verification turns any divergence (a changed config, a
 // nondeterministic component) into an immediate error instead of a silently
 // wrong continuation.
+//
+//lint:allow deadcode replay audit: TestSnapshotResume re-simulates to a snapshot and compares it bit for bit
 func Resume(cfg Config, snap Snapshot) (*Cluster, error) {
 	if snap.Epoch < 1 {
 		return nil, fmt.Errorf("cluster: cannot resume from epoch %d", snap.Epoch)

@@ -349,59 +349,6 @@ func TestCustomPushScheduler(t *testing.T) {
 	}
 }
 
-func TestSweepAndOptimizeCutoff(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Horizon = 1500
-	points, err := SweepCutoff(cfg, 10, 90, 20, ByOverallDelay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 5 {
-		t.Fatalf("%d sweep points", len(points))
-	}
-	best, err := OptimizeCutoff(cfg, 10, 90, 20, ByOverallDelay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range points {
-		if !math.IsNaN(p.Value) && p.Value < best.Value {
-			t.Fatalf("optimizer missed better point K=%d (%g < %g)", p.K, p.Value, best.Value)
-		}
-	}
-}
-
-func TestSweepErrors(t *testing.T) {
-	cfg := baseConfig(t)
-	if _, err := SweepCutoff(cfg, -1, 10, 1, ByOverallDelay); err == nil {
-		t.Fatal("negative kMin accepted")
-	}
-	if _, err := SweepCutoff(cfg, 10, 5, 1, ByOverallDelay); err == nil {
-		t.Fatal("inverted range accepted")
-	}
-	if _, err := SweepCutoff(cfg, 0, 10, 0, ByOverallDelay); err == nil {
-		t.Fatal("zero step accepted")
-	}
-	if _, err := SweepCutoff(cfg, 0, 10, 1, nil); err == nil {
-		t.Fatal("nil objective accepted")
-	}
-	cfg.Catalog = nil
-	if _, err := SweepCutoff(cfg, 0, 10, 1, ByOverallDelay); err == nil {
-		t.Fatal("nil catalog accepted")
-	}
-}
-
-func TestBetterHandlesNaN(t *testing.T) {
-	if better(math.NaN(), 1) {
-		t.Fatal("NaN beat a finite value")
-	}
-	if !better(1, math.NaN()) {
-		t.Fatal("finite value lost to NaN")
-	}
-	if better(2, 2) {
-		t.Fatal("tie replaced incumbent")
-	}
-}
-
 func TestRetryOnBlockServesMore(t *testing.T) {
 	mk := func(retry bool) *Metrics {
 		cfg := baseConfig(t)
@@ -418,23 +365,5 @@ func TestRetryOnBlockServesMore(t *testing.T) {
 	if retry.PullTransmissions < plain.PullTransmissions {
 		t.Fatalf("retry-on-block served fewer pull transmissions (%d) than plain (%d)",
 			retry.PullTransmissions, plain.PullTransmissions)
-	}
-}
-
-func TestByTopClassDelayObjective(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.Horizon = 1500
-	best, err := OptimizeCutoff(cfg, 20, 80, 30, ByTopClassDelay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, err := SweepCutoff(cfg, 20, 80, 30, ByTopClassDelay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range points {
-		if p.Metrics.PerClass[0].MeanDelay() < best.Metrics.PerClass[0].MeanDelay() {
-			t.Fatalf("ByTopClassDelay missed K=%d", p.K)
-		}
 	}
 }

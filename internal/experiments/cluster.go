@@ -18,12 +18,20 @@ func ExtCluster(p Params) (*Figure, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	rates := []float64{0, 0.02, 0.05, 0.1}
+	// A pending request roams at a handoff barrier with probability
+	// 1−exp(−rate·Δ), so the sweep is set in units of rate·Δ: fixed rates
+	// would saturate to certain roaming once Δ grows with the horizon.
+	handoffEvery := p.Horizon / 50
+	scaled := []float64{0, 0.25, 0.5, 1}
+	rates := make([]float64, len(scaled))
+	for i, x := range scaled {
+		rates[i] = x / handoffEvery
+	}
 	cellCounts := []int{4, 16}
 	fig := &Figure{
 		ID:     "EXT-CLUSTER",
 		Title:  "Per-class delay vs mobility rate across federation sizes (θ=0.60, α=0.25, K=40)",
-		XLabel: "mobility rate (roams per pending request per broadcast unit)",
+		XLabel: "mobility rate × handoff interval Δ",
 		YLabel: "delay (broadcast units)",
 	}
 	classNames := []string{"Class-A", "Class-B", "Class-C"}
@@ -50,7 +58,7 @@ func ExtCluster(p Params) (*Figure, error) {
 					CatalogOverlap: 0.8,
 					Mobility:       cluster.Mobility{Rate: rate, AttachDelay: 1},
 					Routing:        "nearest",
-					HandoffEvery:   p.Horizon / 50,
+					HandoffEvery:   handoffEvery,
 				})
 				if err != nil {
 					return nil, err
@@ -77,7 +85,7 @@ func ExtCluster(p Params) (*Figure, error) {
 		for c := 0; c < 3; c++ {
 			fig.Series = append(fig.Series, Series{
 				Name: fmt.Sprintf("%s (%d cells)", classNames[c], cells),
-				X:    rates, Y: delays[cells][c],
+				X:    scaled, Y: delays[cells][c],
 			})
 		}
 	}

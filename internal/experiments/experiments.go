@@ -239,7 +239,7 @@ func DelayVsCutoff(p Params, alpha float64, thetas []float64) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		points, err := sim.SweepCutoffs(cfg, ks, p.Replications)
+		points, err := sim.SweepCutoffs(cfg, ks, p.Replications, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -382,7 +382,7 @@ func Fig5(p Params) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		points, err := sim.SweepCutoffs(cfg, ks, p.Replications)
+		points, err := sim.SweepCutoffs(cfg, ks, p.Replications, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -439,7 +439,7 @@ func Fig6(p Params) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			points, err := sim.SweepCutoffs(cfg, ks, p.Replications)
+			points, err := sim.SweepCutoffs(cfg, ks, p.Replications, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -493,7 +493,7 @@ func Fig7(p Params) (*Figure, error) {
 	for i, k := range ks {
 		xs[i] = float64(k)
 	}
-	points, err := sim.SweepCutoffs(cfg, ks, p.Replications)
+	points, err := sim.SweepCutoffs(cfg, ks, p.Replications, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -562,7 +562,7 @@ func ExtBlocking(p Params) (*Figure, error) {
 		}
 		cfgs[i] = cfg
 	}
-	sums, err := sim.SweepConfigs(cfgs, p.Replications)
+	sums, err := sim.SweepConfigs(cfgs, p.Replications, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -584,16 +584,18 @@ func ExtBlocking(p Params) (*Figure, error) {
 	return fig, nil
 }
 
-// All runs every figure generator with the same parameters.
-func All(p Params) ([]*Figure, error) {
-	gens := []func(Params) (*Figure, error){Fig3, Fig4, Fig5, Fig6, Fig7, ExtBlocking, ExtMultiClass, ExtChannels, ExtIndexing, ExtLoad, ExtFaults, ExtPolicy, ExtCluster}
-	out := make([]*Figure, 0, len(gens))
-	for _, g := range gens {
-		f, err := g(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
+// Generator pairs a figure generator with the id cmd/figures selects it by.
+type Generator struct {
+	ID  string
+	Run func(Params) (*Figure, error)
+}
+
+// Generators returns every figure generator in presentation order.
+func Generators() []Generator {
+	return []Generator{
+		{"3", Fig3}, {"4", Fig4}, {"5", Fig5}, {"6", Fig6}, {"7", Fig7},
+		{"blocking", ExtBlocking}, {"multiclass", ExtMultiClass}, {"channels", ExtChannels},
+		{"indexing", ExtIndexing}, {"load", ExtLoad}, {"faults", ExtFaults},
+		{"policy", ExtPolicy}, {"cluster", ExtCluster},
 	}
-	return out, nil
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"hybridqos/internal/policy"
 )
 
 // fastParams keeps generator tests quick; the CLI and benches use Defaults.
@@ -298,15 +300,16 @@ func TestFig6EndToEnd(t *testing.T) {
 }
 
 func TestAllRunsEveryGenerator(t *testing.T) {
-	figs, err := All(tinyParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(figs) != 13 {
-		t.Fatalf("All returned %d figures, want 13", len(figs))
+	gens := Generators()
+	if len(gens) != 13 {
+		t.Fatalf("Generators returned %d generators, want 13", len(gens))
 	}
 	seen := map[string]bool{}
-	for _, f := range figs {
+	for _, g := range gens {
+		f, err := g.Run(tinyParams())
+		if err != nil {
+			t.Fatalf("%s: %v", g.ID, err)
+		}
 		if seen[f.ID] {
 			t.Fatalf("duplicate figure id %s", f.ID)
 		}
@@ -332,8 +335,10 @@ func TestGeneratorsRejectInvalidParams(t *testing.T) {
 			t.Errorf("%s accepted invalid params", name)
 		}
 	}
-	if _, err := All(bad); err == nil {
-		t.Error("All accepted invalid params")
+	for _, g := range Generators() {
+		if _, err := g.Run(bad); err == nil {
+			t.Errorf("generator %s accepted invalid params", g.ID)
+		}
 	}
 }
 
@@ -397,8 +402,30 @@ func TestExtPolicyClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Series) != 7 {
-		t.Fatalf("%d series, want 5 pull + 2 push variants", len(f.Series))
+	// One series per registered pull policy and per non-default push
+	// scheduler, so the figure exercises every policy end to end.
+	names := map[string]bool{}
+	for _, s := range f.Series {
+		names[s.Name] = true
+	}
+	want := 0
+	for _, name := range policy.PullNames() {
+		want++
+		if !names["pull="+name] {
+			t.Errorf("no series for pull policy %s", name)
+		}
+	}
+	for _, name := range policy.PushNames() {
+		if name == policy.DefaultPush {
+			continue
+		}
+		want++
+		if !names["push="+name] {
+			t.Errorf("no series for push scheduler %s", name)
+		}
+	}
+	if len(f.Series) != want {
+		t.Fatalf("%d series, want %d", len(f.Series), want)
 	}
 	for _, s := range f.Series {
 		if len(s.X) != 3 || len(s.Y) != 3 {

@@ -71,7 +71,7 @@ func ExtFaults(p Params) (*Figure, error) {
 		}
 		cfgs = append(cfgs, shedCfg, flatCfg)
 	}
-	sums, err := sim.SweepConfigsWith(cfgs, p.Replications, func(point, _ int, c *core.Config) error {
+	sums, err := sim.SweepConfigs(cfgs, p.Replications, func(point, _ int, c *core.Config) error {
 		loss := losses[point/2]
 		if loss == 0 {
 			return nil

@@ -36,7 +36,7 @@ func ExtLoad(p Params) (*Figure, error) {
 		cfg.Cutoff = 40
 		cfgs[i] = cfg
 	}
-	sums, err := sim.SweepConfigs(cfgs, p.Replications)
+	sums, err := sim.SweepConfigs(cfgs, p.Replications, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -7,12 +7,14 @@ import (
 
 	"hybridqos/internal/clients"
 	"hybridqos/internal/core"
+	"hybridqos/internal/policy"
 	"hybridqos/internal/sim"
 )
 
 // ExtPolicy is the pluggable-policy ablation: per-class delay at the paper's
 // operating point (θ=0.60, K=40, α=0.50) under each registered pull policy,
-// plus push-side variants (broadcast-disk and "none" = pure pull) under the
+// plus every registered push scheduler other than the default flat
+// round-robin (e.g. broadcast-disk, and "none" = pure pull) under the
 // default γ pull. Every configuration differs ONLY in the policy names
 // resolved through the registry, so the figure doubles as an end-to-end
 // exercise of the named-policy plumbing. The claims pin the paper's central
@@ -51,52 +53,49 @@ func ExtPolicy(p Params) (*Figure, error) {
 		return ys
 	}
 
-	pulls := []string{"gamma", "stretch", "priority", "fcfs", "edf"}
-	pushes := []string{"broadcast-disk", "none"}
-	cfgs := make([]core.Config, 0, len(pulls)+len(pushes))
-	for _, name := range pulls {
+	var labels []string
+	var cfgs []core.Config
+	for _, name := range policy.PullNames() {
 		cfg, err := build(name, "")
 		if err != nil {
 			return nil, err
 		}
+		labels = append(labels, "pull="+name)
 		cfgs = append(cfgs, cfg)
 	}
-	for _, name := range pushes {
+	for _, name := range policy.PushNames() {
+		if name == policy.DefaultPush {
+			continue // the pull rows already run the default push side
+		}
 		cfg, err := build("", name)
 		if err != nil {
 			return nil, err
 		}
+		labels = append(labels, "push="+name)
 		cfgs = append(cfgs, cfg)
 	}
-	sums, err := sim.SweepConfigs(cfgs, p.Replications)
+	sums, err := sim.SweepConfigs(cfgs, p.Replications, nil)
 	if err != nil {
 		var pe *sim.PointError
 		if errors.As(err, &pe) {
-			if pe.Point < len(pulls) {
-				return nil, fmt.Errorf("pull=%s: %w", pulls[pe.Point], pe.Err)
-			}
-			return nil, fmt.Errorf("push=%s: %w", pushes[pe.Point-len(pulls)], pe.Err)
+			return nil, fmt.Errorf("%s: %w", labels[pe.Point], pe.Err)
 		}
 		return nil, err
 	}
-	byPull := map[string][]float64{}
-	for i, name := range pulls {
-		byPull[name] = delays(sums[i])
-		fig.Series = append(fig.Series, Series{Name: "pull=" + name, X: xs, Y: byPull[name]})
-	}
-	for i, name := range pushes {
-		s := sums[len(pulls)+i]
-		fig.Series = append(fig.Series, Series{Name: "push=" + name, X: xs, Y: delays(s)})
-		if name == "none" {
+	byLabel := map[string][]float64{}
+	for i, label := range labels {
+		byLabel[label] = delays(sums[i])
+		fig.Series = append(fig.Series, Series{Name: label, X: xs, Y: byLabel[label]})
+		if label == "push=none" {
 			fig.Claims = append(fig.Claims, Claim{
 				Name:   `push scheduler "none" broadcasts nothing (pure pull)`,
-				Pass:   s.PushBroadcasts == 0,
-				Detail: fmt.Sprintf("%d push broadcasts pooled over %d replications", s.PushBroadcasts, p.Replications),
+				Pass:   sums[i].PushBroadcasts == 0,
+				Detail: fmt.Sprintf("%d push broadcasts pooled over %d replications", sums[i].PushBroadcasts, p.Replications),
 			})
 		}
 	}
 
-	gamma, fcfs, edf := byPull["gamma"], byPull["fcfs"], byPull["edf"]
+	gamma, fcfs, edf := byLabel["pull=gamma"], byLabel["pull=fcfs"], byLabel["pull=edf"]
 	fig.Claims = append(fig.Claims, Claim{
 		Name: "γ(0.5) beats FCFS on Class-A delay at the paper's operating point",
 		Pass: gamma[0] < fcfs[0],

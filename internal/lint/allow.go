@@ -89,7 +89,7 @@ func ruleNames() []string {
 	return []string{
 		RuleNondeterminism, RuleMapOrder, RulePanicMsg, RuleFloatCmp,
 		RuleRegistryDoc, RuleRngFlow, RuleHotAlloc, RuleGoroutines,
-		RuleBarrierSafe,
+		RuleBarrierSafe, RuleDeadcode,
 	}
 }
 

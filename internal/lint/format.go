@@ -24,6 +24,7 @@ var ruleDescriptions = map[string]string{
 	RuleHotAlloc:       "//qos:hotpath functions may not contain allocating constructs",
 	RuleGoroutines:     "goroutines are confined to workpool/clock/httpserve; mutex lock/unlock must balance",
 	RuleBarrierSafe:    "//qos:sharded state is only touched inside //qos:barrier functions",
+	RuleDeadcode:       "exported internal/ declarations are referenced by non-test code",
 	RuleAllow:          "malformed //lint:allow or //qos: comments",
 }
 

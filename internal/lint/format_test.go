@@ -106,9 +106,9 @@ func TestWriteSARIF(t *testing.T) {
 	if run.Tool.Driver.Name != "qoslint" {
 		t.Errorf("driver name = %q, want qoslint", run.Tool.Driver.Name)
 	}
-	// All nine documented rules plus the allow meta-rule, each described.
-	if len(run.Tool.Driver.Rules) != 10 {
-		t.Errorf("got %d rules in driver metadata, want 10", len(run.Tool.Driver.Rules))
+	// All ten documented rules plus the allow meta-rule, each described.
+	if len(run.Tool.Driver.Rules) != 11 {
+		t.Errorf("got %d rules in driver metadata, want 11", len(run.Tool.Driver.Rules))
 	}
 	for _, r := range run.Tool.Driver.Rules {
 		if r.ShortDescription.Text == "" {

@@ -24,6 +24,11 @@
 //     and internal/policy is flagged — tie-breaks there must be explicit.
 //   - registrydoc: every policy name registered with policy.RegisterPull or
 //     policy.RegisterPush must be documented in README.md or DESIGN.md.
+//   - deadcode: every exported top-level func, type, var and const in
+//     internal/ must be referenced by some non-test file of the module
+//     (nested modules such as perfbench/ included), whichever packages were
+//     linted. A use inside the declaration itself does not count; methods
+//     and struct fields are out of scope.
 //
 // On top of the per-file walks, a small intra-procedural dataflow engine
 // (dataflow.go) tracks value provenance through assignments and positions
@@ -101,6 +106,7 @@ const (
 	RuleHotAlloc       = "hotalloc"
 	RuleGoroutines     = "goroutines"
 	RuleBarrierSafe    = "barriersafe"
+	RuleDeadcode       = "deadcode"
 	// RuleAllow tags malformed //lint:allow comments (unknown rule name or
 	// missing reason) and malformed //qos: annotations. It cannot itself be
 	// allowed.
@@ -118,6 +124,7 @@ var knownRules = map[string]bool{
 	RuleHotAlloc:       true,
 	RuleGoroutines:     true,
 	RuleBarrierSafe:    true,
+	RuleDeadcode:       true,
 }
 
 // Runner lints a module tree rooted at Root.
@@ -137,7 +144,7 @@ type Runner struct {
 	GoroutineDirs []string
 
 	// allows accumulates the //lint:allow waivers from every linted file,
-	// so cross-package rules (registrydoc) honour them too.
+	// so cross-package rules (registrydoc, deadcode) honour them too.
 	allows map[allowKey]allowEntry
 }
 
@@ -172,9 +179,10 @@ type pkg struct {
 // Keeping every mutable output package-local is what makes the parallel run
 // race-free; the merge in Run is a deterministic directory-order fold.
 type pkgOutput struct {
-	diags  []Diagnostic
-	regs   []registration
-	allows []allowRecord
+	diags   []Diagnostic
+	regs    []registration
+	allows  []allowRecord
+	exports []export
 }
 
 // allowRecord is an allow-map entry in slice form, so merging package results
@@ -196,8 +204,8 @@ func (r *Runner) Run(patterns ...string) ([]Diagnostic, error) {
 	}
 	// One job per package directory. The stub-import type-checker keeps each
 	// job hermetic (no shared FileSet, no shared types.Info), so the only
-	// cross-package state — waivers consulted by registrydoc — is merged
-	// after the barrier, in directory order.
+	// cross-package state — waivers and exports consulted by registrydoc and
+	// deadcode — is merged after the barrier, in directory order.
 	results := make([]pkgOutput, len(dirs))
 	if err := workpool.Run(len(dirs), func(i int) error {
 		return r.lintDir(dirs[i], &results[i])
@@ -207,14 +215,19 @@ func (r *Runner) Run(patterns ...string) ([]Diagnostic, error) {
 	r.allows = make(map[allowKey]allowEntry)
 	var diags []Diagnostic
 	var regs []registration
+	var exports []export
 	for i := range results {
 		diags = append(diags, results[i].diags...)
 		regs = append(regs, results[i].regs...)
+		exports = append(exports, results[i].exports...)
 		for _, rec := range results[i].allows {
 			r.allows[rec.key] = rec.entry
 		}
 	}
 	if err := r.checkRegistryDoc(regs, &diags); err != nil {
+		return nil, err
+	}
+	if err := r.checkDeadcode(exports, &diags); err != nil {
 		return nil, err
 	}
 	sortDiagnostics(diags)
@@ -278,8 +291,7 @@ func (r *Runner) expand(patterns []string) ([]string, error) {
 			if !d.IsDir() {
 				return nil
 			}
-			name := d.Name()
-			if path != base && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if path != base && skippedDir(d.Name()) {
 				return filepath.SkipDir
 			}
 			ok, err := hasGoFiles(path)
@@ -297,6 +309,12 @@ func (r *Runner) expand(patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+// skippedDir reports whether a recursive walk leaves out a directory, the
+// way the go tool does for ./... patterns.
+func skippedDir(name string) bool {
+	return name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
 
 func hasGoFiles(dir string) (bool, error) {
@@ -364,6 +382,7 @@ func (r *Runner) lintDir(dir string, out *pkgOutput) error {
 	p.collectAnnotations()
 
 	checkRegistryCalls(p)
+	collectExports(p)
 	if p.scope == scopeLibrary {
 		checkNondeterminism(p)
 		checkMapOrder(p)
@@ -385,13 +404,18 @@ func (r *Runner) lintDir(dir string, out *pkgOutput) error {
 // everything under internal/ is library scope; cmd/, examples/ and any other
 // package main is binary scope.
 func scopeOf(relDir, pkgName string) scope {
-	if relDir == "." || relDir == "internal" || strings.HasPrefix(relDir, "internal/") {
+	if relDir == "." || inInternal(relDir) {
 		return scopeLibrary
 	}
 	if pkgName == "main" {
 		return scopeMain
 	}
 	return scopeLibrary
+}
+
+// inInternal reports whether a package directory is internal/ or below it.
+func inInternal(relDir string) bool {
+	return relDir == "internal" || strings.HasPrefix(relDir, "internal/")
 }
 
 // floatCmpDirs are the packages where float equality is a tie-break hazard:

@@ -11,7 +11,13 @@ import (
 // "relpath:line [rule]".
 func fixtureRun(t *testing.T, patterns ...string) ([]Diagnostic, []string) {
 	t.Helper()
-	root, err := filepath.Abs(filepath.Join("testdata", "src"))
+	return fixtureRunAt(t, filepath.Join("testdata", "src"), patterns...)
+}
+
+// fixtureRunAt is fixtureRun over the fixture tree rooted at dir.
+func fixtureRunAt(t *testing.T, dir string, patterns ...string) ([]Diagnostic, []string) {
+	t.Helper()
+	root, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +43,7 @@ func fixtureRun(t *testing.T, patterns ...string) ([]Diagnostic, []string) {
 // the wall clock).
 func TestFixtureFindings(t *testing.T) {
 	want := []string{
+		"deadcode/internal/dead/dead.go:27 [allow]",
 		"internal/allowcase/allowcase.go:17 [allow]",
 		"internal/allowcase/allowcase.go:18 [nondeterminism]",
 		"internal/allowcase/allowcase.go:24 [allow]",
@@ -338,6 +345,37 @@ func TestAnnotationTypos(t *testing.T) {
 	}
 	if !detached {
 		t.Error("detached //qos: marker was not reported")
+	}
+}
+
+// TestDeadcodeRule: exported declarations that only tests, or only they
+// themselves, reference are flagged; a reference from another package, from
+// the package's own non-test code or from the nested perfbench module keeps
+// one alive, as does a justified allow. A reasonless allow is itself a
+// finding and waives nothing. Linting one package still counts references
+// from the whole module. The fixture tree at testdata/src has no go.mod, so
+// the rule stays silent there (TestFixtureFindings).
+func TestDeadcodeRule(t *testing.T) {
+	want := strings.Join([]string{
+		"internal/dead/dead.go:6 [deadcode]",  // TestOnly: referenced from a _test.go file only
+		"internal/dead/dead.go:27 [allow]",    // allow without a reason
+		"internal/dead/dead.go:28 [deadcode]", // Reasonless: the bad allow waives nothing
+		"internal/dead/dead.go:31 [deadcode]", // Recursive: self-reference only
+		"internal/dead/dead.go:40 [deadcode]", // Lonely: named only by its own method
+		"internal/dead/dead.go:46 [deadcode]", // Limit
+		"internal/dead/dead.go:48 [deadcode]", // Scale
+	}, "\n")
+	root := filepath.Join("testdata", "src", "deadcode")
+	for _, patterns := range [][]string{{"./..."}, {"internal/dead"}} {
+		diags, got := fixtureRunAt(t, root, patterns...)
+		if joined := strings.Join(got, "\n"); joined != want {
+			t.Errorf("patterns %v: got findings\n%s\nwant\n%s", patterns, joined, want)
+		}
+		for _, d := range diags {
+			if d.Rule == RuleDeadcode && d.Pos.Line == 6 && !strings.Contains(d.Msg, "func TestOnly is referenced by no non-test file") {
+				t.Errorf("deadcode message should name the kind and identifier: %s", d.Msg)
+			}
+		}
 	}
 }
 

@@ -1,0 +1,5 @@
+package dead
+
+import "testing"
+
+func TestTouch(t *testing.T) { TestOnly() }

@@ -176,9 +176,13 @@ var (
 
 // RegisterPull adds a pull-policy factory under a new name. Registering an
 // empty or already-taken name is a typed error.
+//
+//lint:allow deadcode registration API: the extension point for pull policies outside this package
 func RegisterPull(name string, f PullFactory) error { return pulls.register(name, f) }
 
 // RegisterPush adds a push-scheduler factory under a new name.
+//
+//lint:allow deadcode registration API: the extension point for push schedulers outside this package
 func RegisterPush(name string, f PushFactory) error { return pushes.register(name, f) }
 
 // NewPull builds the named pull policy. An empty name selects DefaultPull.
@@ -204,10 +208,6 @@ func NewPush(name string, p Params) (sched.PushScheduler, error) {
 	}
 	return f(p)
 }
-
-// KnownPull reports whether a pull-policy name (or alias) is registered;
-// the empty string names the default and is always known.
-func KnownPull(name string) bool { return name == "" || pulls.known(name) }
 
 // KnownPush reports whether a push-scheduler name (or alias) is registered.
 func KnownPush(name string) bool { return name == "" || pushes.known(name) }

@@ -94,11 +94,10 @@ func TestUnknownNameError(t *testing.T) {
 	if _, err := NewPush("nonsense", Params{}); !errors.As(err, &ue) {
 		t.Fatalf("push error = %v, want UnknownError", err)
 	}
-	if KnownPull("nonsense") || KnownPush("nonsense") {
+	if KnownPush("nonsense") {
 		t.Fatal("nonsense reported known")
 	}
-	if !KnownPull("gamma") || !KnownPull("importance-factor") ||
-		!KnownPush("roundrobin") || !KnownPush("flat") || !KnownPush("none") {
+	if !KnownPush("roundrobin") || !KnownPush("flat") || !KnownPush("none") {
 		t.Fatal("built-in name reported unknown")
 	}
 }

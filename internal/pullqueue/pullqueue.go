@@ -20,10 +20,10 @@
 // (RxW-style) and doubles as the obviously-correct reference in property
 // tests and as an ablation baseline.
 //
-// Validation is front-loaded: constructors return typed errors (AlphaError)
-// and ValidateRequest reports RankError/PriorityError/LengthError, all
-// surfaced through core.Config.Validate before a simulation starts. The hot
-// Add/ExtractMax paths trust validated inputs and never panic.
+// Validation is front-loaded: constructors return typed errors (AlphaError),
+// and core.Config.Validate audits every catalog length and class weight
+// before a simulation starts. The hot Add/ExtractMax paths trust validated
+// inputs and never panic.
 package pullqueue
 
 import (
@@ -117,51 +117,10 @@ func (e *AlphaError) Error() string {
 	return fmt.Sprintf("pullqueue: alpha %g outside [0,1]", e.Alpha)
 }
 
-// RankError reports a non-positive item rank.
-type RankError struct{ Item int }
-
-func (e *RankError) Error() string {
-	return fmt.Sprintf("pullqueue: invalid item rank %d", e.Item)
-}
-
-// PriorityError reports a non-positive or NaN request priority.
-type PriorityError struct{ Priority float64 }
-
-func (e *PriorityError) Error() string {
-	return fmt.Sprintf("pullqueue: invalid priority %g", e.Priority)
-}
-
-// LengthError reports a non-positive or NaN item length.
-type LengthError struct {
-	Item   int
-	Length float64
-}
-
-func (e *LengthError) Error() string {
-	return fmt.Sprintf("pullqueue: invalid length %g for item %d", e.Length, e.Item)
-}
-
 // ValidateAlpha reports whether α is a usable mixing fraction.
 func ValidateAlpha(alpha float64) error {
 	if alpha < 0 || alpha > 1 || math.IsNaN(alpha) {
 		return &AlphaError{Alpha: alpha}
-	}
-	return nil
-}
-
-// ValidateRequest reports whether a request and its item length satisfy the
-// queue invariants. The queues themselves trust their inputs — callers
-// validate once at configuration time (core.Config.Validate audits every
-// catalog length and class weight), not on the hot enqueue path.
-func ValidateRequest(req Request, length float64) error {
-	if req.Item < 1 {
-		return &RankError{Item: req.Item}
-	}
-	if req.Priority <= 0 || math.IsNaN(req.Priority) {
-		return &PriorityError{Priority: req.Priority}
-	}
-	if length <= 0 || math.IsNaN(length) {
-		return &LengthError{Item: req.Item, Length: length}
 	}
 	return nil
 }
@@ -179,8 +138,8 @@ func GammaScore(alpha float64) (ScoreFunc, error) {
 // Queue is the interface shared by the heap and linear implementations.
 type Queue interface {
 	// Add enqueues a request (length fixes the item's transmission time on
-	// the item's first pending request). Inputs must satisfy
-	// ValidateRequest; the queue does not re-check them.
+	// the item's first pending request). Inputs must be valid — a positive
+	// item rank, priority and length; the queue does not check them.
 	Add(req Request, length float64)
 	// ExtractMax removes and returns the entry with the largest score at
 	// time now, or nil if the queue is empty.
@@ -312,16 +271,6 @@ type Heap struct {
 	byItem   itemIndex
 	requests int
 	free     []*Entry
-}
-
-// NewHeap returns an empty heap-backed queue ordered by the paper's
-// importance factor γ(α) — the common case, kept as a convenience.
-func NewHeap(alpha float64) (*Heap, error) {
-	score, err := GammaScore(alpha)
-	if err != nil {
-		return nil, err
-	}
-	return NewHeapFunc(score)
 }
 
 // NewHeapFunc returns an empty heap-backed queue ordered by score. The score
@@ -500,6 +449,8 @@ type Linear struct {
 
 // NewLinear returns an empty scan-backed queue ordered by the paper's
 // importance factor γ(α).
+//
+//lint:allow deadcode oracle: the scan-backed reference queue the heap property tests compare against
 func NewLinear(alpha float64) (*Linear, error) {
 	score, err := GammaScore(alpha)
 	if err != nil {

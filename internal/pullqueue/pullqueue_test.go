@@ -16,9 +16,13 @@ func req(item int, class clients.Class, prio, arrival float64) Request {
 
 func mustHeap(t testing.TB, alpha float64) *Heap {
 	t.Helper()
-	h, err := NewHeap(alpha)
+	score, err := GammaScore(alpha)
 	if err != nil {
-		t.Fatalf("NewHeap(%g): %v", alpha, err)
+		t.Fatalf("GammaScore(%g): %v", alpha, err)
+	}
+	h, err := NewHeapFunc(score)
+	if err != nil {
+		t.Fatalf("NewHeapFunc: %v", err)
 	}
 	return h
 }
@@ -216,14 +220,11 @@ func TestLinearRemove(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	for _, alpha := range []float64{-0.1, 1.1, math.NaN()} {
 		var ae *AlphaError
-		if _, err := NewHeap(alpha); err == nil || !errors.As(err, &ae) {
-			t.Errorf("NewHeap(%g) error = %v, want AlphaError", alpha, err)
+		if _, err := GammaScore(alpha); err == nil || !errors.As(err, &ae) {
+			t.Errorf("GammaScore(%g) error = %v, want AlphaError", alpha, err)
 		}
 		if _, err := NewLinear(alpha); err == nil {
 			t.Errorf("NewLinear(%g) did not error", alpha)
-		}
-		if _, err := GammaScore(alpha); err == nil {
-			t.Errorf("GammaScore(%g) did not error", alpha)
 		}
 	}
 	if _, err := NewHeapFunc(nil); err == nil {
@@ -231,45 +232,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := NewLinearFunc(nil); err == nil {
 		t.Error("NewLinearFunc(nil) did not error")
-	}
-
-	cases := []struct {
-		req    Request
-		length float64
-		want   any
-	}{
-		{req(0, 0, 1, 0), 1, &RankError{}},
-		{req(-3, 0, 1, 0), 1, &RankError{}},
-		{req(1, 0, 0, 0), 1, &PriorityError{}},
-		{req(1, 0, math.NaN(), 0), 1, &PriorityError{}},
-		{req(1, 0, 1, 0), 0, &LengthError{}},
-		{req(1, 0, 1, 0), -1, &LengthError{}},
-		{req(1, 0, 1, 0), math.NaN(), &LengthError{}},
-	}
-	for i, c := range cases {
-		err := ValidateRequest(c.req, c.length)
-		if err == nil {
-			t.Errorf("case %d: ValidateRequest did not error", i)
-			continue
-		}
-		ok := false
-		switch c.want.(type) {
-		case *RankError:
-			var e *RankError
-			ok = errors.As(err, &e)
-		case *PriorityError:
-			var e *PriorityError
-			ok = errors.As(err, &e)
-		case *LengthError:
-			var e *LengthError
-			ok = errors.As(err, &e)
-		}
-		if !ok {
-			t.Errorf("case %d: error %v has wrong type (want %T)", i, err, c.want)
-		}
-	}
-	if err := ValidateRequest(req(1, 0, 1, 0), 2); err != nil {
-		t.Errorf("valid request rejected: %v", err)
 	}
 }
 

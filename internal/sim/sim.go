@@ -76,10 +76,10 @@ func SetWorkers(n int) (prev int) { return workpool.SetWorkers(n) }
 // replications.
 func Workers() int { return workpool.Workers() }
 
-// PointError reports which sweep point a SweepConfigs/SweepConfigsWith
-// failure occurred at. Err carries the underlying (replication-wrapped)
-// error; the error text is Err's, so single-point callers can surface it
-// unchanged while sweep wrappers prepend their point label.
+// PointError reports which sweep point a SweepConfigs failure occurred at.
+// Err carries the underlying (replication-wrapped) error; the error text is
+// Err's, so single-point callers can surface it unchanged while sweep
+// wrappers prepend their point label.
 type PointError struct {
 	// Point is the index into the swept configuration slice.
 	Point int
@@ -99,22 +99,12 @@ func (e *PointError) Unwrap() error { return e.Err }
 //
 // Stateful per-run components (uplink channels, loss models, MMPP arrival
 // processes, tracers, telemetry collectors) must NOT be shared across
-// replications; use RunReplicationsWith and construct fresh instances in the
-// perRun hook.
-func RunReplications(cfg core.Config, reps int) (*Summary, error) {
-	return RunReplicationsWith(cfg, reps, nil)
-}
-
-// RunReplicationsWith is RunReplications with a per-replication
-// customisation hook, called with each replication's config (after the seed
-// is set) before the run starts. The hook runs concurrently across
-// replications and must only touch its own config.
-func RunReplicationsWith(cfg core.Config, reps int, perRun func(rep int, c *core.Config) error) (*Summary, error) {
-	var hook func(point, rep int, c *core.Config) error
-	if perRun != nil {
-		hook = func(_, rep int, c *core.Config) error { return perRun(rep, c) }
-	}
-	sums, err := SweepConfigsWith([]core.Config{cfg}, reps, hook)
+// replications: construct fresh instances in perRun, which (when non-nil) is
+// called with each replication's config, after the seed is set, before the
+// run starts. The hook runs concurrently across replications and must only
+// touch its own config.
+func RunReplications(cfg core.Config, reps int, perRun func(rep int, c *core.Config) error) (*Summary, error) {
+	sums, err := SweepConfigs([]core.Config{cfg}, reps, forEveryPoint(perRun))
 	if err != nil {
 		var pe *PointError
 		if errors.As(err, &pe) {
@@ -125,23 +115,26 @@ func RunReplicationsWith(cfg core.Config, reps int, perRun func(rep int, c *core
 	return sums[0], nil
 }
 
-// SweepConfigs runs reps replications of every configuration, flattening the
-// (point × replication) grid into the shared deterministic work pool, and
-// returns one Summary per configuration in input order.
-func SweepConfigs(cfgs []core.Config, reps int) ([]*Summary, error) {
-	return SweepConfigsWith(cfgs, reps, nil)
+// forEveryPoint adapts a per-replication hook to SweepConfigs' per-point form.
+func forEveryPoint(perRun func(rep int, c *core.Config) error) func(point, rep int, c *core.Config) error {
+	if perRun == nil {
+		return nil
+	}
+	return func(_, rep int, c *core.Config) error { return perRun(rep, c) }
 }
 
-// SweepConfigsWith is SweepConfigs with a per-replication customisation
-// hook, called with the point index, replication index and that
-// replication's config (after the seed is set) before the run starts. The
-// hook runs concurrently and must only touch its own config.
+// SweepConfigs runs reps replications of every configuration, flattening the
+// (point × replication) grid into the shared deterministic work pool, and
+// returns one Summary per configuration in input order. perRun, when
+// non-nil, is called with the point index, replication index and that
+// replication's config (after the seed is set) before the run starts; it
+// runs concurrently and must only touch its own config.
 //
 // Every (point, replication) pair is one job in the shared work pool;
 // results land in index-addressed slots and are aggregated in input order,
 // so the output is bit-identical whatever the worker count. Failures are
 // reported as *PointError wrapping the lowest-indexed failing job's error.
-func SweepConfigsWith(cfgs []core.Config, reps int, perRun func(point, rep int, c *core.Config) error) ([]*Summary, error) {
+func SweepConfigs(cfgs []core.Config, reps int, perRun func(point, rep int, c *core.Config) error) ([]*Summary, error) {
 	if reps <= 0 {
 		return nil, &PointError{Point: 0, Err: fmt.Errorf("sim: replications %d", reps)}
 	}
@@ -224,18 +217,17 @@ func aggregate(cfg core.Config, reps int, results []*core.Metrics) *Summary {
 
 // SweepPoint is one swept configuration's summary.
 type SweepPoint struct {
-	// K is the cutoff (for cutoff sweeps) or the index of the swept value.
+	// K is the cutoff.
 	K int
-	// Alpha is the α used (for α sweeps).
-	Alpha float64
 	// Summary is the replication-aggregated result.
 	Summary *Summary
 }
 
 // SweepCutoffs runs reps replications at each cutoff, reusing the base seed
 // so the cutoffs are compared under common random numbers. All (cutoff ×
-// replication) pairs share the deterministic work pool.
-func SweepCutoffs(cfg core.Config, cutoffs []int, reps int) ([]SweepPoint, error) {
+// replication) pairs share the deterministic work pool; perRun is
+// RunReplications' per-replication hook.
+func SweepCutoffs(cfg core.Config, cutoffs []int, reps int, perRun func(rep int, c *core.Config) error) ([]SweepPoint, error) {
 	if len(cutoffs) == 0 {
 		return nil, fmt.Errorf("sim: no cutoffs")
 	}
@@ -244,7 +236,7 @@ func SweepCutoffs(cfg core.Config, cutoffs []int, reps int) ([]SweepPoint, error
 		cfgs[i] = cfg
 		cfgs[i].Cutoff = k
 	}
-	sums, err := SweepConfigs(cfgs, reps)
+	sums, err := SweepConfigs(cfgs, reps, forEveryPoint(perRun))
 	if err != nil {
 		var pe *PointError
 		if errors.As(err, &pe) {
@@ -254,35 +246,7 @@ func SweepCutoffs(cfg core.Config, cutoffs []int, reps int) ([]SweepPoint, error
 	}
 	out := make([]SweepPoint, len(cutoffs))
 	for i, k := range cutoffs {
-		out[i] = SweepPoint{K: k, Alpha: cfgs[i].Alpha, Summary: sums[i]}
-	}
-	return out, nil
-}
-
-// SweepAlphas runs reps replications at each α (with the paper's
-// importance-factor policy), reusing the base seed. All (α × replication)
-// pairs share the deterministic work pool.
-func SweepAlphas(cfg core.Config, alphas []float64, reps int) ([]SweepPoint, error) {
-	if len(alphas) == 0 {
-		return nil, fmt.Errorf("sim: no alphas")
-	}
-	cfgs := make([]core.Config, len(alphas))
-	for i, a := range alphas {
-		cfgs[i] = cfg
-		cfgs[i].Alpha = a
-		cfgs[i].PullPolicy = nil // force the importance-factor policy at this α
-	}
-	sums, err := SweepConfigs(cfgs, reps)
-	if err != nil {
-		var pe *PointError
-		if errors.As(err, &pe) {
-			return nil, fmt.Errorf("sim: alpha %g: %w", alphas[pe.Point], pe.Err)
-		}
-		return nil, err
-	}
-	out := make([]SweepPoint, len(alphas))
-	for i, a := range alphas {
-		out[i] = SweepPoint{K: cfgs[i].Cutoff, Alpha: a, Summary: sums[i]}
+		out[i] = SweepPoint{K: k, Summary: sums[i]}
 	}
 	return out, nil
 }

@@ -34,22 +34,22 @@ func baseConfig(t *testing.T) core.Config {
 
 func TestRunReplicationsErrors(t *testing.T) {
 	cfg := baseConfig(t)
-	if _, err := RunReplications(cfg, 0); err == nil {
+	if _, err := RunReplications(cfg, 0, nil); err == nil {
 		t.Fatal("reps=0 accepted")
 	}
 	cfg.Lambda = -1
-	if _, err := RunReplications(cfg, 2); err == nil {
+	if _, err := RunReplications(cfg, 2, nil); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestRunReplicationsDeterministic(t *testing.T) {
 	cfg := baseConfig(t)
-	a, err := RunReplications(cfg, 6)
+	a, err := RunReplications(cfg, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunReplications(cfg, 6)
+	b, err := RunReplications(cfg, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRunReplicationsDeterministic(t *testing.T) {
 
 func TestReplicationsActuallyIndependent(t *testing.T) {
 	cfg := baseConfig(t)
-	s, err := RunReplications(cfg, 8)
+	s, err := RunReplications(cfg, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestReplicationsActuallyIndependent(t *testing.T) {
 
 func TestSummaryAggregates(t *testing.T) {
 	cfg := baseConfig(t)
-	s, err := RunReplications(cfg, 4)
+	s, err := RunReplications(cfg, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestSummaryAggregates(t *testing.T) {
 
 func TestCIWidthShrinksWithReps(t *testing.T) {
 	cfg := baseConfig(t)
-	few, err := RunReplications(cfg, 4)
+	few, err := RunReplications(cfg, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunReplications(cfg, 16)
+	many, err := RunReplications(cfg, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCIWidthShrinksWithReps(t *testing.T) {
 
 func TestSweepCutoffs(t *testing.T) {
 	cfg := baseConfig(t)
-	points, err := SweepCutoffs(cfg, []int{20, 40, 60}, 3)
+	points, err := SweepCutoffs(cfg, []int{20, 40, 60}, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,35 +155,14 @@ func TestSweepCutoffs(t *testing.T) {
 			t.Fatalf("summary config cutoff %d", points[i].Summary.Config.Cutoff)
 		}
 	}
-	if _, err := SweepCutoffs(cfg, nil, 3); err == nil {
+	if _, err := SweepCutoffs(cfg, nil, 3, nil); err == nil {
 		t.Fatal("empty cutoffs accepted")
-	}
-}
-
-func TestSweepAlphas(t *testing.T) {
-	cfg := baseConfig(t)
-	points, err := SweepAlphas(cfg, []float64{0, 0.5, 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("%d points", len(points))
-	}
-	// α=0 must differentiate classes; α=1 must not (compare spreads).
-	spread := func(p SweepPoint) float64 {
-		return p.Summary.MeanDelay(2) - p.Summary.MeanDelay(0)
-	}
-	if spread(points[0]) <= spread(points[2]) {
-		t.Fatalf("class spread at α=0 (%g) not above α=1 (%g)", spread(points[0]), spread(points[2]))
-	}
-	if _, err := SweepAlphas(cfg, nil, 3); err == nil {
-		t.Fatal("empty alphas accepted")
 	}
 }
 
 func TestOptimalSelectors(t *testing.T) {
 	cfg := baseConfig(t)
-	points, err := SweepCutoffs(cfg, []int{10, 40, 90}, 2)
+	points, err := SweepCutoffs(cfg, []int{10, 40, 90}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +186,22 @@ func TestOptimalSelectors(t *testing.T) {
 	}
 	if _, err := OptimalByTotalCost(nil); err == nil {
 		t.Fatal("empty points accepted")
+	}
+	// A point with no samples (NaN cost) loses to any finite one, and a tie
+	// keeps the incumbent, i.e. the smaller K.
+	costed := func(k int, costs ...float64) SweepPoint {
+		s := &Summary{}
+		for _, c := range costs {
+			s.TotalCost.Add(c)
+		}
+		return SweepPoint{K: k, Summary: s}
+	}
+	best, err := OptimalByTotalCost([]SweepPoint{costed(10), costed(20, 5), costed(30, 5), costed(40)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.K != 20 {
+		t.Fatalf("NaN/tie selection picked K=%d, want 20", best.K)
 	}
 }
 
@@ -238,12 +233,12 @@ func TestSweepConfigsMatchesPerPointRuns(t *testing.T) {
 		cfgs[i] = cfg
 		cfgs[i].Cutoff = k
 	}
-	swept, err := SweepConfigs(cfgs, 3)
+	swept, err := SweepConfigs(cfgs, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range cfgs {
-		solo, err := RunReplications(cfgs[i], 3)
+		solo, err := RunReplications(cfgs[i], 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +258,7 @@ func TestSweepConfigsPointError(t *testing.T) {
 	cfg := baseConfig(t)
 	bad := cfg
 	bad.Lambda = -1
-	_, err := SweepConfigs([]core.Config{cfg, bad}, 2)
+	_, err := SweepConfigs([]core.Config{cfg, bad}, 2, nil)
 	if err == nil {
 		t.Fatal("invalid point accepted")
 	}
@@ -278,7 +273,7 @@ func TestSweepConfigsPointError(t *testing.T) {
 
 func TestPooledDelayHistogram(t *testing.T) {
 	cfg := baseConfig(t)
-	s, err := RunReplications(cfg, 3)
+	s, err := RunReplications(cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +299,7 @@ func TestParallelWorkersBitIdentical(t *testing.T) {
 	sweep := func(workers int) []SweepPoint {
 		prev := SetWorkers(workers)
 		defer SetWorkers(prev)
-		points, err := SweepCutoffs(cfg, ks, 3)
+		points, err := SweepCutoffs(cfg, ks, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +346,7 @@ func TestParallelWorkersBitIdentical(t *testing.T) {
 func TestBoundedDelayHistKeepsTrueCounts(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.DelayHistBound = 128
-	s, err := RunReplications(cfg, 3)
+	s, err := RunReplications(cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,6 +114,8 @@ func cellAfter(sp *Span, transit Segment) int {
 // carry name, a known phase, finite ts, pid and tid; complete events
 // additionally carry a nonnegative dur. It returns the first violation —
 // the CI smoke test and `traceinfo -validate-perfetto` gate on it.
+//
+//lint:allow deadcode oracle: the Perfetto schema check that export tests validate output against
 func ValidatePerfetto(data []byte) error {
 	var file struct {
 		TraceEvents []map[string]json.RawMessage `json:"traceEvents"`

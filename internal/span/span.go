@@ -360,13 +360,3 @@ func Verify(spans []*Span) error {
 	}
 	return nil
 }
-
-// Index returns the spans keyed by ID — resolving telemetry exemplar span
-// IDs back to full spans.
-func Index(spans []*Span) map[int64]*Span {
-	m := make(map[int64]*Span, len(spans))
-	for _, sp := range spans {
-		m[sp.ID] = sp
-	}
-	return m
-}

@@ -208,6 +208,8 @@ func escape(s string) string {
 
 // SortedByName returns the series sorted by name (stable output for tests
 // and deterministic legends when the caller built them from a map).
+//
+//lint:allow deadcode pending deletion with its only test, TestSortedByName (see ROADMAP)
 func SortedByName(ss []Series) []Series {
 	out := append([]Series(nil), ss...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })

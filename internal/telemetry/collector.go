@@ -417,7 +417,7 @@ type GaugeSnap struct {
 }
 
 // HistSnap is one histogram's state in a snapshot. Counts follow the fixed
-// DelayBuckets layout (one count per bound, overflow last).
+// delay-bucket layout (one count per bound, overflow last).
 type HistSnap struct {
 	Name   string  `json:"name"`
 	Class  int     `json:"class"`
@@ -438,7 +438,7 @@ func (h HistSnap) N() int64 {
 type ExemplarSnap struct {
 	// Class is the service class label.
 	Class int `json:"class"`
-	// Bucket indexes the fixed DelayBuckets layout (overflow last).
+	// Bucket indexes the fixed delay-bucket layout (overflow last).
 	Bucket int `json:"bucket"`
 	// Spans holds up to K sampled span IDs whose delays fell in the bucket.
 	Spans []int64 `json:"spans"`

@@ -29,13 +29,6 @@ var delayBounds = []float64{
 	64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384,
 }
 
-// DelayBuckets returns a copy of the fixed histogram bucket bounds. The
-// histogram has len(DelayBuckets())+1 buckets: one per bound (values ≤ the
-// bound and > the previous bound) plus the +Inf overflow bucket.
-func DelayBuckets() []float64 {
-	return append([]float64(nil), delayBounds...)
-}
-
 // Counter is a monotonically increasing event count.
 type Counter struct {
 	v int64
@@ -110,7 +103,7 @@ func (h *Histogram) N() int64 {
 // Sum returns the running sum of observations.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// Counts returns a copy of the per-bucket counts (len(DelayBuckets())+1,
+// Counts returns a copy of the per-bucket counts (len(delayBounds)+1,
 // overflow last), nil when nothing was observed.
 func (h *Histogram) Counts() []int64 {
 	if h.counts == nil {

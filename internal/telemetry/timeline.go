@@ -108,6 +108,8 @@ func histDelta(cur, prev HistSnap) []int64 {
 // CumulativeQuantile estimates the q-th percentile of a snapshot's full
 // delay histogram for one class (NaN when the class has no samples) —
 // the run-so-far view, as opposed to BuildTimeline's per-window series.
+//
+//lint:allow deadcode pending deletion with its only test, TestCumulativeQuantile (see ROADMAP)
 func CumulativeQuantile(s *Snapshot, class int, q float64) float64 {
 	h, ok := s.Hist(MetricDelay, class)
 	if !ok {

@@ -106,6 +106,8 @@ type SlottedAloha struct {
 
 // NewSlottedAloha builds the channel: slotTime is the uplink slot duration
 // in broadcast units, ewmaTau the load-estimator time constant.
+//
+//lint:allow deadcode pending deletion with its only tests, TestNewSlottedAlohaValidation and TestSlottedAloha* (see ROADMAP)
 func NewSlottedAloha(slotTime, ewmaTau float64) (*SlottedAloha, error) {
 	if slotTime <= 0 || math.IsNaN(slotTime) || math.IsInf(slotTime, 0) {
 		return nil, fmt.Errorf("uplink: invalid slot time %g", slotTime)

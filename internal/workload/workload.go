@@ -155,6 +155,8 @@ type BatchPoisson struct {
 }
 
 // NewBatchPoisson validates the parameters.
+//
+//lint:allow deadcode shared test fixture: drives batched-admission tests and benchmarks with bulk arrivals
 func NewBatchPoisson(eventRate, meanBatch float64) (BatchPoisson, error) {
 	if eventRate <= 0 || math.IsNaN(eventRate) || math.IsInf(eventRate, 0) {
 		return BatchPoisson{}, fmt.Errorf("workload: invalid event rate %g", eventRate)

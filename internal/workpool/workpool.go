@@ -1,7 +1,7 @@
 // Package workpool is the shared deterministic work pool behind every sweep
-// in the repository: sim.SweepCutoffs/SweepAlphas, core.SweepCutoff and the
-// figure drivers all flatten their (sweep point × replication) grids into one
-// indexed job list and hand it to Run.
+// in the repository: sim.SweepConfigs (behind sim.SweepCutoffs,
+// sim.RunReplications and the figure generators) flattens its (sweep point
+// × replication) grid into one indexed job list and hands it to Run.
 //
 // Determinism contract: jobs receive their index and must write results into
 // index-addressed slots only. The pool guarantees that every job runs exactly

@@ -59,6 +59,8 @@ func New(n int, theta float64) (*Distribution, error) {
 }
 
 // Must is New that panics on error.
+//
+//lint:allow deadcode shared test fixture: tests in several packages build distributions with it
 func Must(n int, theta float64) *Distribution {
 	d, err := New(n, theta)
 	if err != nil {
