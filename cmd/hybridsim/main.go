@@ -153,6 +153,9 @@ func main() {
 	if !(*telEvery >= 0) { // negative or NaN
 		fatal("telemetry: snapshot cadence %g, want positive", *telEvery)
 	}
+	if *telAddr != "" && (*cells > 0 || cfg.Cluster != nil) {
+		fatal("-telemetry-addr is single-cell: a cluster run (-cells) serves no live snapshots")
+	}
 	if *telAddr != "" || *telEvery > 0 {
 		every := *telEvery
 		if every <= 0 {

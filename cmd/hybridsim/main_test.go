@@ -62,3 +62,20 @@ func TestSaveConfigKeepsSpans(t *testing.T) {
 		t.Fatalf("-config run differs from the flag run:\n%s\nvs\n%s", again, first)
 	}
 }
+
+// TestClusterRejectsTelemetryAddr: a cluster run takes no live snapshots,
+// so -telemetry-addr with -cells fails up front with a named error instead
+// of serving "waiting for first snapshot" for the whole run.
+func TestClusterRejectsTelemetryAddr(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "--", "-cells", "2", "-horizon", "600", "-telemetry-addr", "127.0.0.1:0")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("hybridsim -cells 2 -telemetry-addr exited 0; stdout:\n%s", stdout.String())
+	}
+	if !bytes.Contains(stderr.Bytes(), []byte("hybridsim: -telemetry-addr")) || stdout.Len() != 0 {
+		t.Fatalf("want a named error before any run; stderr:\n%s\nstdout:\n%s", stderr.String(), stdout.String())
+	}
+}

@@ -1,14 +1,13 @@
 package hybridqos
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
 	"hybridqos/internal/cluster"
 	"hybridqos/internal/core"
 	"hybridqos/internal/trace"
-	"hybridqos/internal/uplink"
-	"hybridqos/internal/workload"
 )
 
 // ClusterOptions federates the configured system into a multi-cell cluster
@@ -94,6 +93,11 @@ type ClusterResult struct {
 	PerCell []ClusterCellResult
 }
 
+// ErrClusterSnapshotHook is returned by SimulateCluster and
+// WriteClusterTrace when Config.Telemetry sets OnSnapshot: cluster cells
+// record their snapshots into the trace only and never call the hook.
+var ErrClusterSnapshotHook = errors.New("hybridqos: Telemetry.OnSnapshot is single-cell; cluster runs never call it")
+
 // clusterConfig lowers the public options onto internal/cluster, reusing
 // the facade's base-config lowering for the per-cell template.
 func (c Config) clusterConfig() (cluster.Config, error) {
@@ -104,9 +108,6 @@ func (c Config) clusterConfig() (cluster.Config, error) {
 	if err != nil {
 		return cluster.Config{}, err
 	}
-	// Stateful per-run components live in the per-cell hook, never in the
-	// shared template (build only sets Items, for Rotation).
-	base.Items = nil
 	o := c.Cluster
 	cc := cluster.Config{
 		Cells:            o.Cells,
@@ -121,33 +122,13 @@ func (c Config) clusterConfig() (cluster.Config, error) {
 		SaturationEpochs: o.SaturationEpochs,
 	}
 	if c.Telemetry != nil {
+		if c.Telemetry.OnSnapshot != nil {
+			return cluster.Config{}, ErrClusterSnapshotHook
+		}
 		cc.TelemetryEvery = c.Telemetry.SnapshotEvery
 	}
 	cc.Exemplars = c.exemplarCount()
-	cc.PerCell = func(_ int, cfg *core.Config) error {
-		if c.Rotation != nil {
-			rot, err := workload.NewRotatingPopularity(cfg.Catalog, c.Rotation.Period, c.Rotation.Shift)
-			if err != nil {
-				return err
-			}
-			cfg.Items = rot
-		}
-		if c.Uplink != nil {
-			tb, err := uplink.NewTokenBucket(c.Uplink.Rate, c.Uplink.Burst)
-			if err != nil {
-				return err
-			}
-			cfg.Uplink = tb
-		}
-		if c.Faults != nil {
-			lm, err := c.Faults.lossModel()
-			if err != nil {
-				return err
-			}
-			cfg.Loss = lm
-		}
-		return nil
-	}
+	cc.PerCell = func(_ int, cfg *core.Config) error { return c.attach(cfg) }
 	return cc, nil
 }
 

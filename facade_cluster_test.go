@@ -1,6 +1,7 @@
 package hybridqos
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -145,5 +146,29 @@ func TestWriteClusterTrace(t *testing.T) {
 	}
 	if handoffs == 0 {
 		t.Error("no handoff events in trace")
+	}
+}
+
+// TestClusterRejectsSnapshotHook: cluster cells never call
+// Telemetry.OnSnapshot, so a cluster run with the hook set is an error
+// rather than a run whose hook silently never fires.
+func TestClusterRejectsSnapshotHook(t *testing.T) {
+	c := clusterTestConfig()
+	fired := 0
+	c.Telemetry = &TelemetryConfig{SnapshotEvery: 50, OnSnapshot: func(float64, []byte) { fired++ }}
+	if _, err := SimulateCluster(c); !errors.Is(err, ErrClusterSnapshotHook) {
+		t.Errorf("SimulateCluster with OnSnapshot: err = %v, want ErrClusterSnapshotHook", err)
+	}
+	path := filepath.Join(t.TempDir(), "cluster.jsonl")
+	if _, err := WriteClusterTrace(c, path); !errors.Is(err, ErrClusterSnapshotHook) {
+		t.Errorf("WriteClusterTrace with OnSnapshot: err = %v, want ErrClusterSnapshotHook", err)
+	}
+	if fired != 0 {
+		t.Errorf("hook fired %d times", fired)
+	}
+	// Snapshots into the trace alone stay supported.
+	c.Telemetry.OnSnapshot = nil
+	if _, err := SimulateCluster(c); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -429,3 +429,33 @@ func TestRunClosedLoopFacade(t *testing.T) {
 		t.Fatal("zero epochs accepted")
 	}
 }
+
+// TestRunClosedLoopRejectsUnmodelledFields: each field the closed loop
+// would ignore is refused by name instead of leaving the epochs unchanged.
+func TestRunClosedLoopRejectsUnmodelledFields(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"PullPolicy", func(c *Config) { c.PullPolicy = PolicyFCFS }},
+		{"PushScheduler", func(c *Config) { c.PushScheduler = PushNone }},
+		{"Bandwidth", func(c *Config) {
+			c.Bandwidth = &BandwidthConfig{Total: 30, Fractions: []float64{0.5, 0.3, 0.2}, DemandMean: 2}
+		}},
+		{"Faults", func(c *Config) { c.Faults = &FaultsConfig{LossProb: 0.5} }},
+		{"Uplink", func(c *Config) { c.Uplink = &UplinkConfig{Rate: 1, Burst: 1} }},
+		{"ClientCache", func(c *Config) { c.ClientCache = &ClientCacheConfig{NumClients: 10, Capacity: 5} }},
+		{"Rotation", func(c *Config) { c.Rotation = &RotationConfig{Period: 100, Shift: 1} }},
+		{"RequestTTL", func(c *Config) { c.RequestTTL = 50 }},
+		{"Telemetry", func(c *Config) { c.Telemetry = &TelemetryConfig{SnapshotEvery: 100} }},
+		{"Spans", func(c *Config) { c.Spans = &SpanTraceConfig{} }},
+		{"Cluster", func(c *Config) { c.Cluster = &ClusterOptions{Cells: 2} }},
+	} {
+		c := quickConfig()
+		tc.set(&c)
+		_, err := RunClosedLoop(c, 2, 500, 5, true)
+		if err == nil || !strings.Contains(err.Error(), "Config."+tc.field) {
+			t.Errorf("%s set: err = %v, want one naming Config.%s", tc.field, err, tc.field)
+		}
+	}
+}

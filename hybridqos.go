@@ -205,7 +205,9 @@ type TelemetryConfig struct {
 	// OnSnapshot, when non-nil, receives every snapshot as it is taken,
 	// rendered in the Prometheus text exposition format, with the simulated
 	// time it was taken at. It is called synchronously from the simulation
-	// loop of replication 0; keep it fast. The field does not survive
+	// loop of replication 0; keep it fast. Cluster runs never call it, so
+	// SimulateCluster and WriteClusterTrace refuse it
+	// (ErrClusterSnapshotHook). The field does not survive
 	// SaveConfig/LoadConfig.
 	OnSnapshot func(simTime float64, prom []byte) `json:"-"`
 }
@@ -405,29 +407,8 @@ func (c Config) build() (core.Config, error) {
 			AllowBorrow: c.Bandwidth.AllowBorrow,
 		}
 	}
-	if c.Rotation != nil {
-		rot, err := workload.NewRotatingPopularity(cat, c.Rotation.Period, c.Rotation.Shift)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.Items = rot
-	}
-	if c.Uplink != nil {
-		// Validate eagerly; per-run instances are created in perRun (a
-		// token bucket is stateful and must not be shared across the
-		// parallel replications).
-		if _, err := uplink.NewTokenBucket(c.Uplink.Rate, c.Uplink.Burst); err != nil {
-			return core.Config{}, err
-		}
-	}
 	cfg.RequestTTL = c.RequestTTL
 	if c.Faults != nil {
-		// Validate the loss parameters eagerly; per-run instances are
-		// created in perRun (the Gilbert–Elliott chain is stateful and must
-		// not be shared across the parallel replications).
-		if _, err := c.Faults.lossModel(); err != nil {
-			return core.Config{}, err
-		}
 		if c.Faults.MaxRetries < 0 {
 			return core.Config{}, fmt.Errorf("faults: retry count %d negative", c.Faults.MaxRetries)
 		}
@@ -464,10 +445,45 @@ func (c Config) build() (core.Config, error) {
 			Policy:     cachePol,
 		}
 	}
-	if err := cfg.Validate(); err != nil {
+	// Judge the per-run components by attaching them once to a copy; each
+	// run attaches its own.
+	probe := cfg
+	if err := c.attach(&probe); err != nil {
+		return core.Config{}, err
+	}
+	if err := probe.Validate(); err != nil {
 		return core.Config{}, err
 	}
 	return cfg, nil
+}
+
+// attach installs the per-run stateful components on cfg: rotation over
+// cfg's own catalog, a fresh uplink token bucket and a fresh loss model. A
+// bucket and a Gilbert–Elliott chain are stateful, so no two replications
+// or cells may share one.
+func (c Config) attach(cfg *core.Config) error {
+	if c.Rotation != nil {
+		rot, err := workload.NewRotatingPopularity(cfg.Catalog, c.Rotation.Period, c.Rotation.Shift)
+		if err != nil {
+			return err
+		}
+		cfg.Items = rot
+	}
+	if c.Uplink != nil {
+		tb, err := uplink.NewTokenBucket(c.Uplink.Rate, c.Uplink.Burst)
+		if err != nil {
+			return err
+		}
+		cfg.Uplink = tb
+	}
+	if c.Faults != nil {
+		lm, err := c.Faults.lossModel()
+		if err != nil {
+			return err
+		}
+		cfg.Loss = lm
+	}
+	return nil
 }
 
 func cachePolicyByName(name string) (cache.PolicyKind, error) {
@@ -573,13 +589,12 @@ func Simulate(c Config) (*Result, error) {
 	return resultFromSummary(summary, c), nil
 }
 
-// perRun returns the per-replication hook instantiating fresh stateful
-// components (the uplink token bucket, the downlink loss model and the
-// telemetry collector), or nil when none are configured. Telemetry attaches
-// to replication 0 only: a snapshot stream is a single-trajectory view;
-// cross-replication aggregates come from Simulate's Result.
+// perRun returns the per-replication hook: attach's fresh stateful
+// components, plus the telemetry collector on replication 0 (a snapshot
+// stream is a single-trajectory view; cross-replication aggregates come
+// from Simulate's Result). It is nil when none are configured.
 func (c Config) perRun() func(int, *core.Config) error {
-	if c.Uplink == nil && c.Faults == nil && c.Telemetry == nil {
+	if c.Rotation == nil && c.Uplink == nil && c.Faults == nil && c.Telemetry == nil {
 		return nil
 	}
 	return func(rep int, cfg *core.Config) error {
@@ -590,21 +605,7 @@ func (c Config) perRun() func(int, *core.Config) error {
 			}
 			cfg.Telemetry = col
 		}
-		if c.Uplink != nil {
-			tb, err := uplink.NewTokenBucket(c.Uplink.Rate, c.Uplink.Burst)
-			if err != nil {
-				return err
-			}
-			cfg.Uplink = tb
-		}
-		if c.Faults != nil {
-			lm, err := c.Faults.lossModel()
-			if err != nil {
-				return err
-			}
-			cfg.Loss = lm
-		}
-		return nil
+		return c.attach(cfg)
 	}
 }
 
@@ -1099,7 +1100,16 @@ type ClosedLoopEpoch struct {
 // popularity ranking rotates by shiftPerEpoch positions every epoch.
 // adapt=false freezes the server after epoch 0 — the baseline an operator
 // compares against.
+//
+// The loop models the paper's cell only: it uses NumItems, Theta, Lambda,
+// Cutoff, Alpha, ClassWeights, PopulationSkew and Seed (the catalog and
+// classes as built). Setting a field it would ignore — PullPolicy,
+// PushScheduler, Bandwidth, Faults, Uplink, ClientCache, Rotation,
+// RequestTTL, Telemetry, Spans or Cluster — is an error.
 func RunClosedLoop(c Config, epochs int, epochLen float64, shiftPerEpoch int, adapt bool) ([]ClosedLoopEpoch, error) {
+	if f := c.closedLoopIgnored(); f != "" {
+		return nil, fmt.Errorf("hybridqos: RunClosedLoop does not model Config.%s", f)
+	}
 	cfg, err := c.build()
 	if err != nil {
 		return nil, err
@@ -1137,4 +1147,30 @@ func RunClosedLoop(c Config, epochs int, epochLen float64, shiftPerEpoch int, ad
 		}
 	}
 	return out, nil
+}
+
+// closedLoopIgnored names the first set field RunClosedLoop would ignore,
+// "" when there is none.
+func (c Config) closedLoopIgnored() string {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"PullPolicy", c.PullPolicy != ""},
+		{"PushScheduler", c.PushScheduler != ""},
+		{"Bandwidth", c.Bandwidth != nil},
+		{"Faults", c.Faults != nil},
+		{"Uplink", c.Uplink != nil},
+		{"ClientCache", c.ClientCache != nil},
+		{"Rotation", c.Rotation != nil},
+		{"RequestTTL", c.RequestTTL != 0},
+		{"Telemetry", c.Telemetry != nil},
+		{"Spans", c.Spans != nil},
+		{"Cluster", c.Cluster != nil},
+	} {
+		if f.set {
+			return f.name
+		}
+	}
+	return ""
 }

@@ -58,32 +58,34 @@ func (v Verdict) String() string {
 }
 
 // ClassConfig bounds one class. The zero value is fully open: no rate
-// limit, no quota, the controller-wide default deadline.
+// limit, no quota, the controller-wide default deadline. The JSON names are
+// those of a qosd config's admission classes.
 type ClassConfig struct {
 	// Rate is the sustained admission rate in requests per broadcast unit;
 	// 0 disables rate limiting for the class.
-	Rate float64
+	Rate float64 `json:"rate,omitempty"`
 	// Burst is the token-bucket depth (>= 1 when Rate is set); 0 with a
 	// non-zero Rate defaults to 1 (no burst allowance).
-	Burst float64
+	Burst float64 `json:"burst,omitempty"`
 	// MaxPending caps the class's in-flight requests; 0 means unlimited.
-	MaxPending int
+	MaxPending int `json:"max_pending,omitempty"`
 	// Deadline is the class's delay budget in broadcast units; 0 inherits
 	// the controller's DefaultDeadline.
-	Deadline float64
+	Deadline float64 `json:"deadline,omitempty"`
 }
 
-// Config parameterises a Controller.
+// Config parameterises a Controller. It is also, as is, the admission
+// section of a qosd config.
 type Config struct {
 	// Classes holds one entry per class, index = class id (0 = highest
 	// priority). Must be non-empty.
-	Classes []ClassConfig
+	Classes []ClassConfig `json:"classes,omitempty"`
 	// Shed enables overload shedding when non-nil; validated against
 	// len(Classes).
-	Shed *faults.ShedConfig
+	Shed *faults.ShedConfig `json:"shed,omitempty"`
 	// DefaultDeadline is the delay budget for classes that do not set their
 	// own. Must be positive and finite: deadlines are what bound drain time.
-	DefaultDeadline float64
+	DefaultDeadline float64 `json:"default_deadline"`
 }
 
 // Validate audits the configuration without building anything.

@@ -63,17 +63,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// EqualSplit returns per-class fractions 1/n each.
-//
-//lint:allow deadcode pending deletion with its only test, TestEqualSplit (see ROADMAP)
-func EqualSplit(n int) []float64 {
-	fr := make([]float64, n)
-	for i := range fr {
-		fr[i] = 1 / float64(n)
-	}
-	return fr
-}
-
 // PaperConfig returns the default partitioning used in the reproduction:
 // total 30 units split 50%/30%/20% favouring Class-A, demand mean 2 per
 // length unit. (The paper does not publish its exact numbers; these produce

@@ -50,18 +50,6 @@ func TestNewErrors(t *testing.T) {
 	}
 }
 
-func TestEqualSplit(t *testing.T) {
-	fr := EqualSplit(4)
-	for _, f := range fr {
-		if f != 0.25 {
-			t.Fatalf("EqualSplit(4) = %v", fr)
-		}
-	}
-	if err := (Config{Total: 1, Fractions: EqualSplit(7)}).Validate(); err != nil {
-		t.Fatalf("EqualSplit(7) fractions invalid: %v", err)
-	}
-}
-
 func TestCapacityPartition(t *testing.T) {
 	a := alloc(t, PaperConfig())
 	if a.NumClasses() != 3 {

@@ -221,14 +221,14 @@ func (p RetryPolicy) Backoff(attempt int, r *rng.Source) float64 {
 type ShedConfig struct {
 	// High is the pending-load high-water mark (pull-queue requests plus
 	// outstanding retries): reaching it sheds one more class, lowest first.
-	High int
+	High int `json:"high"`
 	// Low is the low-water mark: dropping to it restores one class. Low must
 	// be strictly below High so the controller has hysteresis.
-	Low int
+	Low int `json:"low"`
 	// MaxShedClasses bounds how many of the lowest-priority classes can be
 	// shed simultaneously; 0 means 1 (only the bottom class). The
 	// highest-priority class is never sheddable.
-	MaxShedClasses int
+	MaxShedClasses int `json:"max_shed_classes,omitempty"`
 }
 
 // Validate reports whether the watermarks are usable for numClasses classes.

@@ -8,8 +8,7 @@ import (
 	"sort"
 
 	"hybridqos/internal/admission"
-	"hybridqos/internal/catalog"
-	"hybridqos/internal/faults"
+	"hybridqos/internal/clock"
 )
 
 // CatalogConfig parameterises the served item database (the same generator
@@ -22,33 +21,10 @@ type CatalogConfig struct {
 	Seed   uint64  `json:"seed"`
 }
 
-// ClassAdmission bounds one class at the daemon's front door; see
-// admission.ClassConfig for field semantics. The zero value is fully open.
-type ClassAdmission struct {
-	Rate       float64 `json:"rate,omitempty"`
-	Burst      float64 `json:"burst,omitempty"`
-	MaxPending int     `json:"max_pending,omitempty"`
-	Deadline   float64 `json:"deadline,omitempty"`
-}
-
-// ShedConfig mirrors faults.ShedConfig with JSON names.
-type ShedConfig struct {
-	High           int `json:"high"`
-	Low            int `json:"low"`
-	MaxShedClasses int `json:"max_shed_classes,omitempty"`
-}
-
-// AdmissionConfig is the admission section of the daemon configuration.
-type AdmissionConfig struct {
-	// DefaultDeadline is the delay budget, in broadcast units, for classes
-	// without their own. Required: deadlines bound graceful drain.
-	DefaultDeadline float64 `json:"default_deadline"`
-	// Classes optionally bounds each class; omitted or short, missing
-	// classes are fully open.
-	Classes []ClassAdmission `json:"classes,omitempty"`
-	// Shed enables hysteresis overload shedding.
-	Shed *ShedConfig `json:"shed,omitempty"`
-}
+// AdmissionConfig is the admission section of the daemon configuration:
+// the admission package's own Config, whose JSON names are the daemon's.
+// Its classes may be omitted or short; missing classes are fully open.
+type AdmissionConfig = admission.Config
 
 // Config is the qosd daemon configuration, loaded from JSON.
 type Config struct {
@@ -118,90 +94,13 @@ func (c Config) defaultClass() int {
 	return *c.DefaultClass
 }
 
-// admissionConfig lowers the JSON shape onto the admission package's.
-func (c Config) admissionConfig() admission.Config {
-	classes := make([]admission.ClassConfig, len(c.ClassWeights))
-	for i := range classes {
-		if i < len(c.Admission.Classes) {
-			ca := c.Admission.Classes[i]
-			classes[i] = admission.ClassConfig{
-				Rate:       ca.Rate,
-				Burst:      ca.Burst,
-				MaxPending: ca.MaxPending,
-				Deadline:   ca.Deadline,
-			}
-		}
-	}
-	out := admission.Config{
-		Classes:         classes,
-		DefaultDeadline: c.Admission.DefaultDeadline,
-	}
-	if c.Admission.Shed != nil {
-		out.Shed = &faults.ShedConfig{
-			High:           c.Admission.Shed.High,
-			Low:            c.Admission.Shed.Low,
-			MaxShedClasses: c.Admission.Shed.MaxShedClasses,
-		}
-	}
-	return out
-}
-
-// Validate audits the configuration without building anything.
+// Validate reports whether New would build the configuration, by building
+// it on a throwaway virtual clock: the catalog, clients, core and admission
+// constructors judge the cell, and engine checks only the serving fields
+// they never see.
 func (c Config) Validate() error {
-	if err := (catalog.Config{
-		D: c.Catalog.D, Theta: c.Catalog.Theta,
-		MinLen: c.Catalog.MinLen, MaxLen: c.Catalog.MaxLen, Seed: c.Catalog.Seed,
-	}).Validate(); err != nil {
-		return fmt.Errorf("qosd: %w", err)
-	}
-	numClasses := len(c.ClassWeights)
-	if numClasses == 0 {
-		return fmt.Errorf("qosd: no class weights")
-	}
-	for i := 1; i < numClasses; i++ {
-		if !(c.ClassWeights[i] < c.ClassWeights[i-1]) {
-			return fmt.Errorf("qosd: class weights must strictly decrease (index %d)", i)
-		}
-	}
-	if c.ClassWeights[numClasses-1] <= 0 || math.IsNaN(c.ClassWeights[0]) || math.IsInf(c.ClassWeights[0], 0) {
-		return fmt.Errorf("qosd: class weights must be positive and finite")
-	}
-	if c.Cutoff < 0 || c.Cutoff > c.Catalog.D {
-		return fmt.Errorf("qosd: cutoff %d out of [0,%d]", c.Cutoff, c.Catalog.D)
-	}
-	if !(c.UnitMillis > 0) || math.IsInf(c.UnitMillis, 0) {
-		return fmt.Errorf("qosd: unit_ms %g not positive and finite", c.UnitMillis)
-	}
-	if len(c.Admission.Classes) > numClasses {
-		return fmt.Errorf("qosd: %d admission classes for %d classes", len(c.Admission.Classes), numClasses)
-	}
-	if dc := c.defaultClass(); dc < -1 || dc >= numClasses {
-		return fmt.Errorf("qosd: default_class %d outside [-1,%d)", dc, numClasses)
-	}
-	// Audit key mappings in sorted order (deterministic error messages).
-	for _, k := range sortedKeys(c.Keys) {
-		if k == "" {
-			return fmt.Errorf("qosd: empty API key")
-		}
-		if cls := c.Keys[k]; cls < 0 || cls >= numClasses {
-			return fmt.Errorf("qosd: key %q maps to class %d outside [0,%d)", k, cls, numClasses)
-		}
-	}
-	if c.SnapshotEvery < 0 || math.IsNaN(c.SnapshotEvery) || math.IsInf(c.SnapshotEvery, 0) {
-		return fmt.Errorf("qosd: invalid snapshot cadence %g", c.SnapshotEvery)
-	}
-	if s := c.Spans; s != nil {
-		if s.Rate < 0 || s.Rate > 1 || math.IsNaN(s.Rate) {
-			return fmt.Errorf("qosd: span rate %g outside [0,1]", s.Rate)
-		}
-		if s.Buffer < 0 {
-			return fmt.Errorf("qosd: negative span buffer %d", s.Buffer)
-		}
-	}
-	if err := c.admissionConfig().Validate(); err != nil {
-		return err
-	}
-	return nil
+	_, err := c.engine(clock.NewVirtual())
+	return err
 }
 
 // sortedKeys returns m's keys in sorted order (the repository's maporder

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync/atomic"
 
@@ -52,7 +53,6 @@ type Response struct {
 
 // Daemon wires the serving engine to HTTP.
 type Daemon struct {
-	cfg  Config
 	cat  *catalog.Catalog
 	clk  clock.Clock
 	exec func(func())
@@ -70,66 +70,100 @@ type Daemon struct {
 // threaded virtual-clock tests, calling the function directly is correct
 // because the caller already owns the clock goroutine).
 func New(cfg Config, clk clock.Clock, exec func(func())) (*Daemon, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if clk == nil || exec == nil {
 		return nil, fmt.Errorf("qosd: nil clock or exec")
 	}
+	d, err := cfg.engine(clk)
+	if err != nil {
+		return nil, err
+	}
+	d.exec = exec
+	return d, nil
+}
+
+// engine builds everything but exec on clk: the catalog, classification,
+// collector, span ring and serving engine. It is the one judge of a
+// configuration (Validate runs it on a throwaway clock); its own checks
+// cover only the serving fields no constructor sees.
+func (c Config) engine(clk clock.Clock) (*Daemon, error) {
+	if !(c.UnitMillis > 0) || math.IsInf(c.UnitMillis, 0) {
+		return nil, fmt.Errorf("qosd: unit_ms %g not positive and finite", c.UnitMillis)
+	}
+	// A rate above 1 reaches core, which refuses it; a negative or NaN
+	// rate would silently turn spans off instead.
+	if s := c.Spans; s != nil && (s.Rate < 0 || math.IsNaN(s.Rate) || s.Buffer < 0) {
+		return nil, fmt.Errorf("qosd: invalid spans section (rate %g, buffer %d)", s.Rate, s.Buffer)
+	}
 	cat, err := catalog.Generate(catalog.Config{
-		D: cfg.Catalog.D, Theta: cfg.Catalog.Theta,
-		MinLen: cfg.Catalog.MinLen, MaxLen: cfg.Catalog.MaxLen, Seed: cfg.Catalog.Seed,
+		D: c.Catalog.D, Theta: c.Catalog.Theta,
+		MinLen: c.Catalog.MinLen, MaxLen: c.Catalog.MaxLen, Seed: c.Catalog.Seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("qosd: %w", err)
 	}
-	cls, err := clients.New(clients.Config{Weights: cfg.ClassWeights})
+	cls, err := clients.New(clients.Config{Weights: c.ClassWeights})
 	if err != nil {
 		return nil, fmt.Errorf("qosd: %w", err)
 	}
-	tele, err := telemetry.New(telemetry.Options{SnapshotEvery: cfg.SnapshotEvery})
+	numClasses := cls.NumClasses()
+	if dc := c.defaultClass(); dc < -1 || dc >= numClasses {
+		return nil, fmt.Errorf("qosd: default_class %d outside [-1,%d)", dc, numClasses)
+	}
+	// Copy the key map in sorted order (deterministic error messages).
+	keys := make(map[string]int, len(c.Keys))
+	for _, k := range sortedKeys(c.Keys) {
+		if k == "" {
+			return nil, fmt.Errorf("qosd: empty API key")
+		}
+		if class := c.Keys[k]; class < 0 || class >= numClasses {
+			return nil, fmt.Errorf("qosd: key %q maps to class %d outside [0,%d)", k, class, numClasses)
+		}
+		keys[k] = c.Keys[k]
+	}
+	tele, err := telemetry.New(telemetry.Options{SnapshotEvery: c.SnapshotEvery})
 	if err != nil {
 		return nil, fmt.Errorf("qosd: %w", err)
 	}
 	ccfg := core.Config{
 		Catalog:        cat,
 		Classes:        cls,
-		Cutoff:         cfg.Cutoff,
-		Alpha:          cfg.Alpha,
-		PullPolicyName: cfg.PullPolicy,
-		PushPolicyName: cfg.PushPolicy,
-		PushDisks:      cfg.PushDisks,
+		Cutoff:         c.Cutoff,
+		Alpha:          c.Alpha,
+		PullPolicyName: c.PullPolicy,
+		PushPolicyName: c.PushPolicy,
+		PushDisks:      c.PushDisks,
 		Telemetry:      tele,
 	}
 	var ring *span.Ring
-	if sc := cfg.Spans; sc != nil && sc.Rate > 0 {
+	if sc := c.Spans; sc != nil && sc.Rate > 0 {
 		ring = span.NewRing(sc.Buffer)
-		rates := make([]float64, len(cfg.ClassWeights))
-		for c := range rates {
-			rates[c] = sc.Rate
+		rates := make([]float64, numClasses)
+		for i := range rates {
+			rates[i] = sc.Rate
 		}
 		ccfg.Tracer = ring
 		ccfg.Spans = &core.SpanConfig{Rates: rates}
 		ccfg.Seed = sc.Seed
 	}
-	srv, err := core.NewServing(ccfg, clk, cfg.admissionConfig())
-	if err != nil {
-		return nil, err
+	// Omitted admission classes are fully open: pad to one entry per class
+	// (into a fresh slice, never the caller's). Extra entries are left for
+	// NewServing to refuse.
+	adm := c.Admission
+	if pad := numClasses - len(adm.Classes); pad > 0 {
+		adm.Classes = append(adm.Classes[:len(adm.Classes):len(adm.Classes)], make([]admission.ClassConfig, pad)...)
 	}
-	keys := make(map[string]int, len(cfg.Keys))
-	for _, k := range sortedKeys(cfg.Keys) {
-		keys[k] = cfg.Keys[k]
+	srv, err := core.NewServing(ccfg, clk, adm)
+	if err != nil {
+		return nil, fmt.Errorf("qosd: %w", err)
 	}
 	return &Daemon{
-		cfg:          cfg,
 		cat:          cat,
 		clk:          clk,
-		exec:         exec,
 		srv:          srv,
 		tele:         tele,
 		ring:         ring,
 		keys:         keys,
-		defaultClass: cfg.defaultClass(),
+		defaultClass: c.defaultClass(),
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package qosd
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -9,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"hybridqos/internal/admission"
 	"hybridqos/internal/clock"
+	"hybridqos/internal/faults"
 	"hybridqos/internal/span"
 	"hybridqos/internal/telemetry"
 	"hybridqos/internal/trace"
@@ -28,7 +31,7 @@ func testConfig() Config {
 		Keys:         map[string]int{"bronze": 2, "gold": 0, "silver": 1},
 		Admission: AdmissionConfig{
 			DefaultDeadline: 30,
-			Shed:            &ShedConfig{High: 30, Low: 15, MaxShedClasses: 2},
+			Shed:            &faults.ShedConfig{High: 30, Low: 15, MaxShedClasses: 2},
 		},
 	}
 }
@@ -87,9 +90,22 @@ func TestParseConfigErrors(t *testing.T) {
 		{"key class out of range", mutate(func(c *Config) { c.Keys = map[string]int{"k": 3} })},
 		{"empty key", mutate(func(c *Config) { c.Keys = map[string]int{"": 0} })},
 		{"default class out of range", mutate(func(c *Config) { dc := 3; c.DefaultClass = &dc })},
-		{"too many admission classes", mutate(func(c *Config) { c.Admission.Classes = make([]ClassAdmission, 4) })},
+		{"too many admission classes", mutate(func(c *Config) { c.Admission.Classes = make([]admission.ClassConfig, 4) })},
 		{"no deadline", mutate(func(c *Config) { c.Admission.DefaultDeadline = 0 })},
 		{"negative snapshot cadence", mutate(func(c *Config) { c.SnapshotEvery = -1 })},
+		{"span rate above 1", mutate(func(c *Config) { c.Spans = &SpansConfig{Rate: 1.5} })},
+		{"negative span rate", mutate(func(c *Config) { c.Spans = &SpansConfig{Rate: -0.5} })},
+		{"negative span buffer", mutate(func(c *Config) { c.Spans = &SpansConfig{Rate: 0.5, Buffer: -1} })},
+	}
+	// The unbuildable configs differ from a valid one in one field only.
+	if _, err := ParseConfig(withField(`"cutoff":0`)); err != nil {
+		t.Fatalf("base of the unbuildable configs rejected: %v", err)
+	}
+	for _, u := range unbuildableConfigs {
+		cases = append(cases, struct {
+			name string
+			data []byte
+		}{u.name, withField(u.field)})
 	}
 	for _, tc := range cases {
 		if _, err := ParseConfig(tc.data); err == nil {
@@ -124,6 +140,21 @@ func TestParseRequestErrors(t *testing.T) {
 	}
 }
 
+// unbuildableConfigs each set one cell field to a value only a constructor
+// rejects; ParseConfig must refuse them, since New cannot build them.
+var unbuildableConfigs = []struct{ name, field string }{
+	{"unknown pull policy", `"pull_policy":"bogus"`},
+	{"alpha outside [0,1]", `"alpha":2`},
+	{"negative push disks", `"push_disks":-3`},
+}
+
+// withField splices one top-level field into a minimal valid config.
+func withField(field string) []byte {
+	return []byte(`{"catalog":{"d":10,"theta":0.5,"min_len":1,"max_len":1},"class_weights":[2,1],"unit_ms":1,"admission":{"default_deadline":5},` + field + `}`)
+}
+
+// FuzzParseConfig checks that every config ParseConfig accepts is one New
+// builds on a virtual clock.
 func FuzzParseConfig(f *testing.F) {
 	seed, err := json.Marshal(testConfig())
 	if err != nil {
@@ -134,18 +165,30 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add([]byte(`{"catalog":{"d":1,"theta":0.5,"min_len":1,"max_len":1},"class_weights":[1],"unit_ms":1,"admission":{"default_deadline":1}}`))
 	f.Add([]byte(`{"class_weights":[1e308,1]}`))
 	f.Add([]byte(`null`))
+	for _, u := range unbuildableConfigs {
+		f.Add(withField(u.field))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Building a config costs memory in proportion to its catalog and
+		// span ring; skip sizes the fuzzer would only spend memory on.
+		var size struct {
+			Catalog struct {
+				D int `json:"d"`
+			} `json:"catalog"`
+			Spans struct {
+				Buffer int `json:"buffer"`
+			} `json:"spans"`
+		}
+		json.NewDecoder(bytes.NewReader(data)).Decode(&size) //nolint:errcheck // ParseConfig reports decode errors
+		if size.Catalog.D > 1<<10 || size.Spans.Buffer > 1<<10 {
+			t.Skip("config too large to build")
+		}
 		cfg, err := ParseConfig(data)
 		if err != nil {
 			return
 		}
-		// An accepted config must satisfy its own validator and be safe to
-		// lower into the admission package.
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("ParseConfig accepted a config Validate rejects: %v", err)
-		}
-		if err := cfg.admissionConfig().Validate(); err != nil {
-			t.Fatalf("accepted config lowers to invalid admission config: %v", err)
+		if _, err := New(cfg, clock.NewVirtual(), func(f func()) { f() }); err != nil {
+			t.Fatalf("ParseConfig accepted a config New rejects: %v", err)
 		}
 	})
 }
@@ -491,7 +534,7 @@ func TestDaemonSpans(t *testing.T) {
 func TestDaemonRefusedPushSpanVerdict(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cutoff = 10
-	cfg.Admission.Classes = []ClassAdmission{{MaxPending: 1}}
+	cfg.Admission.Classes = []admission.ClassConfig{{MaxPending: 1}}
 	cfg.Spans = &SpansConfig{Rate: 1}
 	d, v := inlineDaemon(t, cfg)
 	d.Serve(Request{Item: 3}, 0, func(int, Response) {}) // admitted push waiter

@@ -8,7 +8,6 @@ package svgplot
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -204,14 +203,4 @@ func fmtTick(t float64) string {
 func escape(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 	return r.Replace(s)
-}
-
-// SortedByName returns the series sorted by name (stable output for tests
-// and deterministic legends when the caller built them from a map).
-//
-//lint:allow deadcode pending deletion with its only test, TestSortedByName (see ROADMAP)
-func SortedByName(ss []Series) []Series {
-	out := append([]Series(nil), ss...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

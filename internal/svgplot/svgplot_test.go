@@ -138,14 +138,3 @@ func TestFmtTick(t *testing.T) {
 		t.Fatalf("fmtTick(0.25) = %q", fmtTick(0.25))
 	}
 }
-
-func TestSortedByName(t *testing.T) {
-	ss := []Series{{Name: "b"}, {Name: "a"}, {Name: "c"}}
-	got := SortedByName(ss)
-	if got[0].Name != "a" || got[2].Name != "c" {
-		t.Fatalf("sorted: %v", []string{got[0].Name, got[1].Name, got[2].Name})
-	}
-	if ss[0].Name != "b" {
-		t.Fatal("input mutated")
-	}
-}

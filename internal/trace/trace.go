@@ -416,18 +416,6 @@ func MergeByTime(streams ...[]Event) []Event {
 	return out
 }
 
-// Multi fans events out to several tracers.
-//
-//lint:allow deadcode pending deletion with its only test, TestMultiFansOut (see ROADMAP)
-type Multi []Tracer
-
-// Event implements Tracer.
-func (m Multi) Event(e Event) {
-	for _, t := range m {
-		t.Event(e)
-	}
-}
-
 // Read parses a JSONL trace stream back into events.
 func Read(r io.Reader) ([]Event, error) {
 	dec := json.NewDecoder(r)

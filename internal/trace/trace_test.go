@@ -88,15 +88,6 @@ func TestReadMalformed(t *testing.T) {
 	}
 }
 
-func TestMultiFansOut(t *testing.T) {
-	a, b := NewCounter(), NewCounter()
-	m := Multi{a, b}
-	m.Event(Event{Kind: KindArrival})
-	if a.Total() != 1 || b.Total() != 1 {
-		t.Fatal("multi did not fan out")
-	}
-}
-
 func TestReplay(t *testing.T) {
 	events := []Event{
 		{T: 10, Kind: KindServed, Class: 0, Arrival: 4},  // delay 6
