@@ -1,11 +1,9 @@
 // Package clock abstracts the engine's time source so the same hybrid
 // push/pull scheduler can run in two modes:
 //
-//   - Virtual — simulated time backed by internal/event's discrete-event
-//     loop. Scheduling, tie-breaking and handler ordering are exactly the
-//     event package's, so a simulation run through a Virtual clock is
-//     bit-identical to one driving event.Simulator directly (the golden
-//     determinism tests pin this).
+//   - Virtual — simulated time: internal/event's discrete-event loop
+//     itself. event.Simulator satisfies Clock as it is, so scheduling,
+//     tie-breaking and handler ordering are exactly the event package's.
 //   - Wall — real time for the serving mode (cmd/qosd): a single goroutine
 //     owns handler execution and fires callbacks when their scheduled
 //     instant arrives on the machine clock. Its pending handlers sit in the
@@ -45,4 +43,16 @@ type Clock interface {
 // Token identifies a scheduled handler so it can be cancelled. The zero
 // Token is valid and cancels nothing. A Token held past its handler's
 // firing goes stale and cancels nothing.
-type Token struct{ ev event.Token }
+type Token = event.Token
+
+// Virtual is simulated time: the event loop, single-threaded like it (the
+// goroutine that calls RunUntil owns every handler).
+type Virtual = event.Simulator
+
+// NewVirtual returns a Virtual clock with the time at zero.
+func NewVirtual() *Virtual { return event.New() }
+
+var (
+	_ Clock = (*Virtual)(nil)
+	_ Clock = (*Wall)(nil)
+)

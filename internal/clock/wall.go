@@ -71,7 +71,7 @@ func (w *Wall) At(t float64, h func()) Token {
 	tok := w.q.Push(t, h)
 	w.mu.Unlock()
 	w.nudge()
-	return Token{ev: tok}
+	return tok
 }
 
 // After implements Clock. Negative delay panics, as on the virtual clock.
@@ -93,7 +93,7 @@ func (w *Wall) Submit(h func()) { w.At(math.Inf(-1), h) }
 func (w *Wall) Cancel(tok Token) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.q.Cancel(tok.ev)
+	return w.q.Cancel(tok)
 }
 
 // nudge wakes the Run loop without blocking.
@@ -160,5 +160,3 @@ func (w *Wall) Stop() {
 
 // Done is closed when Run has returned.
 func (w *Wall) Done() <-chan struct{} { return w.done }
-
-var _ Clock = (*Wall)(nil)

@@ -70,7 +70,7 @@ type Server struct {
 	classRng *rng.Source
 
 	pushSched sched.PushScheduler
-	selector  sched.Selector
+	selector  pullqueue.Queue
 	alloc     *bandwidth.Allocator
 	arrivals  workload.ArrivalProcess
 	items     workload.ItemSampler
@@ -92,14 +92,6 @@ type Server struct {
 	retryRng       *rng.Source
 	shedder        *faults.Shedder
 	pendingRetries int // re-requests booked but not yet delivered
-
-	// Batched admission (see beginAdmitBatch): when the shedder's hysteresis
-	// level is provably frozen for the whole arrival burst, every decision in
-	// the burst is answered by one comparison against admitCut instead of a
-	// per-request Admit. splitAdmitBatches (tests only) forces the fallback.
-	admitBatch        bool
-	admitCut          int
-	splitAdmitBatches bool
 
 	// emitOn gates trace-event construction on the hot path: false when the
 	// tracer is the no-op sink and telemetry is off, where emit would copy a
@@ -278,12 +270,9 @@ func newServer(cfg Config, clk clock.Clock) (*Server, error) {
 	// kind is single-outstanding and therefore safe to share state through
 	// the Server fields.
 	s.arrivalH = func() {
-		n := s.nextBatch
-		s.beginAdmitBatch(n)
-		for i := 0; i < n; i++ {
+		for i := 0; i < s.nextBatch; i++ {
 			s.handleArrival()
 		}
-		s.admitBatch = false
 		s.scheduleNextArrival()
 	}
 	s.pushH = func() { s.completePush(s.pushItem) }
@@ -513,49 +502,19 @@ func (s *Server) enqueuePull(req pullqueue.Request, now float64) {
 	}
 }
 
-// beginAdmitBatch samples the shedder once for an arrival burst of n
-// requests. If the hysteresis level is provably frozen across the burst
-// (see faults.Shedder.FreezeBatch), the burst's admission decisions all
-// reduce to one cached class comparison in shedPull. The freeze proof
-// needs load to be non-decreasing inside the burst, which holds whenever
-// the push system owns the idle channel (cutoff > 0): arrivals only add
-// queue entries, and extractions happen on transmission-completion events,
-// never mid-burst. With cutoff 0 an arrival can kick an idle channel into
-// an immediate extraction, so batching is disabled there.
-//
-//qos:hotpath
-func (s *Server) beginAdmitBatch(n int) {
-	if s.shedder == nil || s.cutoff == 0 || s.splitAdmitBatches {
-		return
-	}
-	load := s.selector.Requests() + s.pendingRetries
-	if cut, ok := s.shedder.FreezeBatch(load, n); ok {
-		s.admitCut = cut
-		s.admitBatch = true
-	}
-}
-
 // shedPull consults the overload admission controller and reports whether
 // the request was refused. The controller samples pending load (queued pull
 // requests plus outstanding retries) at every admission decision, so the
-// shed level moves at most one class per arriving request; inside a frozen
-// arrival batch the sample is hoisted to beginAdmitBatch and each decision
-// is the cached cut comparison, bit-identical by FreezeBatch's contract.
+// shed level moves at most one class per arriving request.
 //
 //qos:hotpath
 func (s *Server) shedPull(req pullqueue.Request, now float64) bool {
 	if s.shedder == nil {
 		return false
 	}
-	if s.admitBatch {
-		if int(req.Class) < s.admitCut {
-			return false
-		}
-	} else {
-		load := s.selector.Requests() + s.pendingRetries
-		if s.shedder.Admit(load, int(req.Class)) {
-			return false
-		}
+	load := s.selector.Requests() + s.pendingRetries
+	if s.shedder.Admit(load, int(req.Class)) {
+		return false
 	}
 	if req.Arrival >= s.warmupEnd {
 		s.metrics.PerClass[req.Class].Shed++

@@ -22,7 +22,7 @@ import (
 // whatever state they need (including the simulator or clock that schedules
 // them) — the signature carries no arguments so the same handler type serves
 // both the virtual event loop and the wall-clock loop in internal/clock.
-type Handler func()
+type Handler = func()
 
 // event is one scheduled occurrence, stored in the Queue's arena and
 // addressed by slot index. Fired and cancelled events park on the freelist

@@ -291,26 +291,6 @@ func (s *Shedder) Admit(load int, class int) bool {
 	return class < s.numClasses-s.level
 }
 
-// FreezeBatch reports whether the hysteresis level provably cannot move
-// across a batch of up to n admission decisions starting from the observed
-// load, assuming load is non-decreasing during the batch and each admitted
-// request raises it by at most one (the engine's arrival-burst invariant).
-// When frozen it returns the admission cut: classes below it are admitted.
-// The caller may then answer every decision in the batch as class < cut
-// with a trajectory bit-identical to n sequential Admit calls — the i-th
-// call would observe load ≤ load+i-1 < High (no increment) and ≥ load > Low
-// (no decrement), leaving the level untouched. When not frozen (the level
-// could move mid-batch) it returns ok=false and the caller must fall back
-// to per-request Admit.
-func (s *Shedder) FreezeBatch(load, n int) (cut int, ok bool) {
-	noUp := load+n-1 < s.cfg.High || s.level == s.cfg.maxLevel()
-	noDown := load > s.cfg.Low || s.level == 0
-	if !noUp || !noDown {
-		return 0, false
-	}
-	return s.numClasses - s.level, true
-}
-
 var (
 	_ LossModel = (*Bernoulli)(nil)
 	_ LossModel = (*GilbertElliott)(nil)

@@ -195,29 +195,3 @@ func (c *Chain) Stationary() ([]float64, error) {
 	}
 	return c.StationaryPower(1e-12, 2_000_000)
 }
-
-// Expect returns Σ_s π[s]·f(s), the stationary expectation of a state
-// functional.
-//
-//lint:allow deadcode pending deletion with its only test, TestExpectAndProbWhere (see ROADMAP)
-func Expect(pi []float64, f func(state int) float64) float64 {
-	sum := 0.0
-	for s, p := range pi {
-		sum += p * f(s)
-	}
-	return sum
-}
-
-// ProbWhere returns the stationary probability mass of states satisfying the
-// predicate.
-//
-//lint:allow deadcode pending deletion with its only test, TestExpectAndProbWhere (see ROADMAP)
-func ProbWhere(pi []float64, pred func(state int) bool) float64 {
-	sum := 0.0
-	for s, p := range pi {
-		if pred(s) {
-			sum += p
-		}
-	}
-	return sum
-}

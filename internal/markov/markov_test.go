@@ -177,17 +177,6 @@ func TestPowerBadArgs(t *testing.T) {
 	}
 }
 
-func TestExpectAndProbWhere(t *testing.T) {
-	pi := []float64{0.2, 0.3, 0.5}
-	// E[state] = 0*0.2 + 1*0.3 + 2*0.5 = 1.3
-	if got := Expect(pi, func(s int) float64 { return float64(s) }); math.Abs(got-1.3) > 1e-12 {
-		t.Fatalf("Expect = %g", got)
-	}
-	if got := ProbWhere(pi, func(s int) bool { return s >= 1 }); math.Abs(got-0.8) > 1e-12 {
-		t.Fatalf("ProbWhere = %g", got)
-	}
-}
-
 func TestMM1CExpectedQueueLength(t *testing.T) {
 	// For M/M/1/C with rho<1 and large C, E[N] approaches rho/(1-rho).
 	lambda, mu := 1.0, 2.0
@@ -195,7 +184,10 @@ func TestMM1CExpectedQueueLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Expect(pi, func(s int) float64 { return float64(s) })
+	got := 0.0
+	for s, p := range pi {
+		got += p * float64(s)
+	}
 	want := 0.5 / (1 - 0.5)
 	if math.Abs(got-want) > 1e-6 {
 		t.Fatalf("E[N] = %g, want ~%g", got, want)

@@ -146,7 +146,7 @@ type server struct {
 	classRng  *rng.Source
 	rate      float64 // per-channel rate = 1/(PushChannels+PullChannels)
 	pushParts []*sched.FlatRoundRobinPartition
-	selector  sched.Selector
+	selector  pullqueue.Queue
 	waiters   map[int][]pushWaiter
 	idlePull  int // number of pull channels currently idle
 	warmupEnd float64

@@ -22,7 +22,7 @@
 //
 // Validation is front-loaded: constructors return typed errors (AlphaError),
 // and core.Config.Validate audits every catalog length and class weight
-// before a simulation starts. The hot Add/ExtractMax paths trust validated
+// before a simulation starts. The hot Add/ExtractBest paths trust validated
 // inputs and never panic.
 package pullqueue
 
@@ -141,11 +141,15 @@ type Queue interface {
 	// the item's first pending request). Inputs must be valid — a positive
 	// item rank, priority and length; the queue does not check them.
 	Add(req Request, length float64)
-	// ExtractMax removes and returns the entry with the largest score at
+	// ExtractBest removes and returns the entry with the largest score at
 	// time now, or nil if the queue is empty.
-	ExtractMax(now float64) *Entry
+	ExtractBest(now float64) *Entry
 	// Peek returns the current max entry without removing it, or nil.
+	// After an ExtractBest it exposes the runner-up of that decision.
 	Peek(now float64) *Entry
+	// Score returns an entry's selection score at time now: the quantity
+	// extraction order is decided by, surfaced for decision provenance.
+	Score(e *Entry, now float64) float64
 	// Entry returns the queued entry for an item rank, or nil — read-only
 	// provenance lookups (span enqueue scores); callers must not mutate it.
 	Entry(item int) *Entry
@@ -156,7 +160,7 @@ type Queue interface {
 	Items() int
 	// Requests returns the total number of pending requests.
 	Requests() int
-	// Recycle returns an entry obtained from ExtractMax or Remove to the
+	// Recycle returns an entry obtained from ExtractBest or Remove to the
 	// queue's freelist so a later Add can reuse it (and its request-slice
 	// capacity) instead of allocating. The caller must not retain the entry
 	// afterwards. Entries still enqueued, nil entries and double recycles
@@ -292,6 +296,9 @@ func (h *Heap) Requests() int { return h.requests }
 // Entry returns the queued entry for an item rank, or nil.
 func (h *Heap) Entry(item int) *Entry { return h.byItem.get(item) }
 
+// Score returns the entry's selection score.
+func (h *Heap) Score(e *Entry, now float64) float64 { return h.score(e, now) }
+
 // Add enqueues a request, creating the item's entry if needed. Adding a
 // request can only increase the entry's score, so a sift-up restores heap
 // order.
@@ -377,10 +384,10 @@ func (h *Heap) Peek(_ float64) *Entry {
 	return h.heap[0]
 }
 
-// ExtractMax removes and returns the max-score entry.
+// ExtractBest removes and returns the max-score entry.
 //
 //qos:hotpath
-func (h *Heap) ExtractMax(_ float64) *Entry {
+func (h *Heap) ExtractBest(_ float64) *Entry {
 	if len(h.heap) == 0 {
 		return nil
 	}
@@ -477,6 +484,9 @@ func (l *Linear) Requests() int { return l.requests }
 // Entry returns the queued entry for an item rank, or nil.
 func (l *Linear) Entry(item int) *Entry { return l.byItem.get(item) }
 
+// Score returns the entry's selection score at time now.
+func (l *Linear) Score(e *Entry, now float64) float64 { return l.score(e, now) }
+
 // Add enqueues a request.
 //
 //qos:hotpath
@@ -525,10 +535,10 @@ func (l *Linear) Peek(now float64) *Entry {
 	return l.entries[i]
 }
 
-// ExtractMax removes and returns the max-score entry at time now.
+// ExtractBest removes and returns the max-score entry at time now.
 //
 //qos:hotpath
-func (l *Linear) ExtractMax(now float64) *Entry {
+func (l *Linear) ExtractBest(now float64) *Entry {
 	i := l.argMax(now)
 	if i < 0 {
 		return nil

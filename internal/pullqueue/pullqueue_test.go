@@ -84,7 +84,7 @@ func TestAlphaExtremes(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Add(req(2, 2, 1, 0), 1) // S=5, Q=5
 	}
-	if got := h.ExtractMax(0).Item; got != 2 {
+	if got := h.ExtractBest(0).Item; got != 2 {
 		t.Fatalf("alpha=1 extracted item %d, want stretch-max 2", got)
 	}
 
@@ -94,7 +94,7 @@ func TestAlphaExtremes(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h0.Add(req(2, 2, 1, 0), 1)
 	}
-	if got := h0.ExtractMax(0).Item; got != 1 {
+	if got := h0.ExtractBest(0).Item; got != 1 {
 		t.Fatalf("alpha=0 extracted item %d, want priority-max 1", got)
 	}
 }
@@ -103,7 +103,7 @@ func TestLongItemsPenalizedByStretch(t *testing.T) {
 	h := mustHeap(t, 1)
 	h.Add(req(1, 0, 1, 0), 5) // S = 1/25
 	h.Add(req(2, 0, 1, 0), 1) // S = 1
-	if got := h.ExtractMax(0).Item; got != 2 {
+	if got := h.ExtractBest(0).Item; got != 2 {
 		t.Fatalf("stretch should prefer the short item; got %d", got)
 	}
 }
@@ -117,15 +117,15 @@ func TestTieBreakLowestRank(t *testing.T) {
 		q.Add(req(9, 0, 2, 0), 2)
 		q.Add(req(3, 0, 2, 0), 2)
 		q.Add(req(6, 0, 2, 0), 2)
-		if got := q.ExtractMax(0).Item; got != 3 {
+		if got := q.ExtractBest(0).Item; got != 3 {
 			t.Fatalf("tie-break extracted %d, want 3", got)
 		}
 	}
 }
 
 func TestExtractEmptyReturnsNil(t *testing.T) {
-	if mustHeap(t, 0.5).ExtractMax(0) != nil || mustLinear(t, 0.5).ExtractMax(0) != nil {
-		t.Fatal("ExtractMax on empty queue != nil")
+	if mustHeap(t, 0.5).ExtractBest(0) != nil || mustLinear(t, 0.5).ExtractBest(0) != nil {
+		t.Fatal("ExtractBest on empty queue != nil")
 	}
 	if mustHeap(t, 0.5).Peek(0) != nil || mustLinear(t, 0.5).Peek(0) != nil {
 		t.Fatal("Peek on empty queue != nil")
@@ -140,11 +140,11 @@ func TestCountsTrackAddsAndExtracts(t *testing.T) {
 	if h.Items() != 2 || h.Requests() != 3 {
 		t.Fatalf("Items=%d Requests=%d", h.Items(), h.Requests())
 	}
-	e := h.ExtractMax(0)
+	e := h.ExtractBest(0)
 	if h.Items() != 1 || h.Requests() != 3-len(e.Requests) {
 		t.Fatalf("after extract: Items=%d Requests=%d", h.Items(), h.Requests())
 	}
-	h.ExtractMax(0)
+	h.ExtractBest(0)
 	if h.Items() != 0 || h.Requests() != 0 {
 		t.Fatalf("after drain: Items=%d Requests=%d", h.Items(), h.Requests())
 	}
@@ -153,7 +153,7 @@ func TestCountsTrackAddsAndExtracts(t *testing.T) {
 func TestReAddAfterExtract(t *testing.T) {
 	h := mustHeap(t, 0.5)
 	h.Add(req(4, 0, 1, 0), 2)
-	h.ExtractMax(0)
+	h.ExtractBest(0)
 	h.Add(req(4, 1, 2, 5), 2)
 	e := h.Entry(4)
 	if e == nil || e.NumRequests() != 1 || e.SumPriority != 2 || e.FirstArrival != 5 {
@@ -182,7 +182,7 @@ func TestRemove(t *testing.T) {
 	// (alpha=0.5, all stretch equal contributions differ by Q here).
 	prev := math.Inf(1)
 	for h.Items() > 0 {
-		g := h.ExtractMax(0).Gamma(0.5)
+		g := h.ExtractBest(0).Gamma(0.5)
 		if g > prev+1e-12 {
 			t.Fatalf("extraction order broken after Remove: %g after %g", g, prev)
 		}
@@ -211,7 +211,7 @@ func TestLinearRemove(t *testing.T) {
 		if want == 5 {
 			want--
 		}
-		if got := l.ExtractMax(0).Item; got != want {
+		if got := l.ExtractBest(0).Item; got != want {
 			t.Fatalf("extraction after Remove: got item %d, want %d", got, want)
 		}
 	}
@@ -254,7 +254,7 @@ func TestLinearTimeDependentScore(t *testing.T) {
 		t.Fatalf("at now=10 peek = %d, want 1", got)
 	}
 	// At now=30: item 1 scores 30, item 2 scores 2·22=44.
-	if got := l.ExtractMax(30).Item; got != 2 {
+	if got := l.ExtractBest(30).Item; got != 2 {
 		t.Fatalf("at now=30 extract = %d, want 2", got)
 	}
 }
@@ -293,7 +293,7 @@ func TestPropertyHeapMatchesLinear(t *testing.T) {
 		tNow := 0.0
 		for _, op := range ops {
 			if op%4 == 3 && h.Items() > 0 {
-				he, le := h.ExtractMax(tNow), l.ExtractMax(tNow)
+				he, le := h.ExtractBest(tNow), l.ExtractBest(tNow)
 				if he.Item != le.Item || he.NumRequests() != le.NumRequests() {
 					return false
 				}
@@ -315,7 +315,7 @@ func TestPropertyHeapMatchesLinear(t *testing.T) {
 		}
 		// Drain and compare the full extraction order.
 		for h.Items() > 0 || l.Items() > 0 {
-			he, le := h.ExtractMax(tNow), l.ExtractMax(tNow)
+			he, le := h.ExtractBest(tNow), l.ExtractBest(tNow)
 			if (he == nil) != (le == nil) {
 				return false
 			}
@@ -343,7 +343,7 @@ func TestPropertyExtractionMonotone(t *testing.T) {
 		}
 		prev := math.Inf(1)
 		for h.Items() > 0 {
-			g := h.ExtractMax(0).Gamma(alpha)
+			g := h.ExtractBest(0).Gamma(alpha)
 			if g > prev+1e-9 {
 				return false
 			}
@@ -379,7 +379,7 @@ func BenchmarkHeapAddExtract(b *testing.B) {
 					h.Add(rq, 2)
 				}
 				for h.Items() > 0 {
-					h.ExtractMax(0)
+					h.ExtractBest(0)
 				}
 			}
 		})
@@ -400,7 +400,7 @@ func BenchmarkLinearAddExtract(b *testing.B) {
 					l.Add(rq, 2)
 				}
 				for l.Items() > 0 {
-					l.ExtractMax(0)
+					l.ExtractBest(0)
 				}
 			}
 		})

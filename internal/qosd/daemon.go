@@ -14,6 +14,7 @@ package qosd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -258,7 +259,8 @@ func (d *Daemon) Serve(req Request, class int, respond func(status int, resp Res
 //
 //	POST /request  — {"item": N[, "deadline_in": U]} with X-API-Key; waits
 //	                 for the item (200 served / 504 expired) or refuses
-//	                 (401 unknown key, 429 admission, 503 draining).
+//	                 (400 malformed body, 401 unknown key, 413 body over
+//	                 maxBody, 429 admission, 503 draining).
 //	GET  /metrics  — live Prometheus exposition of the telemetry registry.
 //	GET  /debug/spans — recent completed sampled request spans as JSON
 //	                 (empty array unless the config enables spans).
@@ -284,6 +286,9 @@ func (d *Daemon) Handler() http.Handler {
 	})
 	return mux
 }
+
+// maxBody caps a /request body in bytes; a longer one is answered 413.
+const maxBody = 1 << 16
 
 // answer is one buffered HTTP reply from the clock goroutine.
 type answer struct {
@@ -312,8 +317,13 @@ func (d *Daemon) handleRequest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown API key", http.StatusUnauthorized)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "reading body", http.StatusBadRequest)
 		return
 	}

@@ -466,6 +466,25 @@ func TestDaemonHTTPStateShortCircuits(t *testing.T) {
 	}
 }
 
+// TestDaemonRequestBodyLimits: a /request body one byte over the 64 KiB
+// cap is answered 413, while a small malformed body stays a 400.
+func TestDaemonRequestBodyLimits(t *testing.T) {
+	d, _ := inlineDaemon(t, testConfig())
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/request", strings.NewReader(body))
+		req.Header.Set("X-API-Key", "gold")
+		d.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := post(strings.Repeat(" ", 1<<16+1)); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("64 KiB+1 body: %d, want 413", rec.Code)
+	}
+	if rec := post(`{"item":`); rec.Code != http.StatusBadRequest {
+		t.Errorf("malformed body: %d, want 400", rec.Code)
+	}
+}
+
 // TestDaemonSpans: with spans enabled, served, expired and drain-refused
 // requests all land in the engine's span ring with verified segment tiling
 // — the drain-time refusal carrying the "draining" terminal taxonomy — and

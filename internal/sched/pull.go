@@ -185,92 +185,17 @@ func (p EDF) Score(e *pullqueue.Entry, now float64) float64 {
 // demotion depends on now; without one the score is a pure FCFS key.
 func (p EDF) TimeDependent() bool { return p.TTL > 0 }
 
-// Selector owns the pending pull entries and extracts the best entry under a
-// policy.
-type Selector interface {
-	// Add enqueues a request (length fixes the item's transmission time on
-	// first enqueue).
-	Add(req pullqueue.Request, length float64)
-	// ExtractBest removes and returns the best entry at time now, nil when
-	// empty.
-	ExtractBest(now float64) *pullqueue.Entry
-	// Remove discards a specific item's entry (blocked transmissions),
-	// returning it or nil.
-	Remove(item int) *pullqueue.Entry
-	// Items is the number of distinct queued items.
-	Items() int
-	// Requests is the total number of pending requests.
-	Requests() int
-	// Recycle hands an entry obtained from ExtractBest or Remove back for
-	// reuse by later Adds. The caller must not retain the entry afterwards;
-	// nil, enqueued and already-recycled entries are ignored.
-	Recycle(e *pullqueue.Entry)
-	// Drain removes every entry and returns them sorted by item rank, for
-	// whole-backlog operations (cross-cell client mobility). Callers re-Add
-	// kept requests and Recycle each drained entry.
-	Drain() []*pullqueue.Entry
-	// Entry returns the queued entry for an item rank without removing it,
-	// or nil — read-only span-provenance lookups; callers must not mutate
-	// the entry.
-	Entry(item int) *pullqueue.Entry
-	// Peek returns the best entry at time now without removing it, or nil.
-	// After an ExtractBest it exposes the runner-up of that decision.
-	Peek(now float64) *pullqueue.Entry
-	// Score returns the policy's selection score for an entry at time now —
-	// the same quantity extraction order is decided by, surfaced for
-	// decision provenance.
-	Score(e *pullqueue.Entry, now float64) float64
-}
-
-// NewSelector returns the fastest selector able to realise the policy: a
+// NewSelector returns the fastest pull queue able to realise the policy: a
 // heap over the policy's score for time-independent policies, a linear scan
-// (re-scoring at every extraction) for time-dependent ones. Both back onto
-// the pullqueue implementations, so selection logic lives in exactly one
-// place.
-func NewSelector(p PullPolicy) (Selector, error) {
+// (re-scoring at every extraction) for time-dependent ones. Selection logic
+// lives in exactly one place, pullqueue, and the queue's Score is the
+// policy's.
+func NewSelector(p PullPolicy) (pullqueue.Queue, error) {
 	if p == nil {
 		return nil, fmt.Errorf("sched: nil pull policy")
 	}
-	var (
-		q   pullqueue.Queue
-		err error
-	)
 	if p.TimeDependent() {
-		q, err = pullqueue.NewLinearFunc(p.Score)
-	} else {
-		q, err = pullqueue.NewHeapFunc(p.Score)
+		return pullqueue.NewLinearFunc(p.Score)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return &queueSelector{q: q, policy: p}, nil
+	return pullqueue.NewHeapFunc(p.Score)
 }
-
-// queueSelector adapts a pullqueue.Queue to the Selector interface.
-type queueSelector struct {
-	q      pullqueue.Queue
-	policy PullPolicy
-}
-
-//qos:hotpath
-func (s *queueSelector) Add(req pullqueue.Request, length float64) { s.q.Add(req, length) }
-
-//qos:hotpath
-func (s *queueSelector) ExtractBest(now float64) *pullqueue.Entry { return s.q.ExtractMax(now) }
-func (s *queueSelector) Remove(item int) *pullqueue.Entry         { return s.q.Remove(item) }
-func (s *queueSelector) Items() int                               { return s.q.Items() }
-func (s *queueSelector) Requests() int                            { return s.q.Requests() }
-
-//qos:hotpath
-func (s *queueSelector) Recycle(e *pullqueue.Entry) { s.q.Recycle(e) }
-func (s *queueSelector) Drain() []*pullqueue.Entry  { return s.q.Drain() }
-
-func (s *queueSelector) Entry(item int) *pullqueue.Entry { return s.q.Entry(item) }
-func (s *queueSelector) Peek(now float64) *pullqueue.Entry {
-	return s.q.Peek(now)
-}
-func (s *queueSelector) Score(e *pullqueue.Entry, now float64) float64 {
-	return s.policy.Score(e, now)
-}
-
-var _ Selector = (*queueSelector)(nil)

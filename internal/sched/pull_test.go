@@ -82,7 +82,7 @@ func TestPolicyScores(t *testing.T) {
 	}
 }
 
-func mustSelector(t testing.TB, p PullPolicy) Selector {
+func mustSelector(t testing.TB, p PullPolicy) pullqueue.Queue {
 	t.Helper()
 	s, err := NewSelector(p)
 	if err != nil {
@@ -229,7 +229,7 @@ func TestHeapSelectorMatchesScanForImportanceFactor(t *testing.T) {
 		for _, op := range ops {
 			now += r.Float64()
 			if op%5 == 4 && fast.Items() > 0 {
-				fe, se := fast.ExtractBest(now), slow.ExtractMax(now)
+				fe, se := fast.ExtractBest(now), slow.ExtractBest(now)
 				if fe.Item != se.Item {
 					return false
 				}
@@ -241,7 +241,7 @@ func TestHeapSelectorMatchesScanForImportanceFactor(t *testing.T) {
 			slow.Add(q, l)
 		}
 		for fast.Items() > 0 {
-			fe, se := fast.ExtractBest(now), slow.ExtractMax(now)
+			fe, se := fast.ExtractBest(now), slow.ExtractBest(now)
 			if fe == nil || se == nil || fe.Item != se.Item {
 				return false
 			}

@@ -367,23 +367,6 @@ func TestBuildTimeline(t *testing.T) {
 	}
 }
 
-func TestCumulativeQuantile(t *testing.T) {
-	c, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		c.Served(0, 3, false)
-	}
-	s := c.TakeSnapshot(1)
-	if p := CumulativeQuantile(s, 0, 50); p <= 2 || p > 4 {
-		t.Errorf("p50 = %g, want in (2, 4] for 100 obs of 3", p)
-	}
-	if p := CumulativeQuantile(s, 7, 50); !math.IsNaN(p) {
-		t.Errorf("absent class p50 = %g, want NaN", p)
-	}
-}
-
 func TestHistDeltaClamps(t *testing.T) {
 	cur := HistSnap{Counts: []int64{5, 2, 0}}
 	prev := HistSnap{Counts: []int64{3, 4}}

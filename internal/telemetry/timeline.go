@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"hybridqos/internal/stats"
@@ -103,17 +102,4 @@ func histDelta(cur, prev HistSnap) []int64 {
 		}
 	}
 	return out
-}
-
-// CumulativeQuantile estimates the q-th percentile of a snapshot's full
-// delay histogram for one class (NaN when the class has no samples) —
-// the run-so-far view, as opposed to BuildTimeline's per-window series.
-//
-//lint:allow deadcode pending deletion with its only test, TestCumulativeQuantile (see ROADMAP)
-func CumulativeQuantile(s *Snapshot, class int, q float64) float64 {
-	h, ok := s.Hist(MetricDelay, class)
-	if !ok {
-		return math.NaN()
-	}
-	return stats.BucketQuantile(q, delayBounds, h.Counts)
 }

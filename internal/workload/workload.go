@@ -156,7 +156,7 @@ type BatchPoisson struct {
 
 // NewBatchPoisson validates the parameters.
 //
-//lint:allow deadcode shared test fixture: drives batched-admission tests and benchmarks with bulk arrivals
+//lint:allow deadcode shared test fixture: bulk arrivals for TestBatchArrivalsPreserveThroughput and BenchmarkArrivalProcesses
 func NewBatchPoisson(eventRate, meanBatch float64) (BatchPoisson, error) {
 	if eventRate <= 0 || math.IsNaN(eventRate) || math.IsInf(eventRate, 0) {
 		return BatchPoisson{}, fmt.Errorf("workload: invalid event rate %g", eventRate)
