@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -333,26 +334,19 @@ func writeCoarseTimeline(w io.Writer, events []trace.Event, buckets int) {
 // event replay, lowers them to time series, and writes <prefix>.csv plus
 // the delay and queue SVG charts.
 func writeTimeline(w io.Writer, events []trace.Event, prefix string) error {
-	snaps := trace.Snapshots(events)
-	if len(snaps) == 0 {
+	x, err := trace.WriteTimeline(events, prefix)
+	var audit *trace.AuditError
+	switch {
+	case errors.Is(err, trace.ErrNoSnapshots):
 		return fmt.Errorf("no telemetry snapshots in trace; record one with hybridsim -telemetry-every")
-	}
-	n, err := trace.VerifySnapshots(events)
-	if err != nil {
-		return fmt.Errorf("snapshot audit FAILED: %w", err)
-	}
-	fmt.Fprintf(w, "snapshot audit: %d snapshots reproduced exactly by event replay\n", n)
-
-	tl, err := telemetry.BuildTimeline(snaps)
-	if err != nil {
+	case errors.As(err, &audit):
+		return fmt.Errorf("snapshot audit FAILED: %w", audit.Err)
+	case err != nil:
 		return err
 	}
-	a, err := telemetry.WriteArtifacts(tl, prefix)
-	if err != nil {
-		return err
-	}
+	fmt.Fprintf(w, "snapshot audit: %d snapshots reproduced exactly by event replay\n", x.Snapshots)
 	fmt.Fprintf(w, "timeline: %d ticks, %d classes -> %s, %s, %s\n",
-		tl.Ticks(), len(tl.PerClass), a.CSV, a.DelaySVG, a.QueueSVG)
+		x.Timeline.Ticks(), len(x.Timeline.PerClass), x.CSV, x.DelaySVG, x.QueueSVG)
 	return nil
 }
 
@@ -450,31 +444,18 @@ func writeSpans(w io.Writer, events []trace.Event, opts options) error {
 	fmt.Fprintln(w, st.String())
 
 	if opts.perfetto != "" {
-		if err := exportSpans(opts.perfetto, spans, span.WritePerfetto); err != nil {
+		if err := span.WriteFile(opts.perfetto, spans, span.WritePerfetto); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %d spans as Perfetto trace-event JSON to %s\n", len(spans), opts.perfetto)
 	}
 	if opts.otlp != "" {
-		if err := exportSpans(opts.otlp, spans, span.WriteOTLP); err != nil {
+		if err := span.WriteFile(opts.otlp, spans, span.WriteOTLP); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %d spans as OTLP-style JSON to %s\n", len(spans), opts.otlp)
 	}
 	return nil
-}
-
-// exportSpans writes one span export file through the given encoder.
-func exportSpans(path string, spans []*span.Span, write func(io.Writer, []*span.Span) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // timelineHasData reports whether any class produced at least one finite

@@ -1,10 +1,10 @@
 package hybridqos
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
-	"hybridqos/internal/telemetry"
 	"hybridqos/internal/trace"
 )
 
@@ -40,28 +40,22 @@ func ExportTimeline(tracePath, prefix string) (*TimelineArtifacts, error) {
 	if err != nil {
 		return nil, err
 	}
-	snaps := trace.Snapshots(events)
-	if len(snaps) == 0 {
+	x, err := trace.WriteTimeline(events, prefix)
+	var audit *trace.AuditError
+	switch {
+	case errors.Is(err, trace.ErrNoSnapshots):
 		return nil, fmt.Errorf("hybridqos: no telemetry snapshots in %s; run WriteTrace with Config.Telemetry set", tracePath)
-	}
-	n, err := trace.VerifySnapshots(events)
-	if err != nil {
-		return nil, fmt.Errorf("hybridqos: snapshot audit failed: %w", err)
-	}
-	tl, err := telemetry.BuildTimeline(snaps)
-	if err != nil {
-		return nil, err
-	}
-	a, err := telemetry.WriteArtifacts(tl, prefix)
-	if err != nil {
+	case errors.As(err, &audit):
+		return nil, fmt.Errorf("hybridqos: snapshot audit failed: %w", audit.Err)
+	case err != nil:
 		return nil, err
 	}
 	return &TimelineArtifacts{
-		Snapshots: n,
-		Ticks:     tl.Ticks(),
-		Classes:   len(tl.PerClass),
-		CSV:       a.CSV,
-		DelaySVG:  a.DelaySVG,
-		QueueSVG:  a.QueueSVG,
+		Snapshots: x.Snapshots,
+		Ticks:     x.Timeline.Ticks(),
+		Classes:   len(x.Timeline.PerClass),
+		CSV:       x.CSV,
+		DelaySVG:  x.DelaySVG,
+		QueueSVG:  x.QueueSVG,
 	}, nil
 }

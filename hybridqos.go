@@ -24,7 +24,6 @@ package hybridqos
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"os"
 
@@ -889,12 +888,12 @@ func WriteSpans(c Config, perfettoPath, otlpPath string) ([]SpanSummary, error) 
 		return nil, err
 	}
 	if perfettoPath != "" {
-		if err := writeSpanFile(perfettoPath, spans, span.WritePerfetto); err != nil {
+		if err := span.WriteFile(perfettoPath, spans, span.WritePerfetto); err != nil {
 			return nil, err
 		}
 	}
 	if otlpPath != "" {
-		if err := writeSpanFile(otlpPath, spans, span.WriteOTLP); err != nil {
+		if err := span.WriteFile(otlpPath, spans, span.WriteOTLP); err != nil {
 			return nil, err
 		}
 	}
@@ -908,19 +907,6 @@ func WriteSpans(c Config, perfettoPath, otlpPath string) ([]SpanSummary, error) 
 		}
 	}
 	return out, nil
-}
-
-// writeSpanFile writes one span export to path via the given renderer.
-func writeSpanFile(path string, spans []*span.Span, render func(io.Writer, []*span.Span) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // AdaptivePlan is one re-optimisation outcome of an AdaptiveController.

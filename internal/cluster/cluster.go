@@ -145,7 +145,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: mobility needs a positive HandoffEvery epoch")
 	}
 	if !KnownRouting(c.Routing) {
-		return &UnknownRoutingError{Name: c.Routing, Known: RoutingNames()}
+		_, err := routings.Lookup(c.Routing) // the registry's *policy.UnknownError
+		return err
 	}
 	if c.HotFactor != 0 {
 		if c.HotFactor <= 0 || math.IsNaN(c.HotFactor) || math.IsInf(c.HotFactor, 0) {
@@ -536,12 +537,4 @@ func mergeMetrics(base core.Config, cells []*core.Metrics) *core.Metrics {
 		agg.CorruptedPulls += m.CorruptedPulls
 	}
 	return agg
-}
-
-// max is a small int helper (pre-generics-stdlib spelling kept local).
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,18 +2,15 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"hybridqos/internal/clients"
+	"hybridqos/internal/policy"
 	"hybridqos/internal/rng"
 )
 
-// Router picks the destination cell for a roaming client, in the style of
-// the internal/policy registries: cross-cell routing is a named, pluggable
-// policy so experiments can compare strategies without touching the cluster
-// engine.
+// Router picks the destination cell for a roaming client. Cross-cell
+// routing is a named policy kept in an internal/policy Registry, so
+// experiments can compare strategies without touching the cluster engine.
 //
 // Determinism contract: Route is called sequentially at handoff barriers, in
 // cell-index order, once per roamer; any randomness must come from the
@@ -37,43 +34,9 @@ type Factory func(cells, classes int) (Router, error)
 // DefaultRouting is the routing policy used when no name is given.
 const DefaultRouting = "nearest"
 
-// UnknownRoutingError reports a lookup of an unregistered routing name.
-type UnknownRoutingError struct {
-	Name  string
-	Known []string
-}
-
-func (e *UnknownRoutingError) Error() string {
-	return fmt.Sprintf("cluster: unknown routing policy %q (known: %s)",
-		e.Name, strings.Join(e.Known, ", "))
-}
-
-// DuplicateRoutingError reports a registration under an already-taken name.
-type DuplicateRoutingError struct{ Name string }
-
-func (e *DuplicateRoutingError) Error() string {
-	return fmt.Sprintf("cluster: duplicate routing policy registration %q", e.Name)
-}
-
-var (
-	routingMu sync.RWMutex
-	routings  = make(map[string]Factory)
-)
-
-// RegisterRouting adds a routing-policy factory under a new name.
-// Registering an empty or already-taken name is a typed error.
-func RegisterRouting(name string, f Factory) error {
-	if name == "" {
-		return fmt.Errorf("cluster: empty routing policy name")
-	}
-	routingMu.Lock()
-	defer routingMu.Unlock()
-	if _, ok := routings[name]; ok {
-		return &DuplicateRoutingError{Name: name}
-	}
-	routings[name] = f
-	return nil
-}
+// routings holds the routing policies by name; an unknown name is a
+// *policy.UnknownError with Kind "routing".
+var routings = policy.NewRegistry[Factory]("routing")
 
 // NewRouter builds the named routing policy. An empty name selects
 // DefaultRouting.
@@ -81,44 +44,19 @@ func NewRouter(name string, cells, classes int) (Router, error) {
 	if name == "" {
 		name = DefaultRouting
 	}
-	routingMu.RLock()
-	f, ok := routings[name]
-	routingMu.RUnlock()
-	if !ok {
-		return nil, &UnknownRoutingError{Name: name, Known: RoutingNames()}
+	f, err := routings.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(cells, classes)
 }
 
 // KnownRouting reports whether a routing name is registered; the empty
 // string names the default and is always known.
-func KnownRouting(name string) bool {
-	if name == "" {
-		return true
-	}
-	routingMu.RLock()
-	defer routingMu.RUnlock()
-	_, ok := routings[name]
-	return ok
-}
+func KnownRouting(name string) bool { return name == "" || routings.Known(name) }
 
 // RoutingNames returns the sorted registered routing-policy names.
-func RoutingNames() []string {
-	routingMu.RLock()
-	defer routingMu.RUnlock()
-	names := make([]string, 0, len(routings))
-	for name := range routings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func mustRegisterRouting(name string, f Factory) {
-	if err := RegisterRouting(name, f); err != nil {
-		panic(fmt.Errorf("cluster: built-in routing registration: %w", err))
-	}
-}
+func RoutingNames() []string { return routings.Names() }
 
 // checkCells validates the cluster size a factory was handed.
 func checkCells(cells int) error {
@@ -196,19 +134,19 @@ func argMinLoad(loads []int, src int) int {
 }
 
 func init() {
-	mustRegisterRouting("nearest", func(cells, _ int) (Router, error) {
+	routings.MustRegister("nearest", func(cells, _ int) (Router, error) {
 		if err := checkCells(cells); err != nil {
 			return nil, err
 		}
 		return nearest{cells: cells}, nil
 	})
-	mustRegisterRouting("least-loaded", func(cells, _ int) (Router, error) {
+	routings.MustRegister("least-loaded", func(cells, _ int) (Router, error) {
 		if err := checkCells(cells); err != nil {
 			return nil, err
 		}
 		return leastLoaded{cells: cells}, nil
 	})
-	mustRegisterRouting("class-affine", func(cells, classes int) (Router, error) {
+	routings.MustRegister("class-affine", func(cells, classes int) (Router, error) {
 		if err := checkCells(cells); err != nil {
 			return nil, err
 		}

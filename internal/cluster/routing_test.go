@@ -2,10 +2,12 @@ package cluster_test
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"testing"
 
 	"hybridqos/internal/cluster"
+	"hybridqos/internal/policy"
 	"hybridqos/internal/rng"
 )
 
@@ -34,16 +36,15 @@ func TestRoutingRegistry(t *testing.T) {
 	if cluster.KnownRouting("teleport") {
 		t.Error("unregistered name reported known")
 	}
-	var unknown *cluster.UnknownRoutingError
+	var unknown *policy.UnknownError
 	if _, err := cluster.NewRouter("teleport", 4, 3); !errors.As(err, &unknown) {
-		t.Errorf("NewRouter(teleport) = %v, want UnknownRoutingError", err)
+		t.Errorf("NewRouter(teleport) = %v, want *policy.UnknownError", err)
+	} else if unknown.Kind != "routing" || unknown.Name != "teleport" || !reflect.DeepEqual(unknown.Known, names) {
+		t.Errorf("UnknownError = %+v, want kind routing, name teleport, known %v", unknown, names)
 	}
-	var dup *cluster.DuplicateRoutingError
-	if err := cluster.RegisterRouting("nearest", nil); !errors.As(err, &dup) {
-		t.Errorf("re-registering nearest = %v, want DuplicateRoutingError", err)
-	}
-	if err := cluster.RegisterRouting("", nil); err == nil {
-		t.Error("empty-name registration accepted")
+	cfg := cluster.Config{Cells: 2, Base: base(t), HandoffEvery: 40, Routing: "teleport"}
+	if err := cfg.Validate(); !errors.As(err, &unknown) || unknown.Kind != "routing" {
+		t.Errorf("Validate with routing teleport = %v, want a routing *policy.UnknownError", err)
 	}
 	if r := router(t, "", 4, 3); r.Name() != cluster.DefaultRouting {
 		t.Errorf("default router is %q, want %q", r.Name(), cluster.DefaultRouting)

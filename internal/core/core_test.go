@@ -305,6 +305,15 @@ func TestOverallMeanDelayAggregation(t *testing.T) {
 	if math.Abs(m.TotalCost()-cost) > 1e-9 {
 		t.Fatal("TotalCost aggregation wrong")
 	}
+	// An empty run (every class weighted, none served — a multi-channel run
+	// returns the same type) has no overall delay and costs nothing.
+	empty := &Metrics{PerClass: []*ClassMetrics{{Class: 0, Weight: 3}, {Class: 1, Weight: 1}}}
+	if !math.IsNaN(empty.OverallMeanDelay()) {
+		t.Fatal("empty run overall delay not NaN")
+	}
+	if empty.TotalCost() != 0 {
+		t.Fatal("empty run total cost not 0")
+	}
 }
 
 func TestEmptyMetricsNaN(t *testing.T) {

@@ -491,7 +491,7 @@ func (s *Server) enqueuePull(req pullqueue.Request, now float64) {
 		if e := s.selector.Entry(req.Item); e != nil {
 			s.emit(trace.Event{
 				T: now, Kind: trace.KindSpanEnqueue, Item: req.Item, Class: req.Class,
-				Req: span, Score: s.selector.Score(e, now), Requests: e.NumRequests(),
+				Req: span, Score: trace.Score(s.selector.Score(e, now)), Requests: e.NumRequests(),
 			})
 		}
 	}
@@ -778,11 +778,11 @@ func (s *Server) emitDecision(entry *pullqueue.Entry) {
 	ev := trace.Event{
 		T: now, Kind: trace.KindDecision, Item: entry.Item,
 		Class: entry.HighestClass(), Requests: len(entry.Requests),
-		Score: s.selector.Score(entry, now),
+		Score: trace.Score(s.selector.Score(entry, now)),
 	}
 	if ru := s.selector.Peek(now); ru != nil {
 		ev.RunnerUp = ru.Item
-		ev.RunnerUpScore = s.selector.Score(ru, now)
+		ev.RunnerUpScore = trace.Score(s.selector.Score(ru, now))
 	}
 	s.emit(ev)
 }

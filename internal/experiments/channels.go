@@ -43,7 +43,6 @@ func ExtChannels(p Params) (*Figure, error) {
 	perClass := make([][]float64, 3)
 	var overall []float64
 	for pushCh := 1; pushCh < totalChannels; pushCh++ {
-		var agg *multichannel.Metrics
 		// Average over replications manually (multichannel has no sim
 		// wrapper; replications share the CRN base seed discipline).
 		var sums [3]float64
@@ -64,13 +63,11 @@ func ExtChannels(p Params) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			agg = m
 			for c := 0; c < 3; c++ {
 				sums[c] += m.PerClass[c].Delay.Mean()
 			}
 			overallSum += m.OverallMeanDelay()
 		}
-		_ = agg
 		xs = append(xs, float64(pushCh))
 		for c := 0; c < 3; c++ {
 			perClass[c] = append(perClass[c], sums[c]/float64(p.Replications))

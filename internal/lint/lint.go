@@ -23,7 +23,8 @@
 //   - floatcmp: ==/!= between floats in internal/sched, internal/pullqueue
 //     and internal/policy is flagged — tie-breaks there must be explicit.
 //   - registrydoc: every policy name registered with policy.RegisterPull or
-//     policy.RegisterPush must be documented in README.md or DESIGN.md.
+//     policy.RegisterPush, and every built-in routing policy, must be
+//     documented in README.md or DESIGN.md.
 //   - deadcode: every exported top-level func, type, var and const in
 //     internal/ must be referenced by some non-test file of the module
 //     (nested modules such as perfbench/ included), whichever packages were

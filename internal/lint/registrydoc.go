@@ -18,11 +18,12 @@ type registration struct {
 }
 
 // checkRegistryCalls collects the string-literal names passed to the policy
-// registry — policy.RegisterPull / policy.RegisterPush from outside, and the
-// package's own mustRegisterPull / mustRegisterPush built-in installers.
+// registries — policy.RegisterPull / policy.RegisterPush from outside, and
+// Registry.MustRegister, which installs the built-in pull, push and routing
+// policies.
 // The registrydoc rule then requires each name to appear in the user-facing
 // docs: an undocumented policy is unusable (nobody can know to pass it to
-// -policy/-push) and undiscoverable in review.
+// -policy/-push/-routing) and undiscoverable in review.
 func checkRegistryCalls(p *pkg) {
 	for _, f := range p.files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -40,7 +41,7 @@ func checkRegistryCalls(p *pkg) {
 				return true
 			}
 			switch fname {
-			case "RegisterPull", "RegisterPush", "mustRegisterPull", "mustRegisterPush":
+			case "RegisterPull", "RegisterPush", "MustRegister":
 			default:
 				return true
 			}

@@ -94,44 +94,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Metrics reuses the single-channel per-class collectors.
-type Metrics struct {
-	// PerClass holds one entry per class.
-	PerClass []*core.ClassMetrics
-	// PushBroadcasts and PullTransmissions count completed transmissions
-	// across all channels.
-	PushBroadcasts, PullTransmissions int64
-	// Horizon echoes the run length.
-	Horizon float64
-}
-
-// OverallMeanDelay returns the request-weighted mean access time.
-func (m *Metrics) OverallMeanDelay() float64 {
-	var sum float64
-	var n int64
-	for _, cm := range m.PerClass {
-		if cm.Delay.N() > 0 {
-			sum += cm.Delay.Mean() * float64(cm.Delay.N())
-			n += cm.Delay.N()
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
-
-// TotalCost returns Σ_c q_c·mean delay_c.
-func (m *Metrics) TotalCost() float64 {
-	sum := 0.0
-	for _, cm := range m.PerClass {
-		if cm.Delay.N() > 0 {
-			sum += cm.Cost()
-		}
-	}
-	return sum
-}
-
 type pushWaiter struct {
 	class   clients.Class
 	arrival float64
@@ -150,11 +112,13 @@ type server struct {
 	waiters   map[int][]pushWaiter
 	idlePull  int // number of pull channels currently idle
 	warmupEnd float64
-	metrics   *Metrics
+	metrics   *core.Metrics
 }
 
-// Run executes one multi-channel simulation.
-func Run(cfg Config) (*Metrics, error) {
+// Run executes one multi-channel simulation. It fills the single-channel
+// core.Metrics fields it has counterparts for: PerClass, PushBroadcasts and
+// PullTransmissions (summed over all channels) and Horizon.
+func Run(cfg Config) (*core.Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -181,7 +145,7 @@ func Run(cfg Config) (*Metrics, error) {
 		selector:  selector,
 		waiters:   make(map[int][]pushWaiter),
 		warmupEnd: cfg.Horizon * cfg.WarmupFraction,
-		metrics:   &Metrics{Horizon: cfg.Horizon},
+		metrics:   &core.Metrics{Horizon: cfg.Horizon},
 	}
 	for c := 0; c < cfg.Classes.NumClasses(); c++ {
 		s.metrics.PerClass = append(s.metrics.PerClass, &core.ClassMetrics{

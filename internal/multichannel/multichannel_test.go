@@ -202,13 +202,30 @@ func TestMorePushChannelsShortenPushDelay(t *testing.T) {
 	}
 }
 
+// TestMetricsAggregation: Run fills core.Metrics, so the single-channel
+// aggregates (OverallMeanDelay, TotalCost) read a multi-channel run
+// unchanged.
 func TestMetricsAggregation(t *testing.T) {
-	m := &Metrics{PerClass: []*core.ClassMetrics{{Class: 0, Weight: 3}}}
-	if !math.IsNaN(m.OverallMeanDelay()) {
-		t.Fatal("empty overall delay not NaN")
+	cfg := baseConfig(t)
+	m, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.TotalCost() != 0 {
-		t.Fatal("empty total cost not 0")
+	if m.Horizon != cfg.Horizon || len(m.PerClass) != cfg.Classes.NumClasses() {
+		t.Fatalf("horizon %g, %d classes; want %g, %d", m.Horizon, len(m.PerClass), cfg.Horizon, cfg.Classes.NumClasses())
+	}
+	var sum, cost float64
+	var n int64
+	for c, cm := range m.PerClass {
+		if cm.Weight != cfg.Classes.Weight(clients.Class(c)) {
+			t.Errorf("class %d weight %g", c, cm.Weight)
+		}
+		sum += cm.Delay.Mean() * float64(cm.Delay.N())
+		n += cm.Delay.N()
+		cost += cm.Cost()
+	}
+	if n == 0 || math.Abs(m.OverallMeanDelay()-sum/float64(n)) > 1e-9 || math.Abs(m.TotalCost()-cost) > 1e-9 {
+		t.Fatalf("aggregates %g, %g; want %g, %g", m.OverallMeanDelay(), m.TotalCost(), sum/float64(n), cost)
 	}
 }
 

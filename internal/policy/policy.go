@@ -63,7 +63,7 @@ type PushFactory func(p Params) (sched.PushScheduler, error)
 
 // UnknownError reports a lookup of a name that is not registered.
 type UnknownError struct {
-	Kind  string // "pull" or "push"
+	Kind  string // "pull", "push" or another registry's kind
 	Name  string
 	Known []string
 }
@@ -83,23 +83,26 @@ func (e *DuplicateError) Error() string {
 	return fmt.Sprintf("policy: duplicate %s policy registration %q", e.Kind, e.Name)
 }
 
-// registry is a concurrency-safe name → factory map with alias support.
-type registry[F any] struct {
+// Registry is a concurrency-safe name → factory map with alias support.
+// The pull and push registries below are two instances; other packages
+// keep their own named factories in one (cluster's routing policies).
+type Registry[F any] struct {
 	kind      string
 	mu        sync.RWMutex
 	factories map[string]F
 	aliases   map[string]string
 }
 
-func newRegistry[F any](kind string) *registry[F] {
-	return &registry[F]{
+// NewRegistry returns an empty registry whose errors name kind.
+func NewRegistry[F any](kind string) *Registry[F] {
+	return &Registry[F]{
 		kind:      kind,
 		factories: make(map[string]F),
 		aliases:   make(map[string]string),
 	}
 }
 
-func (r *registry[F]) taken(name string) bool {
+func (r *Registry[F]) taken(name string) bool {
 	if _, ok := r.factories[name]; ok {
 		return true
 	}
@@ -107,7 +110,9 @@ func (r *registry[F]) taken(name string) bool {
 	return ok
 }
 
-func (r *registry[F]) register(name string, f F) error {
+// Register adds a factory under a new name. An empty name is an error, an
+// already-taken name or alias a *DuplicateError.
+func (r *Registry[F]) Register(name string, f F) error {
 	if name == "" {
 		return fmt.Errorf("policy: empty %s policy name", r.kind)
 	}
@@ -120,7 +125,16 @@ func (r *registry[F]) register(name string, f F) error {
 	return nil
 }
 
-func (r *registry[F]) alias(alias, canonical string) {
+// MustRegister is Register for built-ins: a registration error panics.
+// qoslint's registrydoc rule requires every name it is given to appear in
+// the docs.
+func (r *Registry[F]) MustRegister(name string, f F) {
+	if err := r.Register(name, f); err != nil {
+		panic(fmt.Errorf("policy: built-in %s registration: %w", r.kind, err))
+	}
+}
+
+func (r *Registry[F]) alias(alias, canonical string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.taken(alias) {
@@ -132,7 +146,9 @@ func (r *registry[F]) alias(alias, canonical string) {
 	r.aliases[alias] = canonical
 }
 
-func (r *registry[F]) lookup(name string) (F, error) {
+// Lookup returns the factory registered under name or an alias of it; an
+// unregistered name is an *UnknownError listing the known names.
+func (r *Registry[F]) Lookup(name string) (F, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if canonical, ok := r.aliases[name]; ok {
@@ -148,7 +164,7 @@ func (r *registry[F]) lookup(name string) (F, error) {
 
 // namesLocked returns the sorted canonical names; callers hold at least a
 // read lock.
-func (r *registry[F]) namesLocked() []string {
+func (r *Registry[F]) namesLocked() []string {
 	names := make([]string, 0, len(r.factories))
 	for name := range r.factories {
 		names = append(names, name)
@@ -157,40 +173,42 @@ func (r *registry[F]) namesLocked() []string {
 	return names
 }
 
-func (r *registry[F]) known(name string) bool {
+// Known reports whether name or an alias of that name is registered.
+func (r *Registry[F]) Known(name string) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.taken(name)
 }
 
-func (r *registry[F]) names() []string {
+// Names returns the sorted canonical names.
+func (r *Registry[F]) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.namesLocked()
 }
 
 var (
-	pulls  = newRegistry[PullFactory]("pull")
-	pushes = newRegistry[PushFactory]("push")
+	pulls  = NewRegistry[PullFactory]("pull")
+	pushes = NewRegistry[PushFactory]("push")
 )
 
 // RegisterPull adds a pull-policy factory under a new name. Registering an
 // empty or already-taken name is a typed error.
 //
 //lint:allow deadcode registration API: the extension point for pull policies outside this package
-func RegisterPull(name string, f PullFactory) error { return pulls.register(name, f) }
+func RegisterPull(name string, f PullFactory) error { return pulls.Register(name, f) }
 
 // RegisterPush adds a push-scheduler factory under a new name.
 //
 //lint:allow deadcode registration API: the extension point for push schedulers outside this package
-func RegisterPush(name string, f PushFactory) error { return pushes.register(name, f) }
+func RegisterPush(name string, f PushFactory) error { return pushes.Register(name, f) }
 
 // NewPull builds the named pull policy. An empty name selects DefaultPull.
 func NewPull(name string, p Params) (sched.PullPolicy, error) {
 	if name == "" {
 		name = DefaultPull
 	}
-	f, err := pulls.lookup(name)
+	f, err := pulls.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +220,7 @@ func NewPush(name string, p Params) (sched.PushScheduler, error) {
 	if name == "" {
 		name = DefaultPush
 	}
-	f, err := pushes.lookup(name)
+	f, err := pushes.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
@@ -210,51 +228,39 @@ func NewPush(name string, p Params) (sched.PushScheduler, error) {
 }
 
 // KnownPush reports whether a push-scheduler name (or alias) is registered.
-func KnownPush(name string) bool { return name == "" || pushes.known(name) }
+func KnownPush(name string) bool { return name == "" || pushes.Known(name) }
 
 // PullNames returns the sorted canonical pull-policy names.
-func PullNames() []string { return pulls.names() }
+func PullNames() []string { return pulls.Names() }
 
 // PushNames returns the sorted canonical push-scheduler names.
-func PushNames() []string { return pushes.names() }
-
-func mustRegisterPull(name string, f PullFactory) {
-	if err := pulls.register(name, f); err != nil {
-		panic(fmt.Errorf("policy: built-in pull registration: %w", err))
-	}
-}
-
-func mustRegisterPush(name string, f PushFactory) {
-	if err := pushes.register(name, f); err != nil {
-		panic(fmt.Errorf("policy: built-in push registration: %w", err))
-	}
-}
+func PushNames() []string { return pushes.Names() }
 
 func init() {
 	// Pull policies. The paper's γ(α) and its two degenerate α endpoints,
 	// plus the baselines it is evaluated against.
-	mustRegisterPull("gamma", func(p Params) (sched.PullPolicy, error) {
+	pulls.MustRegister("gamma", func(p Params) (sched.PullPolicy, error) {
 		return sched.NewImportanceFactor(p.Alpha)
 	})
-	mustRegisterPull("stretch", func(Params) (sched.PullPolicy, error) {
+	pulls.MustRegister("stretch", func(Params) (sched.PullPolicy, error) {
 		return sched.StretchOptimal{}, nil
 	})
-	mustRegisterPull("priority", func(Params) (sched.PullPolicy, error) {
+	pulls.MustRegister("priority", func(Params) (sched.PullPolicy, error) {
 		return sched.PriorityOnly{}, nil
 	})
-	mustRegisterPull("fcfs", func(Params) (sched.PullPolicy, error) {
+	pulls.MustRegister("fcfs", func(Params) (sched.PullPolicy, error) {
 		return sched.FCFS{}, nil
 	})
-	mustRegisterPull("edf", func(p Params) (sched.PullPolicy, error) {
+	pulls.MustRegister("edf", func(p Params) (sched.PullPolicy, error) {
 		return sched.EDF{TTL: p.TTL}, nil
 	})
-	mustRegisterPull("mrf", func(Params) (sched.PullPolicy, error) {
+	pulls.MustRegister("mrf", func(Params) (sched.PullPolicy, error) {
 		return sched.MRF{}, nil
 	})
-	mustRegisterPull("rxw", func(Params) (sched.PullPolicy, error) {
+	pulls.MustRegister("rxw", func(Params) (sched.PullPolicy, error) {
 		return sched.RxW{}, nil
 	})
-	mustRegisterPull("classic-stretch", func(Params) (sched.PullPolicy, error) {
+	pulls.MustRegister("classic-stretch", func(Params) (sched.PullPolicy, error) {
 		return sched.ClassicStretch{}, nil
 	})
 	// Historical facade spellings.
@@ -263,23 +269,23 @@ func init() {
 	pulls.alias("priority-only", "priority")
 
 	// Push schedulers.
-	mustRegisterPush("roundrobin", func(p Params) (sched.PushScheduler, error) {
+	pushes.MustRegister("roundrobin", func(p Params) (sched.PushScheduler, error) {
 		if p.Cutoff < 1 {
 			return nil, fmt.Errorf("policy: roundrobin push needs cutoff ≥ 1, got %d", p.Cutoff)
 		}
 		return sched.NewFlatRoundRobin(p.Cutoff), nil
 	})
-	mustRegisterPush("broadcast-disk", func(p Params) (sched.PushScheduler, error) {
+	pushes.MustRegister("broadcast-disk", func(p Params) (sched.PushScheduler, error) {
 		disks := p.Disks
 		if disks == 0 {
 			disks = DefaultDisks
 		}
 		return sched.NewBroadcastDisk(p.Catalog, p.Cutoff, disks)
 	})
-	mustRegisterPush("square-root", func(p Params) (sched.PushScheduler, error) {
+	pushes.MustRegister("square-root", func(p Params) (sched.PushScheduler, error) {
 		return sched.NewSquareRootRule(p.Catalog, p.Cutoff)
 	})
-	mustRegisterPush("none", func(Params) (sched.PushScheduler, error) {
+	pushes.MustRegister("none", func(Params) (sched.PushScheduler, error) {
 		return sched.NoPush{}, nil
 	})
 	pushes.alias("flat", "roundrobin")

@@ -129,6 +129,35 @@ func TestDuplicateRegistrationError(t *testing.T) {
 	}
 }
 
+// TestRegistryStandalone drives a fresh Registry the way another package
+// (cluster's routing) uses one: its errors carry its own kind.
+func TestRegistryStandalone(t *testing.T) {
+	r := NewRegistry[func() int]("routing")
+	if err := r.Register("one", func() int { return 1 }); err != nil {
+		t.Fatal(err)
+	}
+	var de *DuplicateError
+	if err := r.Register("one", func() int { return 2 }); !errors.As(err, &de) || de.Kind != "routing" || de.Name != "one" {
+		t.Fatalf("duplicate registration = %v, want routing DuplicateError", err)
+	}
+	if err := r.Register("", func() int { return 0 }); err == nil {
+		t.Fatal("empty name accepted")
+	}
+	if f, err := r.Lookup("one"); err != nil || f() != 1 {
+		t.Fatalf("Lookup(one) = %v", err)
+	}
+	var ue *UnknownError
+	if _, err := r.Lookup("two"); !errors.As(err, &ue) || ue.Kind != "routing" || ue.Name != "two" || len(ue.Known) != 1 {
+		t.Fatalf("Lookup(two) = %v (%+v), want routing UnknownError", err, ue)
+	}
+	if !r.Known("one") || r.Known("two") {
+		t.Fatal("Known disagrees with registrations")
+	}
+	if names := r.Names(); len(names) != 1 || names[0] != "one" {
+		t.Fatalf("Names() = %v", names)
+	}
+}
+
 func TestExternalRegistrationUsable(t *testing.T) {
 	name := "test-reverse-fcfs"
 	if err := RegisterPull(name, func(Params) (sched.PullPolicy, error) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"hybridqos/internal/trace"
 )
@@ -32,6 +33,20 @@ type perfettoEvent struct {
 type perfettoFile struct {
 	TraceEvents     []perfettoEvent `json:"traceEvents"`
 	DisplayTimeUnit string          `json:"displayTimeUnit"`
+}
+
+// WriteFile creates path and renders spans into it with write
+// (WritePerfetto or WriteOTLP).
+func WriteFile(path string, spans []*Span, write func(io.Writer, []*Span) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f, spans); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WritePerfetto renders spans as Chrome trace-event JSON loadable in

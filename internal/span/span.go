@@ -172,8 +172,8 @@ func Build(events []trace.Event) ([]*Span, error) {
 					continue
 				}
 				b.span.Decisions = append(b.span.Decisions, Decision{
-					T: e.T, Item: e.Item, Score: e.Score,
-					RunnerUp: e.RunnerUp, RunnerUpScore: e.RunnerUpScore,
+					T: e.T, Item: e.Item, Score: float64(e.Score),
+					RunnerUp: e.RunnerUp, RunnerUpScore: float64(e.RunnerUpScore),
 					Requests: e.Requests, Cell: e.Cell,
 				})
 			}
@@ -220,7 +220,7 @@ func Build(events []trace.Event) ([]*Span, error) {
 			b.closeSegment(b.mode, e.T, 0)
 			b.mode = SegQueueWait
 			b.span.Enqueues = append(b.span.Enqueues, Enqueue{
-				T: e.T, Score: e.Score, Requests: e.Requests, Cell: e.Cell,
+				T: e.T, Score: float64(e.Score), Requests: e.Requests, Cell: e.Cell,
 			})
 		case trace.KindSpanLoss:
 			// The corrupted transmission: wait up to its start, then the

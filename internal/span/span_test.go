@@ -3,6 +3,7 @@ package span_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -110,6 +111,51 @@ func TestBuildAndVerifyFaultyRun(t *testing.T) {
 	}
 	if outcomes[trace.EndExpired] == 0 {
 		t.Log("note: no expired spans in this run")
+	}
+}
+
+// An expired EDF entry scores −Inf and span events carry the score: the
+// JSONL trace must encode it, Read must decode the file back to the same
+// events, and the spans rebuilt from the file must verify.
+func TestEDFInfiniteScoresRoundTripJSONL(t *testing.T) {
+	cfg := base(t)
+	cfg.PullPolicyName = "edf"
+	cfg.RequestTTL = 50
+	cfg.Spans = &core.SpanConfig{}
+	events := run(t, cfg)
+	var file bytes.Buffer
+	j := trace.NewJSONL(&file)
+	infinite := 0
+	for _, e := range events {
+		if math.IsInf(float64(e.Score), -1) || math.IsInf(float64(e.RunnerUpScore), -1) {
+			infinite++
+		}
+		j.Event(e)
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatalf("encoding the trace: %v", err)
+	}
+	if infinite == 0 {
+		t.Fatal("no -Inf score in the run; the test no longer covers non-finite encoding")
+	}
+	back, err := trace.Read(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != len(events) {
+		t.Fatalf("read %d events, wrote %d", len(back), len(events))
+	}
+	for i := range events {
+		if back[i] != events[i] {
+			t.Fatalf("event %d changed in the round trip: %+v vs %+v", i, back[i], events[i])
+		}
+	}
+	spans, err := span.Build(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := span.Verify(spans); err != nil {
+		t.Fatal(err)
 	}
 }
 

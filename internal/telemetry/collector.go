@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hybridqos/internal/rng"
 )
@@ -505,17 +504,17 @@ func (s *Snapshot) Hist(name string, class int) (HistSnap, bool) {
 func (c *Collector) TakeSnapshot(t float64) *Snapshot {
 	c.snapshots++
 	s := &Snapshot{T: t, Seq: c.snapshots, Cell: c.cell}
-	for _, k := range sortedCounterKeys(c.reg.counters) {
+	for _, k := range sortedKeys(c.reg.counters, keyLess) {
 		s.Counters = append(s.Counters, CounterSnap{Name: k.name, Class: k.class, V: c.reg.counters[k].Value()})
 	}
-	for _, k := range sortedGaugeKeys(c.reg.gauges) {
+	for _, k := range sortedKeys(c.reg.gauges, keyLess) {
 		s.Gauges = append(s.Gauges, GaugeSnap{Name: k.name, Class: k.class, V: c.reg.gauges[k].Value()})
 	}
-	for _, k := range sortedHistKeys(c.reg.hists) {
+	for _, k := range sortedKeys(c.reg.hists, keyLess) {
 		h := c.reg.hists[k]
 		s.Hists = append(s.Hists, HistSnap{Name: k.name, Class: k.class, Counts: h.Counts(), Sum: h.Sum()})
 	}
-	for _, k := range sortedExemplarKeys(c.exemplars) {
+	for _, k := range sortedKeys(c.exemplars, exemplarLess) {
 		res := c.exemplars[k]
 		s.Exemplars = append(s.Exemplars, ExemplarSnap{
 			Class:  k.class,
@@ -530,20 +529,12 @@ func (c *Collector) TakeSnapshot(t float64) *Snapshot {
 	return s
 }
 
-// sortedExemplarKeys returns the reservoir keys in (class, bucket) order —
-// the maporder contract for the exemplar map.
-func sortedExemplarKeys(m map[exemplarKey]*exemplarRes) []exemplarKey {
-	keys := make([]exemplarKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// exemplarLess orders reservoir keys by (class, bucket).
+func exemplarLess(a, b exemplarKey) bool {
+	if a.class != b.class {
+		return a.class < b.class
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].class != keys[j].class {
-			return keys[i].class < keys[j].class
-		}
-		return keys[i].bucket < keys[j].bucket
-	})
-	return keys
+	return a.bucket < b.bucket
 }
 
 // DiffReplay compares the replay-auditable sections of two snapshots — the

@@ -173,36 +173,19 @@ func (r *Registry) Histogram(name string, class int) *Histogram {
 	return h
 }
 
-// sortedKeys returns the map's keys ordered by (name, class) — the
-// collect-then-sort idiom every export path goes through, so no output ever
-// depends on Go's randomised map iteration order.
-func sortedCounterKeys(m map[metricKey]*Counter) []metricKey {
-	keys := make([]metricKey, 0, len(m))
+// sortedKeys returns the map's keys ordered by less — the collect-then-sort
+// idiom every export path goes through, so no output ever depends on Go's
+// randomised map iteration order.
+func sortedKeys[K comparable, V any](m map[K]V, less func(a, b K) bool) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
 	return keys
 }
 
-func sortedGaugeKeys(m map[metricKey]*Gauge) []metricKey {
-	keys := make([]metricKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	return keys
-}
-
-func sortedHistKeys(m map[metricKey]*Histogram) []metricKey {
-	keys := make([]metricKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	return keys
-}
-
+// keyLess orders metric keys by (name, class).
 func keyLess(a, b metricKey) bool {
 	if a.name != b.name {
 		return a.name < b.name

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 
 	"hybridqos/internal/telemetry"
@@ -95,4 +96,49 @@ func VerifySnapshots(events []Event) (int, error) {
 		verified++
 	}
 	return verified, nil
+}
+
+// ErrNoSnapshots is WriteTimeline's error for a trace that embeds no
+// telemetry snapshots.
+var ErrNoSnapshots = errors.New("trace: no telemetry snapshots")
+
+// AuditError is WriteTimeline's error for an embedded snapshot that the
+// event replay did not reproduce; Err is VerifySnapshots' error.
+type AuditError struct{ Err error }
+
+func (e *AuditError) Error() string { return "snapshot audit failed: " + e.Err.Error() }
+
+func (e *AuditError) Unwrap() error { return e.Err }
+
+// TimelineExport is what WriteTimeline wrote: the number of snapshots the
+// replay reproduced, the timeline they were lowered to, and the file paths.
+type TimelineExport struct {
+	Snapshots int
+	Timeline  *telemetry.Timeline
+	telemetry.Artifacts
+}
+
+// WriteTimeline audits every telemetry snapshot embedded in events against
+// an event replay (VerifySnapshots), lowers the snapshots to a timeline and
+// writes its CSV and SVG artefacts under prefix (telemetry.WriteArtifacts).
+// Nothing is written unless the trace has snapshots (else ErrNoSnapshots)
+// and the replay reproduces every one (else an *AuditError).
+func WriteTimeline(events []Event, prefix string) (*TimelineExport, error) {
+	snaps := Snapshots(events)
+	if len(snaps) == 0 {
+		return nil, ErrNoSnapshots
+	}
+	n, err := VerifySnapshots(events)
+	if err != nil {
+		return nil, &AuditError{Err: err}
+	}
+	tl, err := telemetry.BuildTimeline(snaps)
+	if err != nil {
+		return nil, err
+	}
+	a, err := telemetry.WriteArtifacts(tl, prefix)
+	if err != nil {
+		return nil, err
+	}
+	return &TimelineExport{Snapshots: n, Timeline: tl, Artifacts: a}, nil
 }

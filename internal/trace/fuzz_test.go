@@ -25,6 +25,9 @@ func FuzzRead(f *testing.F) {
 		f.Add([]byte(`{"t":1,"kind":"span-end","reason":"` + r.String() + `"}`))
 	}
 	f.Add([]byte(`{"t":1,"kind":"no-such-kind"}`)) // unknown names must error
+	// Infinite scores travel as strings (an expired EDF entry scores −Inf).
+	f.Add([]byte(`{"t":1,"kind":"decision","item":2,"score":"-Inf","runner_up":3,"runner_up_score":"+Inf"}`))
+	f.Add([]byte(`{"t":1,"kind":"span-enqueue","req":1,"score":"+Inf"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := Read(bytes.NewReader(data))
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"hybridqos/internal/clients"
 	"hybridqos/internal/telemetry"
@@ -217,6 +218,37 @@ func lookup(names []string, field string, text []byte) (int, error) {
 	return 0, &UnknownNameError{Field: field, Name: string(text)}
 }
 
+// Score is a pull-queue selection score on the wire. A score may be
+// infinite (an expired EDF entry scores −Inf), which a JSON number cannot
+// hold, so ±Inf encode as the strings "+Inf" and "-Inf". A finite score
+// encodes exactly as encoding/json encodes a float64, and NaN stays an
+// encoding error.
+type Score float64
+
+// MarshalJSON implements json.Marshaler.
+func (s Score) MarshalJSON() ([]byte, error) {
+	switch {
+	case math.IsInf(float64(s), 1):
+		return []byte(`"+Inf"`), nil
+	case math.IsInf(float64(s), -1):
+		return []byte(`"-Inf"`), nil
+	}
+	return json.Marshal(float64(s))
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (s *Score) UnmarshalJSON(data []byte) error {
+	switch string(data) {
+	case `"+Inf"`:
+		*s = Score(math.Inf(1))
+		return nil
+	case `"-Inf"`:
+		*s = Score(math.Inf(-1))
+		return nil
+	}
+	return json.Unmarshal(data, (*float64)(s))
+}
+
 // Event is one trace record. Fields are compact so a run can emit millions
 // of them: Kind and Reason are one-byte codes, every other field is a
 // scalar, and the only pointer is Snap, set solely on the (rare) periodic
@@ -257,11 +289,11 @@ type Event struct {
 	Req int64 `json:"req,omitempty"`
 	// Score is the selection score: the entry's post-add score on
 	// KindSpanEnqueue, the winning score on KindDecision.
-	Score float64 `json:"score,omitempty"`
+	Score Score `json:"score,omitempty"`
 	// RunnerUp and RunnerUpScore identify the second-best queue entry at a
 	// KindDecision extraction (0/0 when the queue held a single entry).
-	RunnerUp      int     `json:"runner_up,omitempty"`
-	RunnerUpScore float64 `json:"runner_up_score,omitempty"`
+	RunnerUp      int   `json:"runner_up,omitempty"`
+	RunnerUpScore Score `json:"runner_up_score,omitempty"`
 	// Start is the service (transmission) start time on KindSpanEnd served
 	// outcomes and KindSpanLoss events, so wait and service segments can be
 	// split exactly during span reconstruction. Handoff origin and

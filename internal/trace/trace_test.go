@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -197,6 +198,38 @@ func TestReadRejectsUnknownNames(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader(`{"t":1,"kind":3}`)); err == nil {
 		t.Fatal("numeric kind accepted")
+	}
+}
+
+// TestScoreJSON: finite scores encode exactly as a float64 does, ±Inf as
+// the strings "+Inf"/"-Inf" (and back), NaN stays an encoding error.
+func TestScoreJSON(t *testing.T) {
+	for _, v := range []float64{0.5, -3, 1e-7, 1e21, -2.5e-300, math.MaxFloat64} {
+		want, _ := json.Marshal(v)
+		got, err := json.Marshal(Score(v))
+		if err != nil || string(got) != string(want) {
+			t.Errorf("Score(%g) = %s, %v; want %s", v, got, err, want)
+		}
+	}
+	for _, tc := range []struct {
+		v    float64
+		wire string
+	}{{math.Inf(1), `"+Inf"`}, {math.Inf(-1), `"-Inf"`}} {
+		got, err := json.Marshal(Score(tc.v))
+		if err != nil || string(got) != tc.wire {
+			t.Errorf("Score(%g) = %s, %v; want %s", tc.v, got, err, tc.wire)
+		}
+		var back Score
+		if err := json.Unmarshal(got, &back); err != nil || float64(back) != tc.v {
+			t.Errorf("decoding %s = %g, %v", got, back, err)
+		}
+	}
+	if _, err := json.Marshal(Score(math.NaN())); err == nil {
+		t.Error("NaN score encoded")
+	}
+	var s Score
+	if err := json.Unmarshal([]byte(`"Inf"`), &s); err == nil {
+		t.Error(`"Inf" decoded as a score`)
 	}
 }
 

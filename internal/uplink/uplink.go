@@ -2,16 +2,9 @@
 // wireless cell. The hybrid-broadcast literature the paper builds on
 // (Acharya–Franklin–Zdonik '97) gives clients only "a limited back-channel
 // capacity to make requests": requests that cannot obtain uplink capacity
-// never reach the server's pull queue. Two contention models are provided:
-//
-//   - TokenBucket — a deterministic leaky-bucket admission: sustained rate
-//     plus bounded burst; the standard abstraction for a dedicated
-//     request channel.
-//   - SlottedAloha — random-access contention: a request transmits in a
-//     slot and succeeds with probability e^{−G}, where G is the current
-//     offered load estimated by an exponentially weighted moving average.
-//
-// Both are deterministic given the simulation's RNG stream.
+// never reach the server's pull queue. TokenBucket models that back-channel
+// as a deterministic leaky-bucket admission: sustained rate plus bounded
+// burst, the standard abstraction for a dedicated request channel.
 package uplink
 
 import (
@@ -91,64 +84,4 @@ func (tb *TokenBucket) LossRate() float64 {
 		return 0
 	}
 	return float64(tb.Lost) / float64(total)
-}
-
-// SlottedAloha succeeds with probability e^{−G}: G is the offered load in
-// requests per slot, tracked by an EWMA over a sliding rate estimate.
-type SlottedAloha struct {
-	slotTime float64
-	ewmaTau  float64
-	rate     float64 // EWMA'd request rate (per broadcast unit)
-	last     float64
-	// Attempts and Lost count outcomes.
-	Attempts, Lost int64
-}
-
-// NewSlottedAloha builds the channel: slotTime is the uplink slot duration
-// in broadcast units, ewmaTau the load-estimator time constant.
-//
-//lint:allow deadcode pending deletion with its only tests, TestNewSlottedAlohaValidation and TestSlottedAloha* (see ROADMAP)
-func NewSlottedAloha(slotTime, ewmaTau float64) (*SlottedAloha, error) {
-	if slotTime <= 0 || math.IsNaN(slotTime) || math.IsInf(slotTime, 0) {
-		return nil, fmt.Errorf("uplink: invalid slot time %g", slotTime)
-	}
-	if ewmaTau <= 0 || math.IsNaN(ewmaTau) || math.IsInf(ewmaTau, 0) {
-		return nil, fmt.Errorf("uplink: invalid EWMA tau %g", ewmaTau)
-	}
-	return &SlottedAloha{slotTime: slotTime, ewmaTau: ewmaTau}, nil
-}
-
-// Name implements Channel.
-func (sa *SlottedAloha) Name() string {
-	return fmt.Sprintf("slotted-aloha(slot=%g)", sa.slotTime)
-}
-
-// TryRequest implements Channel. A now earlier than the previous call (a
-// non-monotonic caller clock) or NaN is clamped to the previous time, so the
-// load estimate sees a zero-length gap instead of a negative one.
-func (sa *SlottedAloha) TryRequest(now float64, r *rng.Source) bool {
-	if now < sa.last || math.IsNaN(now) {
-		now = sa.last
-	}
-	// Update the EWMA rate estimate: an arrival contributes 1/τ, the
-	// existing estimate decays by e^{−Δt/τ}.
-	dt := now - sa.last
-	sa.rate = sa.rate*math.Exp(-dt/sa.ewmaTau) + 1/sa.ewmaTau
-	sa.last = now
-
-	sa.Attempts++
-	g := sa.rate * sa.slotTime // offered load per slot
-	if r.Float64() < math.Exp(-g) {
-		return true
-	}
-	sa.Lost++
-	return false
-}
-
-// LossRate returns Lost/Attempts, 0 when unused.
-func (sa *SlottedAloha) LossRate() float64 {
-	if sa.Attempts == 0 {
-		return 0
-	}
-	return float64(sa.Lost) / float64(sa.Attempts)
 }

@@ -114,67 +114,9 @@ func TestTokenBucketBackwardsTimeClamped(t *testing.T) {
 	}
 }
 
-func TestNewSlottedAlohaValidation(t *testing.T) {
-	cases := [][2]float64{{0, 1}, {-1, 1}, {1, 0}, {math.NaN(), 1}, {1, math.Inf(1)}}
-	for i, c := range cases {
-		if _, err := NewSlottedAloha(c[0], c[1]); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
-func TestSlottedAlohaLossGrowsWithLoad(t *testing.T) {
-	lossAt := func(gapPerReq float64) float64 {
-		sa, err := NewSlottedAloha(0.2, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rng.New(5)
-		now := 0.0
-		for i := 0; i < 50000; i++ {
-			now += gapPerReq
-			sa.TryRequest(now, r)
-		}
-		return sa.LossRate()
-	}
-	light := lossAt(1.0)  // 1 req/unit → G ≈ 0.2
-	heavy := lossAt(0.05) // 20 req/unit → G ≈ 4
-	if !(light < heavy) {
-		t.Fatalf("loss not increasing with load: %g vs %g", light, heavy)
-	}
-	// Light load: loss ≈ 1 − e^{−0.2} ≈ 0.18.
-	if math.Abs(light-(1-math.Exp(-0.2))) > 0.05 {
-		t.Fatalf("light-load loss %g, want ~%g", light, 1-math.Exp(-0.2))
-	}
-	// Heavy load: loss ≈ 1 − e^{−4} ≈ 0.98.
-	if heavy < 0.9 {
-		t.Fatalf("heavy-load loss %g, want ≳0.9", heavy)
-	}
-}
-
-func TestSlottedAlohaBackwardsTimeClamped(t *testing.T) {
-	sa, _ := NewSlottedAloha(0.1, 10)
-	r := rng.New(6)
-	sa.TryRequest(5, r)
-	before := sa.Attempts
-	// A backwards clock must not panic or corrupt the load estimate.
-	sa.TryRequest(4, r)
-	sa.TryRequest(math.NaN(), r)
-	if sa.Attempts != before+2 {
-		t.Fatalf("clamped attempts not counted: %d", sa.Attempts)
-	}
-	if math.IsNaN(sa.rate) || sa.rate < 0 {
-		t.Fatalf("load estimate corrupted: %g", sa.rate)
-	}
-	if sa.last != 5 {
-		t.Fatalf("clock resumed from %g, want clamp at 5", sa.last)
-	}
-}
-
 func TestLossRateEmpty(t *testing.T) {
 	tb, _ := NewTokenBucket(1, 1)
-	sa, _ := NewSlottedAloha(1, 1)
-	if tb.LossRate() != 0 || sa.LossRate() != 0 {
-		t.Fatal("unused channels report nonzero loss")
+	if tb.LossRate() != 0 {
+		t.Fatal("unused channel reports nonzero loss")
 	}
 }
