@@ -15,10 +15,12 @@
 // lowest item rank so runs are deterministic. Two implementations are
 // provided: Heap (indexed binary max-heap, O(log n) add/extract — restricted
 // to time-independent scores that never decrease when a request is added, so
-// position fixes are pure sift-ups) and Linear (O(n) scan re-evaluating the
-// score at extraction time), which supports time-dependent ageing policies
-// (RxW-style) and doubles as the obviously-correct reference in property
-// tests and as an ablation baseline.
+// position fixes are pure sift-ups; it scores an entry once per Add and
+// orders by that cached key, so sifts and extractions never call the score
+// function) and Linear (O(n) scan re-evaluating the score at extraction
+// time), which supports time-dependent ageing policies (RxW-style) and
+// doubles as the obviously-correct reference in property tests and as an
+// ablation baseline.
 //
 // Validation is front-loaded: constructors return typed errors (AlphaError),
 // and core.Config.Validate audits every catalog length and class weight
@@ -71,7 +73,8 @@ type Entry struct {
 	// policies and ageing diagnostics).
 	FirstArrival float64
 
-	heapIndex int // position in the heap; -1 when not enqueued
+	heapIndex int     // position in the heap; -1 when not enqueued
+	key       float64 // Heap's cached score, refreshed by every Add
 }
 
 // NumRequests returns R_i.
@@ -105,9 +108,10 @@ func (e *Entry) HighestClass() clients.Class {
 // ScoreFunc scores an entry for selection; the highest score wins, ties
 // broken by lowest item rank. now is the current simulated time — Linear
 // re-evaluates scores at every extraction, so time-dependent (ageing)
-// scores work there. Heap evaluates scores with now = 0 and requires them
-// to (a) ignore now and (b) never decrease when a request is added to the
-// entry; violating either silently breaks heap order.
+// scores work there. Heap scores an entry once per Add, with now = 0, and
+// orders by that cached key; it requires scores to (a) ignore now and
+// (b) never decrease when a request is added to the entry. Violating either
+// silently breaks heap order.
 type ScoreFunc func(e *Entry, now float64) float64
 
 // AlphaError reports an importance-factor mixing fraction outside [0,1].
@@ -260,6 +264,7 @@ func park(free *[]*Entry, byItem itemIndex, e *Entry) bool {
 	e.FirstArrival = 0
 	e.Item = 0
 	e.Length = 0
+	e.key = 0
 	e.heapIndex = freeIndex
 	//lint:allow hotalloc amortized: the freelist grows to the steady-state entry population once, then recycles
 	*free = append(*free, e)
@@ -299,9 +304,9 @@ func (h *Heap) Entry(item int) *Entry { return h.byItem.get(item) }
 // Score returns the entry's selection score.
 func (h *Heap) Score(e *Entry, now float64) float64 { return h.score(e, now) }
 
-// Add enqueues a request, creating the item's entry if needed. Adding a
-// request can only increase the entry's score, so a sift-up restores heap
-// order.
+// Add enqueues a request, creating the item's entry if needed, and re-scores
+// the entry. Adding a request can only increase the entry's score, so a
+// sift-up restores heap order.
 //
 //qos:hotpath
 func (h *Heap) Add(req Request, length float64) {
@@ -319,20 +324,21 @@ func (h *Heap) Add(req Request, length float64) {
 		e.FirstArrival = req.Arrival
 	}
 	h.requests++
+	e.key = h.score(e, 0)
 	h.siftUp(e.heapIndex)
 }
 
 // less reports whether heap[i] has strictly lower selection precedence than
-// heap[j]: smaller score, or equal score and larger rank.
+// heap[j]: smaller cached score, or equal score and larger rank.
 //
 //qos:hotpath
 func (h *Heap) less(i, j int) bool {
-	si, sj := h.score(h.heap[i], 0), h.score(h.heap[j], 0)
-	//lint:allow floatcmp exact equality is the documented tie-break; both scores come from the same score() evaluation
-	if si != sj {
-		return si < sj
+	a, b := h.heap[i], h.heap[j]
+	//lint:allow floatcmp exact equality is the documented tie-break; both keys come from the same score() evaluation
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	return h.heap[i].Item > h.heap[j].Item
+	return a.Item > b.Item
 }
 
 //qos:hotpath

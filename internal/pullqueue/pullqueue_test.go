@@ -356,6 +356,54 @@ func TestPropertyExtractionMonotone(t *testing.T) {
 	}
 }
 
+// TestHeapScoresOncePerAdd: Heap scores an entry once per Add and orders by
+// the cached key, so N Adds make exactly N score calls (a sift that re-scores
+// its operands makes more) and extraction, peeking, removal and draining
+// make none.
+func TestHeapScoresOncePerAdd(t *testing.T) {
+	gamma, err := GammaScore(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	h, err := NewHeapFunc(func(e *Entry, now float64) float64 {
+		calls++
+		return gamma(e, now)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(23)
+	const adds = 400
+	for i := 0; i < adds; i++ {
+		rq := req(r.Intn(60)+1, clients.Class(r.Intn(3)), float64(r.Intn(3)+1), float64(i))
+		h.Add(rq, float64(r.Intn(4)+1))
+		if calls != i+1 {
+			t.Fatalf("after %d Adds: %d score calls, want %d", i+1, calls, i+1)
+		}
+		e := h.Entry(rq.Item)
+		if got, want := math.Float64bits(e.key), math.Float64bits(gamma(e, 0)); got != want {
+			t.Fatalf("item %d: cached key %x, want Score(e, 0) = %x", rq.Item, got, want)
+		}
+	}
+	calls = 0
+	h.Peek(0)
+	for item := 1; item <= 60; item += 7 {
+		h.Recycle(h.Remove(item))
+	}
+	for h.Items() > 10 {
+		e := h.ExtractBest(0)
+		h.Recycle(e)
+		if e.key != 0 {
+			t.Fatalf("recycled entry kept key %g", e.key)
+		}
+	}
+	h.Drain()
+	if calls != 0 {
+		t.Fatalf("Peek/Remove/ExtractBest/Drain made %d score calls, want 0", calls)
+	}
+}
+
 func buildWorkload(n int) []Request {
 	r := rng.New(7)
 	reqs := make([]Request, n)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 )
 
 // Source is a deterministic pseudo-random number generator. It implements the
@@ -93,30 +94,15 @@ func (r *Source) Intn(n int) int {
 	// Lemire's nearly-divisionless bounded generation.
 	v := r.Uint64()
 	nn := uint64(n)
-	hi, lo := mul64(v, nn)
+	hi, lo := bits.Mul64(v, nn)
 	if lo < nn {
 		thresh := (-nn) % nn
 		for lo < thresh {
 			v = r.Uint64()
-			hi, lo = mul64(v, nn)
+			hi, lo = bits.Mul64(v, nn)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return
 }
 
 // IntRange returns a uniform int in [lo, hi] inclusive. Panics if hi < lo.

@@ -280,23 +280,34 @@ func TestShuffleUniformOnThree(t *testing.T) {
 	}
 }
 
-func TestMul64AgainstBig(t *testing.T) {
-	cases := []struct{ a, b uint64 }{
-		{0, 0}, {1, 1}, {math.MaxUint64, math.MaxUint64},
-		{1 << 32, 1 << 32}, {0xDEADBEEF, 0xFEEDFACECAFEBEEF},
+// TestIntnPinned pins the first 32 Intn draws from one seed. The bounds
+// cover a small n, the high word of the 128-bit product (n > 2^32) and
+// Lemire's rejection path: n = 2^62+12345 rejects often enough that its 32
+// draws consume 49 Uint64s.
+func TestIntnPinned(t *testing.T) {
+	cases := []struct {
+		n     int
+		draws int // Uint64 calls the 32 Intn draws consume
+		want  []int
+	}{
+		{n: 3, draws: 32, want: []int{0, 1, 1, 2, 1, 0, 0, 1, 2, 0, 2, 0, 2, 2, 1, 2, 2, 1, 0, 0, 1, 0, 0, 2, 2, 0, 2, 2, 2, 1, 0, 2}},
+		{n: 1<<32 + 1, draws: 32, want: []int{1415852570, 2226054762, 1804592243, 3074341865, 1706420142, 108104210, 1014070740, 1709039454, 3668023148, 1208179800, 3632256847, 766317816, 3896134596, 3851955712, 1473332642, 3119108759, 3277687095, 1637771170, 1339340408, 1282106042, 1637520779, 277803544, 379423136, 3306748474, 4229302486, 174006617, 3434203082, 3517920913, 3742074429, 2789261399, 1223166222, 3941798674}},
+		{n: 1<<62 + 12345, draws: 49, want: []int{2390208100748672134, 1937666166515363007, 1832254675450604337, 1088850166385097343, 1835067140834293104, 3938509864959870102, 3900106091424774802, 822827490370438189, 4136005951789938450, 3349117527897040324, 1758543402975849714, 1376650880737450753, 1758274548534265190, 3550594137214707136, 4541178965411908177, 186838182511532003, 3777338817079188087, 4018021822376386265, 2994946621851660882, 1313364730740638340, 3214169227420455824, 2345940659579680951, 729254530012139207, 2324087598480796319, 2173565117489163230, 3109103774932580712, 2571344659879883414, 1985881156030162291, 1787779295795181191, 2645845544489512522, 4194774810821523248, 2749418591274439234}},
+		{n: math.MaxInt64, draws: 32, want: []int{3040520242544169466, 4780416201497331472, 3875332333030715640, 6602098882514240458, 3664509350901198864, 232152024381944574, 2177700332770188857, 3670134281668576384, 7877019729919719118, 2594546365025579308, 7800212182849528724, 1645654980740871973, 8366885334491358756, 8272011903579854756, 3163957757441234300, 6698235055794062718, 7038779439379472541, 3517086805951690014, 2876211626684209804, 2753301761474894137, 3516549097068520967, 596578570059715225, 814804981954238484, 7101188274429395263, 9082357930823792041, 373676365023063006, 7374894962154910209, 7554677634158355951, 8036043644752751018, 5989893243703305730, 2626729461481269649, 8464948196224352831}},
 	}
 	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		// Verify via decomposition: a*b mod 2^64 must equal lo.
-		if lo != c.a*c.b {
-			t.Fatalf("mul64(%d,%d) lo=%d want %d", c.a, c.b, lo, c.a*c.b)
+		r := New(2005)
+		for i, want := range c.want {
+			if got := r.Intn(c.n); got != want {
+				t.Fatalf("Intn(%d) draw %d = %d, want %d", c.n, i, got, want)
+			}
 		}
-		// hi spot checks.
-		if c.a == math.MaxUint64 && c.b == math.MaxUint64 && hi != math.MaxUint64-1 {
-			t.Fatalf("mul64(max,max) hi=%d", hi)
+		ref := New(2005)
+		for i := 0; i < c.draws; i++ {
+			ref.Uint64()
 		}
-		if c.a == 1<<32 && c.b == 1<<32 && hi != 1 {
-			t.Fatalf("mul64(2^32,2^32) hi=%d want 1", hi)
+		if ref.s != r.s {
+			t.Fatalf("Intn(%d): 32 draws did not consume exactly %d Uint64s", c.n, c.draws)
 		}
 	}
 }
