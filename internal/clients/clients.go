@@ -152,52 +152,3 @@ func (cl *Classification) check(c Class) {
 		panic(fmt.Sprintf("clients: class %d out of [0,%d)", int(c), len(cl.weights)))
 	}
 }
-
-// Population materialises a finite set of clients assigned to classes, for
-// examples and workloads that want identifiable clients rather than just a
-// class marginal.
-type Population struct {
-	classOf []Class
-	cl      *Classification
-}
-
-// NewPopulation assigns n clients to classes by sampling the classification's
-// class distribution with the given seed. n must be positive.
-//
-//lint:allow deadcode pending deletion with its only tests, TestPopulation* and TestSampleClientInRange (see ROADMAP)
-func NewPopulation(cl *Classification, n int, seed uint64) (*Population, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("clients: population size must be positive, got %d", n)
-	}
-	r := rng.New(seed).Split("population")
-	p := &Population{classOf: make([]Class, n), cl: cl}
-	for i := range p.classOf {
-		p.classOf[i] = cl.SampleClass(r)
-	}
-	return p, nil
-}
-
-// Size returns the number of clients.
-func (p *Population) Size() int { return len(p.classOf) }
-
-// ClassOf returns the class of client id (0-based).
-func (p *Population) ClassOf(id int) Class {
-	if id < 0 || id >= len(p.classOf) {
-		panic(fmt.Sprintf("clients: client id %d out of [0,%d)", id, len(p.classOf)))
-	}
-	return p.classOf[id]
-}
-
-// Census returns the number of clients in each class.
-func (p *Population) Census() []int {
-	counts := make([]int, p.cl.NumClasses())
-	for _, c := range p.classOf {
-		counts[c]++
-	}
-	return counts
-}
-
-// SampleClient draws a uniformly random client id.
-func (p *Population) SampleClient(r *rng.Source) int {
-	return r.Intn(len(p.classOf))
-}

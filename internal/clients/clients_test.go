@@ -131,62 +131,6 @@ func TestCopiesAreCopies(t *testing.T) {
 	}
 }
 
-func TestPopulation(t *testing.T) {
-	cl := Must(PaperConfig())
-	p, err := NewPopulation(cl, 10000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Size() != 10000 {
-		t.Fatalf("Size = %d", p.Size())
-	}
-	census := p.Census()
-	total := 0
-	for _, n := range census {
-		total += n
-	}
-	if total != 10000 {
-		t.Fatalf("census sums to %d", total)
-	}
-	// Fewest A, most C with high probability at this size.
-	if !(census[0] < census[1] && census[1] < census[2]) {
-		t.Fatalf("census not increasing A<B<C: %v", census)
-	}
-	// Determinism.
-	p2, _ := NewPopulation(cl, 10000, 4)
-	for i := 0; i < p.Size(); i++ {
-		if p.ClassOf(i) != p2.ClassOf(i) {
-			t.Fatalf("client %d class differs across equal seeds", i)
-		}
-	}
-}
-
-func TestPopulationErrors(t *testing.T) {
-	cl := Must(PaperConfig())
-	if _, err := NewPopulation(cl, 0, 1); err == nil {
-		t.Fatal("NewPopulation(0) succeeded")
-	}
-	p, _ := NewPopulation(cl, 5, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ClassOf(5) did not panic")
-		}
-	}()
-	p.ClassOf(5)
-}
-
-func TestSampleClientInRange(t *testing.T) {
-	cl := Must(PaperConfig())
-	p, _ := NewPopulation(cl, 17, 2)
-	r := rng.New(3)
-	for i := 0; i < 1000; i++ {
-		id := p.SampleClient(r)
-		if id < 0 || id >= 17 {
-			t.Fatalf("SampleClient = %d", id)
-		}
-	}
-}
-
 // Property: for any class count 1..8 and skew 0..2, the class probabilities
 // are a valid non-decreasing distribution (lowest class always has the most
 // mass) and weights remain strictly decreasing.

@@ -6,10 +6,12 @@
 // request lifetime plus contiguous child segments (queue-wait, push-wait,
 // service, failed-service, retry-backoff, transit) that tile it exactly.
 //
-// Reconstruction is a pure function of the event stream, so spans built
-// from a live tracer, a JSONL file, or a cluster's merged per-cell streams
-// are identical. Verify audits the invariant the engine promises: a closed
-// span's segments are contiguous, start at the request arrival, end at the
+// Reconstruction is one streaming fold, Builder, whose memory grows with
+// the open spans rather than the run length. Build runs it over a whole
+// stream offline and Ring runs it live, so spans built from a live tracer,
+// a JSONL file, or a cluster's merged per-cell streams are identical.
+// Verify audits the invariant the engine promises: a closed span's
+// segments are contiguous, start at the request arrival, end at the
 // terminal event, and their durations sum to the effective delay.
 package span
 
@@ -116,13 +118,12 @@ type Span struct {
 // Delay returns the span's effective delay End − Start.
 func (s *Span) Delay() float64 { return s.End - s.Start }
 
-// builder accumulates one span during the event walk.
+// builder accumulates one span during the fold.
 type builder struct {
 	span    Span
 	cursor  float64 // start of the segment currently accumulating
 	mode    string  // kind the current segment will close as
 	curCell int
-	done    bool
 	// attachT is the time of the last span-attach processed, used to
 	// absorb stream-merge ties: at a cluster barrier the origin cell's
 	// span-handoff and the destination cell's same-instant events carry
@@ -130,6 +131,8 @@ type builder struct {
 	// which can place the destination's events first.
 	attachT float64
 	hasAtt  bool
+	// prev and next link the open spans of one item (Builder.items).
+	prev, next *builder
 }
 
 // closeSegment closes [b.cursor, to] as kind and moves the cursor.
@@ -154,140 +157,200 @@ func (b *builder) forceSegment(kind string, to float64, attempt int) {
 	b.cursor = to
 }
 
-// Build reconstructs every sampled request's span from a trace event
-// stream (single-cell or cluster-merged; events must be in nondecreasing
-// time order, as the engine emits them and MergeByTime preserves). Spans
-// are returned sorted by start time, ties by ID. Requests with no terminal
-// event are returned Open.
-func Build(events []trace.Event) ([]*Span, error) {
-	byID := make(map[int64]*builder)
-	var order []*builder // creation order: deterministic iteration (maporder)
-	for i, e := range events {
-		if e.Kind == trace.KindDecision {
-			// Decisions carry no span ID (one extraction serves every
-			// pending request of the item): attach to each open span of
-			// that item queued in that cell.
-			for _, b := range order {
-				if b.done || b.mode != SegQueueWait || b.span.Item != e.Item || b.curCell != e.Cell {
-					continue
-				}
+// Builder folds a trace event stream into spans one event at a time and
+// hands each span to a callback when its span-end arrives. It holds only
+// the open spans, indexed by ID and by item, plus the spans closed at the
+// current instant (for the merge-tie rule in Add), so its memory grows
+// with the pending sampled requests, not with the run length. Build and
+// Ring are both this fold.
+type Builder struct {
+	open    map[int64]*builder
+	items   map[int]*builder // head of each item's list of open spans
+	closed  []*builder       // spans closed at instant now
+	now     float64
+	onClose func(*Span)
+}
+
+// NewBuilder returns an empty Builder that passes each span to onClose as
+// it closes.
+func NewBuilder(onClose func(*Span)) *Builder {
+	return &Builder{open: make(map[int64]*builder), items: make(map[int]*builder), onClose: onClose}
+}
+
+// Add folds one event. Events must arrive in nondecreasing time order, as
+// the engine emits them and MergeByTime preserves; events that belong to
+// no span are ignored. A malformed event — a span-start reusing an open
+// ID, an event for a span that is not open, an unexpected kind — is
+// rejected with an error and leaves every span as it was.
+func (bd *Builder) Add(e trace.Event) error {
+	if e.Kind == trace.KindDecision {
+		// Decisions carry no span ID (one extraction serves every pending
+		// request of the item): attach to each open span of that item
+		// queued in that cell.
+		for b := bd.items[e.Item]; b != nil; b = b.next {
+			if b.mode == SegQueueWait && b.curCell == e.Cell {
 				b.span.Decisions = append(b.span.Decisions, Decision{
 					T: e.T, Item: e.Item, Score: float64(e.Score),
 					RunnerUp: e.RunnerUp, RunnerUpScore: float64(e.RunnerUpScore),
 					Requests: e.Requests, Cell: e.Cell,
 				})
 			}
-			continue
 		}
-		if e.Req == 0 {
-			continue // not a span event
+		return nil
+	}
+	if e.Req == 0 {
+		return nil // not a span event
+	}
+	if e.T > bd.now {
+		clear(bd.closed)
+		bd.closed, bd.now = bd.closed[:0], e.T
+	}
+	b := bd.open[e.Req]
+	if e.Kind == trace.KindSpanStart {
+		if b != nil {
+			return fmt.Errorf("duplicate span-start for span %d", e.Req)
 		}
-		b := byID[e.Req]
-		if e.Kind == trace.KindSpanStart {
-			if b != nil {
-				return nil, fmt.Errorf("span: event %d: duplicate span-start for span %d", i, e.Req)
+		bd.start(e)
+		return nil
+	}
+	if b == nil {
+		// A span refused at a barrier closes in the destination cell's
+		// stream; the origin's same-instant span-handoff can merge in
+		// after it (tie broken by cell index). The zero-length transit it
+		// would have opened was already elided — drop it.
+		for _, c := range bd.closed {
+			if c.span.ID == e.Req && e.Kind == trace.KindSpanHandoff && e.T == c.span.End && c.span.Outcome.IsRefused() {
+				return nil
 			}
-			b = &builder{
-				span: Span{
-					ID: e.Req, Class: e.Class, Item: e.Item,
-					Verdict: e.Reason, Start: e.T, End: e.T,
-					Cells: []int{e.Cell},
-				},
-				cursor:  e.T,
-				curCell: e.Cell,
-				mode:    startMode(e.Reason),
-			}
-			byID[e.Req] = b
-			order = append(order, b)
-			continue
 		}
-		if b == nil {
-			return nil, fmt.Errorf("span: event %d: %s for unknown span %d", i, e.Kind, e.Req)
-		}
-		if b.done {
-			// A span refused at a barrier closes in the destination cell's
-			// stream; the origin's same-instant span-handoff can merge in
-			// after it (tie broken by cell index). The zero-length transit
-			// it would have opened was already elided — drop it.
-			if e.Kind == trace.KindSpanHandoff && e.T == b.span.End && b.span.Outcome.IsRefused() {
-				continue
-			}
-			return nil, fmt.Errorf("span: event %d: %s for closed span %d", i, e.Kind, e.Req)
-		}
-		b.span.End = e.T
-		switch e.Kind {
-		case trace.KindSpanEnqueue:
-			b.closeSegment(b.mode, e.T, 0)
-			b.mode = SegQueueWait
-			b.span.Enqueues = append(b.span.Enqueues, Enqueue{
-				T: e.T, Score: float64(e.Score), Requests: e.Requests, Cell: e.Cell,
-			})
-		case trace.KindSpanLoss:
-			// The corrupted transmission: wait up to its start, then the
-			// failed service interval. What follows is backoff (or an
-			// immediate terminal at the same instant).
-			b.closeSegment(b.mode, e.Start, 0)
-			b.closeSegment(SegFailedService, e.T, e.Attempt)
-			b.mode = SegRetryBackoff
-			b.span.Losses++
-		case trace.KindSpanRetry:
-			// The re-request instant: whatever ran since the last event
-			// was backoff, regardless of mode (an uplink loss books a
-			// retry without an intervening span-loss).
-			b.closeSegment(SegRetryBackoff, e.T, 0)
-			b.mode = SegRetryBackoff
-			b.span.Retries++
-		case trace.KindSpanHandoff:
-			if b.hasAtt && b.attachT == e.T {
-				// Zero attach delay: the destination's span-attach merged
-				// in ahead of this handoff (barrier tie); the transit
-				// boundary was already placed. Nothing to do.
-				continue
-			}
+		return fmt.Errorf("%s for span %d, which is not open", e.Kind, e.Req)
+	}
+	switch e.Kind {
+	case trace.KindSpanEnqueue:
+		b.closeSegment(b.mode, e.T, 0)
+		b.mode = SegQueueWait
+		b.span.Enqueues = append(b.span.Enqueues, Enqueue{
+			T: e.T, Score: float64(e.Score), Requests: e.Requests, Cell: e.Cell,
+		})
+	case trace.KindSpanLoss:
+		// The corrupted transmission: wait up to its start, then the
+		// failed service interval. What follows is backoff (or an
+		// immediate terminal at the same instant).
+		b.closeSegment(b.mode, e.Start, 0)
+		b.closeSegment(SegFailedService, e.T, e.Attempt)
+		b.mode = SegRetryBackoff
+		b.span.Losses++
+	case trace.KindSpanRetry:
+		// The re-request instant: whatever ran since the last event was
+		// backoff, regardless of mode (an uplink loss books a retry
+		// without an intervening span-loss).
+		b.closeSegment(SegRetryBackoff, e.T, 0)
+		b.mode = SegRetryBackoff
+		b.span.Retries++
+	case trace.KindSpanHandoff:
+		// Unless the destination's span-attach merged in ahead of this
+		// handoff with zero attach delay (barrier tie), which already
+		// placed the transit boundary.
+		if !b.hasAtt || b.attachT != e.T {
 			b.closeSegment(b.mode, e.T, 0)
 			b.mode = SegTransit
-		case trace.KindSpanAttach:
-			if b.mode != SegTransit {
-				// Zero attach delay, destination stream merged first: the
-				// wait segment closes here and the transit is zero-length.
-				b.closeSegment(b.mode, e.T, 0)
-			} else {
-				b.closeSegment(SegTransit, e.T, 0)
+		}
+	case trace.KindSpanAttach:
+		if b.mode != SegTransit {
+			// Zero attach delay, destination stream merged first: the
+			// wait segment closes here and the transit is zero-length.
+			b.closeSegment(b.mode, e.T, 0)
+		} else {
+			b.closeSegment(SegTransit, e.T, 0)
+		}
+		b.attachT, b.hasAtt = e.T, true
+		b.curCell = e.Cell
+		b.span.Cells = append(b.span.Cells, e.Cell)
+		b.mode = startMode(e.Reason)
+	case trace.KindSpanEnd:
+		if e.Reason == trace.EndServed || (e.Reason == trace.EndExpired && e.Start > 0) {
+			// A delivery happened: split the final wait from the service
+			// interval at the recorded transmission start. The service
+			// segment is forced even when zero-length (cache hit; roamer
+			// attaching at a broadcast's final instant) so every delivery
+			// is visible in the tree.
+			b.closeSegment(b.mode, e.Start, 0)
+			b.forceSegment(SegService, e.T, 0)
+		} else {
+			b.closeSegment(b.mode, e.T, 0)
+		}
+		b.span.Outcome, b.span.Push, b.span.Open, b.span.End = e.Reason, e.Push, false, e.T
+		bd.close(b)
+		return nil
+	default:
+		return fmt.Errorf("unexpected kind %q carrying span %d", e.Kind, e.Req)
+	}
+	b.span.End = e.T
+	return nil
+}
+
+// start opens a span and pushes it onto its item's list.
+func (bd *Builder) start(e trace.Event) {
+	b := &builder{
+		span: Span{
+			ID: e.Req, Class: e.Class, Item: e.Item,
+			Verdict: e.Reason, Start: e.T, End: e.T, Open: true,
+			Cells: []int{e.Cell},
+		},
+		cursor:  e.T,
+		curCell: e.Cell,
+		mode:    startMode(e.Reason),
+	}
+	if head := bd.items[e.Item]; head != nil {
+		head.prev, b.next = b, head
+	}
+	bd.items[e.Item] = b
+	bd.open[e.Req] = b
+}
+
+// close unlinks a span from its item's list, keeps it for the rest of the
+// instant and hands it to the callback.
+func (bd *Builder) close(b *builder) {
+	switch {
+	case b.prev != nil:
+		b.prev.next = b.next
+	case b.next != nil:
+		bd.items[b.span.Item] = b.next
+	default:
+		delete(bd.items, b.span.Item)
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	}
+	b.prev, b.next = nil, nil
+	delete(bd.open, b.span.ID)
+	bd.closed = append(bd.closed, b)
+	bd.onClose(&b.span)
+}
+
+// Build reconstructs every sampled request's span from a trace event
+// stream (single-cell or cluster-merged; events must be in nondecreasing
+// time order, as the engine emits them and MergeByTime preserves). Spans
+// are returned sorted by start time, ties by ID. Requests with no terminal
+// event are returned Open. A span-start that reuses any earlier span's ID
+// is rejected.
+func Build(events []trace.Event) ([]*Span, error) {
+	var out []*Span
+	bd := NewBuilder(func(sp *Span) { out = append(out, sp) })
+	started := make(map[int64]bool)
+	for i, e := range events {
+		if e.Kind == trace.KindSpanStart && e.Req != 0 {
+			if started[e.Req] {
+				return nil, fmt.Errorf("span: event %d: duplicate span-start for span %d", i, e.Req)
 			}
-			b.attachT, b.hasAtt = e.T, true
-			b.curCell = e.Cell
-			b.span.Cells = append(b.span.Cells, e.Cell)
-			if e.Reason == trace.VerdictPush {
-				b.mode = SegPushWait
-			} else {
-				b.mode = SegQueueWait
-			}
-		case trace.KindSpanEnd:
-			if e.Reason == trace.EndServed || (e.Reason == trace.EndExpired && e.Start > 0) {
-				// A delivery happened: split the final wait from the
-				// service interval at the recorded transmission start. The
-				// service segment is forced even when zero-length (cache
-				// hit; roamer attaching at a broadcast's final instant) so
-				// every delivery is visible in the tree.
-				b.closeSegment(b.mode, e.Start, 0)
-				b.forceSegment(SegService, e.T, 0)
-			} else {
-				b.closeSegment(b.mode, e.T, 0)
-			}
-			b.span.Outcome = e.Reason
-			b.span.Push = e.Push
-			b.done = true
-		default:
-			return nil, fmt.Errorf("span: event %d: unexpected kind %q carrying span %d", i, e.Kind, e.Req)
+			started[e.Req] = true
+		}
+		if err := bd.Add(e); err != nil {
+			return nil, fmt.Errorf("span: event %d: %w", i, err)
 		}
 	}
-	out := make([]*Span, 0, len(order))
-	for _, b := range order {
-		if !b.done {
-			b.span.Open = true
-		}
-		sp := b.span
-		out = append(out, &sp)
+	for _, b := range bd.open {
+		out = append(out, &b.span)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {

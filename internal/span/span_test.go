@@ -3,6 +3,7 @@ package span_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ import (
 
 // base returns a faulty, deadline-bearing engine config that exercises
 // every span path: loss-driven retries, TTL expiry, uplink loss, shedding.
-func base(t *testing.T) core.Config {
+func base(t testing.TB) core.Config {
 	t.Helper()
 	cat, err := catalog.Generate(catalog.Config{
 		D: 100, Theta: 0.6, MinLen: 1, MaxLen: 5,
@@ -51,7 +52,7 @@ func base(t *testing.T) core.Config {
 }
 
 // run executes cfg with a buffering tracer and returns the event stream.
-func run(t *testing.T, cfg core.Config) []trace.Event {
+func run(t testing.TB, cfg core.Config) []trace.Event {
 	t.Helper()
 	buf := &trace.Buffer{}
 	cfg.Tracer = buf
@@ -503,25 +504,41 @@ func TestOTLPExport(t *testing.T) {
 	}
 }
 
-// Build must reject malformed streams rather than mis-assemble them.
+// Build must reject malformed streams rather than mis-assemble them, and
+// name the offending event.
 func TestBuildRejectsMalformedStreams(t *testing.T) {
-	cases := map[string][]trace.Event{
-		"orphan event": {
+	cases := map[string]struct {
+		events []trace.Event
+		index  int
+	}{
+		"orphan event": {index: 0, events: []trace.Event{
 			{T: 1, Kind: trace.KindSpanEnd, Req: 7, Reason: trace.EndServed, Arrival: 0, Start: 0.5},
-		},
-		"duplicate start": {
+		}},
+		"duplicate start": {index: 1, events: []trace.Event{
 			{T: 1, Kind: trace.KindSpanStart, Req: 7, Reason: trace.VerdictPull},
 			{T: 2, Kind: trace.KindSpanStart, Req: 7, Reason: trace.VerdictPull},
-		},
-		"event after terminal": {
+		}},
+		"event after terminal": {index: 2, events: []trace.Event{
 			{T: 1, Kind: trace.KindSpanStart, Req: 7, Reason: trace.VerdictPull},
 			{T: 2, Kind: trace.KindSpanEnd, Req: 7, Reason: trace.EndShed, Arrival: 1},
 			{T: 3, Kind: trace.KindSpanRetry, Req: 7},
-		},
+		}},
+		"start after terminal": {index: 2, events: []trace.Event{
+			{T: 1, Kind: trace.KindSpanStart, Req: 7, Reason: trace.VerdictPull},
+			{T: 2, Kind: trace.KindSpanEnd, Req: 7, Reason: trace.EndShed, Arrival: 1},
+			{T: 3, Kind: trace.KindSpanStart, Req: 7, Reason: trace.VerdictPull},
+		}},
+		"unexpected kind": {index: 1, events: []trace.Event{
+			{T: 1, Kind: trace.KindSpanStart, Req: 7, Reason: trace.VerdictPull},
+			{T: 2, Kind: trace.KindServed, Req: 7},
+		}},
 	}
-	for name, events := range cases {
-		if _, err := span.Build(events); err == nil {
+	for name, c := range cases {
+		_, err := span.Build(c.events)
+		if err == nil {
 			t.Errorf("%s: Build accepted the stream", name)
+		} else if want := fmt.Sprintf("span: event %d:", c.index); !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: error %q does not name event %d", name, err, c.index)
 		}
 	}
 }
@@ -543,4 +560,97 @@ func TestOpenSpans(t *testing.T) {
 	if err := span.Verify(spans); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fuzzKinds are the kinds FuzzBuild draws from, by 3-bit code: every span
+// kind plus decision.
+var fuzzKinds = [8]trace.Kind{
+	trace.KindSpanStart, trace.KindSpanEnqueue, trace.KindDecision, trace.KindSpanLoss,
+	trace.KindSpanRetry, trace.KindSpanHandoff, trace.KindSpanAttach, trace.KindSpanEnd,
+}
+
+// decodeEvents turns fuzz input into a short span event stream in
+// nondecreasing time, four bytes an event: kind (3 bits) and reason (5
+// bits); span ID 1–4, item 1–2, cell 0–1, time step 0–3 and push; the
+// transmission start's lag behind T and the attempt; score and requests.
+func decodeEvents(data []byte) []trace.Event {
+	var events []trace.Event
+	t := 0.0
+	for ; len(data) >= 4; data = data[4:] {
+		k, who, lag, score := data[0], data[1], data[2], data[3]
+		t += float64(who >> 4 & 3)
+		e := trace.Event{
+			T: t, Kind: fuzzKinds[k&7], Reason: trace.Reason(k >> 3),
+			Req: int64(who&3) + 1, Item: int(who>>2&1) + 1, Cell: int(who >> 3 & 1), Push: who>>7 == 1,
+			Start: t - float64(lag&7)/4, Attempt: int(lag >> 3 & 3),
+			Score: trace.Score(score & 15), Requests: int(score >> 4),
+		}
+		if e.Kind == trace.KindDecision {
+			e.Req, e.RunnerUp = 0, 3-e.Item
+		}
+		events = append(events, e)
+	}
+	return events
+}
+
+// encodeEvents folds up to n events of a real stream into decodeEvents'
+// format: the first four spans started become IDs 1–4 (other spans and
+// decisions on other items are dropped), items fold to 1–2 by parity, and
+// times, lags and counts are clamped to the fuzz ranges.
+func encodeEvents(events []trace.Event, n int) []byte {
+	ids, items := map[int64]byte{}, map[int]bool{}
+	var out []byte
+	prev := events[0].T
+	clamp := func(x float64, hi byte) byte { return byte(math.Min(math.Max(math.Ceil(x), 0), float64(hi))) }
+	for _, e := range events {
+		if e.Kind == trace.KindSpanStart && len(ids) < 4 {
+			ids[e.Req], items[e.Item] = byte(len(ids)), true
+		}
+		if _, ok := ids[e.Req]; !ok && !(e.Kind == trace.KindDecision && items[e.Item]) {
+			continue
+		}
+		var k byte
+		for k < 7 && fuzzKinds[k] != e.Kind {
+			k++
+		}
+		who := ids[e.Req] | byte(e.Item&1)<<2 | byte(e.Cell&1)<<3 | clamp(e.T-prev, 3)<<4
+		if e.Push {
+			who |= 1 << 7
+		}
+		lag := clamp(4*(e.T-e.Start), 7) | clamp(float64(e.Attempt), 3)<<3
+		if e.Kind != trace.KindSpanLoss && e.Kind != trace.KindSpanEnd {
+			lag &^= 7
+		}
+		out = append(out, k|byte(e.Reason)<<3, who, lag, clamp(float64(e.Score), 15)|clamp(float64(e.Requests), 15)<<4)
+		if prev = e.T; len(out) == 4*n {
+			break
+		}
+	}
+	return out
+}
+
+// Build must never panic on a well-ordered stream, and whenever it accepts
+// one, a ring large enough for every closed span must hold exactly Build's
+// closed spans: both are the same fold.
+func FuzzBuild(f *testing.F) {
+	cfg := base(f)
+	cfg.Spans = &core.SpanConfig{}
+	events := run(f, cfg)
+	f.Add(encodeEvents(events, 64))
+	f.Add(encodeEvents(events[len(events)/2:], 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events := decodeEvents(data)
+		spans, err := span.Build(events)
+		if err != nil {
+			return
+		}
+		_ = span.Verify(spans) // fuzzed timings may break the tiling; Verify must still not panic
+		ring := span.NewRing(4)
+		for _, e := range events {
+			ring.Event(e)
+		}
+		if err := sameSpans(ring.Spans(), closedByID(spans)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
