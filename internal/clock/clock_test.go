@@ -233,3 +233,63 @@ func TestNewWallRejectsBadUnit(t *testing.T) {
 		t.Error("NewWall(-1s) succeeded")
 	}
 }
+
+// TestWallWakeWhileArmed wakes the loop while its timer is armed, over and
+// over: each round books a handler a few microseconds out and, while the
+// loop waits on it, books another that lands at about the same instant, so
+// the wake and the timer's fire race. Every handler must fire exactly once
+// and never before its instant, and the loop must keep waking up (a
+// mishandled stop-and-drain either blocks it or leaves a stale fire). Run it
+// under -race -count=10.
+func TestWallWakeWhileArmed(t *testing.T) {
+	w, err := NewWall(time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Run()
+	defer w.Stop()
+	// A far handler keeps the timer armed between rounds.
+	w.After(1e9, func() { t.Error("far handler fired") })
+	const rounds = 200
+	fired := make(chan bool, 2*rounds)
+	at := func(due float64) {
+		w.At(due, func() { fired <- w.Now() >= due })
+	}
+	for i := 0; i < rounds; i++ {
+		at(w.Now() + float64(1+i%20))
+		time.Sleep(time.Duration(i%7) * time.Microsecond)
+		at(w.Now() + float64(i%3))
+	}
+	for i := 0; i < 2*rounds; i++ {
+		select {
+		case onTime := <-fired:
+			if !onTime {
+				t.Error("handler fired before its instant")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d handlers fired, then the loop stalled", i, 2*rounds)
+		}
+	}
+}
+
+// TestWallWaitAllocs pins the loop's allocation-free timed wait: a prebuilt
+// handler booked a fraction of a unit ahead makes the loop wait on its one
+// reused timer, so a round trip allocates nothing.
+func TestWallWaitAllocs(t *testing.T) {
+	w, err := NewWall(time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Run()
+	defer w.Stop()
+	done := make(chan struct{})
+	h := func() { done <- struct{}{} }
+	allocs := testing.AllocsPerRun(50, func() {
+		w.At(w.Now()+0.2, h)
+		<-done
+	})
+	t.Logf("%.2f allocs per timed wait", allocs)
+	if allocs >= 1 {
+		t.Errorf("%.2f allocs per timed wait, want 0", allocs)
+	}
+}

@@ -109,6 +109,12 @@ func (w *Wall) nudge() {
 // goroutine that calls it.
 func (w *Wall) Run() {
 	defer close(w.done)
+	// One timer serves every wait. Under go.mod's go 1.22 the timer channel
+	// is buffered, so a wake that stops a timer which already fired must
+	// drain that fire, or the next wait would return at once. The drain
+	// blocks: when Stop reports false the fire is sent or being sent.
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	for {
 		w.mu.Lock()
 		if w.stopped {
@@ -140,11 +146,13 @@ func (w *Wall) Run() {
 			<-w.wake
 			continue
 		}
-		t := time.NewTimer(wait)
+		timer.Reset(wait)
 		select {
 		case <-w.wake:
-			t.Stop()
-		case <-t.C:
+			if !timer.Stop() {
+				<-timer.C
+			}
+		case <-timer.C:
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"hybridqos/internal/sched"
 )
 
-func baseConfig(t *testing.T) Config {
+func baseConfig(t testing.TB) Config {
 	t.Helper()
 	cat, err := catalog.Generate(catalog.PaperConfig(0.6, 42))
 	if err != nil {

@@ -108,14 +108,16 @@ type Server struct {
 
 	// Cached event handlers. The arrival chain, the push transmission and
 	// the pull transmission are each single-outstanding (the downlink is
-	// serial and the arrival chain re-books itself), so one reused closure
-	// per kind — with its pending state in the fields below — replaces a
-	// fresh capturing closure per event. This is what the //qos:hotpath
-	// annotations hold the scheduling sites to.
+	// serial, and the arrival chain books its next arrival only after
+	// consuming the last, or runs it in place without booking when it is
+	// the loop's next event), so one reused closure per kind — with its
+	// pending state in the fields below — replaces a fresh capturing
+	// closure per event. This is what the //qos:hotpath annotations hold
+	// the scheduling sites to.
 	arrivalH  func()
 	pushH     func()
 	pullH     func()
-	nextBatch int              // batch size for the booked arrival event
+	nextBatch int              // batch size for the booked arrival event, if one is booked
 	pushItem  int              // item of the in-flight push transmission
 	pullEntry *pullqueue.Entry // entry of the in-flight pull transmission
 	pullGrant *bandwidth.Grant // its bandwidth grant, nil without an allocator
@@ -368,20 +370,32 @@ func (s *Server) observeQueue() {
 }
 
 // scheduleNextArrival draws the next arrival event from the configured
-// process and books the reused arrival handler; events beyond the horizon
-// are simply never scheduled (RunUntil would cut them anyway). The chain is
-// single-outstanding — the handler re-books only after consuming nextBatch —
-// so parking the batch size in the field is race-free.
+// process; events beyond the horizon are simply never scheduled (RunUntil
+// would cut them anyway). When the arrival would be the loop's next event
+// anyway, TryAdvance moves the clock to it and the batch runs here in
+// place, with no queue round trip; otherwise it books the reused arrival
+// handler. The draws and the fire order are the same either way. The chain
+// is single-outstanding — at most one arrival is booked, and only once the
+// loop has consumed the last one — so parking the batch size in the field
+// is race-free.
 //
 //qos:hotpath
 func (s *Server) scheduleNextArrival() {
-	gap, batch := s.arrivals.Next(s.arrRng)
-	t := s.clk.Now() + gap
-	if t > s.cfg.Horizon {
-		return
+	for {
+		gap, batch := s.arrivals.Next(s.arrRng)
+		t := s.clk.Now() + gap
+		if t > s.cfg.Horizon {
+			return
+		}
+		if !s.vclk.TryAdvance(t) {
+			s.nextBatch = batch
+			s.clk.At(t, s.arrivalH)
+			return
+		}
+		for i := 0; i < batch; i++ {
+			s.handleArrival()
+		}
 	}
-	s.nextBatch = batch
-	s.clk.At(t, s.arrivalH)
 }
 
 // sampleSpan makes the head-based span sampling decision for one arriving

@@ -67,3 +67,41 @@ func BenchmarkQueueMix(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkArrivalChain times one occurrence of a self-rebooking chain with
+// exponential gaps (mean 0.2, the paper's λ=5) beside one competing timer
+// that rebooks itself every unit, the shape of core.Run's arrival chain and
+// broadcast slot. via=at books every occurrence through At; via=tryadvance
+// tries TryAdvance first and books only when the timer fires in between.
+func BenchmarkArrivalChain(b *testing.B) {
+	for _, inPlace := range []bool{false, true} {
+		via := "at"
+		if inPlace {
+			via = "tryadvance"
+		}
+		b.Run("via="+via, func(b *testing.B) {
+			s := New()
+			r := rng.New(7)
+			left := b.N
+			var arrival, slot Handler
+			arrival = func() {
+				for left--; left > 0; left-- {
+					t := s.Now() + r.Exp(5)
+					if !inPlace || !s.TryAdvance(t) {
+						s.At(t, arrival)
+						return
+					}
+				}
+			}
+			slot = func() {
+				if left > 0 {
+					s.At(s.Now()+1, slot)
+				}
+			}
+			s.At(0, arrival)
+			s.At(1, slot)
+			b.ResetTimer()
+			s.Run()
+		})
+	}
+}

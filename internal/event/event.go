@@ -11,6 +11,12 @@
 // clock in internal/clock runs one under its mutex. Pop order is exactly
 // ascending (time, seq) — TestDifferentialAgainstReferenceHeap pins both
 // Queue and Simulator against the retired container/heap implementation.
+//
+// A self-rebooking handler (the simulator's arrival chain) may skip the
+// queue round trip: Simulator.TryAdvance moves the clock to its successor's
+// time when that successor would fire next anyway, and the handler runs it
+// in place. The fire order is the one At would have produced, so the
+// differential test also drives such a chain.
 package event
 
 import (
@@ -247,13 +253,14 @@ func (q *Queue) swap(a, b int) {
 // only be scheduled at or after the current time.
 type Simulator struct {
 	now     float64
+	horizon float64 // the running loop's horizon: +Inf in Run, −Inf outside a run
 	fired   uint64
 	stopped bool
 	q       Queue
 }
 
 // New returns a Simulator with the clock at zero.
-func New() *Simulator { return &Simulator{} }
+func New() *Simulator { return &Simulator{horizon: math.Inf(-1)} }
 
 // Now returns the current simulated time.
 func (s *Simulator) Now() float64 { return s.now }
@@ -296,6 +303,30 @@ func (s *Simulator) Cancel(tok Token) bool { return s.q.Cancel(tok) }
 // handler finishes. Pending events remain queued.
 func (s *Simulator) Stop() { s.stopped = true }
 
+// TryAdvance lets the running handler fire its own successor at t in place
+// of booking it: when t is the event the loop would fire next anyway, it
+// advances the clock to t, counts one fired event and returns true, and
+// the caller runs the successor's work itself. That holds when a Run or
+// RunUntil is in progress, t is at or before its horizon, the loop is not
+// stopped, t is not before now, and t is strictly before every pending
+// event — a pending event at t itself was scheduled first and so fires
+// first. Otherwise TryAdvance changes nothing and returns false, and the
+// caller books t through At as usual. Either way the fire order is the
+// one At would have produced.
+//
+//qos:hotpath
+func (s *Simulator) TryAdvance(t float64) bool {
+	if s.stopped || !(t >= s.now && t <= s.horizon) {
+		return false
+	}
+	if next, ok := s.q.PeekTime(); ok && next <= t {
+		return false
+	}
+	s.now = t
+	s.fired++
+	return true
+}
+
 // step pops and fires the earliest event. Returns false if none remain.
 //
 //qos:hotpath
@@ -313,23 +344,31 @@ func (s *Simulator) step() bool {
 // Run executes events until the queue drains or Stop is called.
 func (s *Simulator) Run() {
 	s.stopped = false
+	s.horizon = math.Inf(1)
 	for !s.stopped && s.step() {
 	}
+	s.horizon = math.Inf(-1)
 }
 
 // RunUntil executes events with time <= horizon, then advances the clock to
-// exactly horizon. Events scheduled beyond the horizon stay queued.
+// exactly horizon. Events scheduled beyond the horizon stay queued. A NaN
+// horizon panics: no event is at or before it.
 func (s *Simulator) RunUntil(horizon float64) {
+	if math.IsNaN(horizon) {
+		panic("event: NaN horizon")
+	}
 	if horizon < s.now {
 		panic(fmt.Sprintf("event: horizon %g before now %g", horizon, s.now))
 	}
 	s.stopped = false
+	s.horizon = horizon
 	for !s.stopped {
 		if t, ok := s.q.PeekTime(); !ok || t > horizon {
 			break
 		}
 		s.step()
 	}
+	s.horizon = math.Inf(-1)
 	if !s.stopped && s.now < horizon {
 		s.now = horizon
 	}

@@ -3,6 +3,7 @@ package event
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -203,6 +204,96 @@ func TestRunUntilPastHorizonPanics(t *testing.T) {
 		}
 	}()
 	s.RunUntil(1)
+}
+
+// TestRunUntilNaNPanics pins the NaN horizon: no event is at or before it,
+// so RunUntil must refuse it rather than fire everything pending.
+func TestRunUntilNaNPanics(t *testing.T) {
+	s := New()
+	fired := false
+	s.At(1e9, func() { fired = true })
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("RunUntil(NaN) did not panic")
+		}
+		if msg, _ := r.(string); !strings.HasPrefix(msg, "event:") {
+			t.Fatalf("RunUntil(NaN) panicked with %v, want an event: message", r)
+		}
+		if fired {
+			t.Fatal("RunUntil(NaN) fired the event at t=1e9")
+		}
+	}()
+	s.RunUntil(math.NaN())
+}
+
+// TestTryAdvance pins when a handler may run its successor in place: only
+// inside a run, up to its horizon, not after Stop, not before now, and only
+// strictly ahead of every pending event (a pending event at the same instant
+// was booked first, so it fires first). A refusal changes nothing.
+func TestTryAdvance(t *testing.T) {
+	refused := func(t *testing.T, s *Simulator, at float64) {
+		t.Helper()
+		now, fired := s.Now(), s.Fired()
+		if s.TryAdvance(at) {
+			t.Fatalf("TryAdvance(%g) at now=%g succeeded", at, now)
+		}
+		if s.Now() != now || s.Fired() != fired {
+			t.Fatalf("refused TryAdvance moved now %g→%g, fired %d→%d", now, s.Now(), fired, s.Fired())
+		}
+	}
+	t.Run("outside a run", func(t *testing.T) {
+		s := New()
+		refused(t, s, 1)
+		s.RunUntil(5)
+		refused(t, s, 6)
+		s.Run()
+		refused(t, s, 7)
+	})
+	t.Run("after Stop", func(t *testing.T) {
+		s := New()
+		s.At(1, func() { s.Stop(); refused(t, s, 2) })
+		s.RunUntil(10)
+	})
+	t.Run("past the horizon", func(t *testing.T) {
+		s := New()
+		s.At(1, func() { refused(t, s, 5.5) })
+		s.RunUntil(5)
+	})
+	t.Run("before now", func(t *testing.T) {
+		s := New()
+		s.At(3, func() { refused(t, s, 2) })
+		s.Run()
+	})
+	t.Run("tie with a pending event", func(t *testing.T) {
+		s := New()
+		s.At(1, func() { refused(t, s, 4) })
+		s.At(4, func() {})
+		s.Run()
+	})
+	t.Run("strictly earliest", func(t *testing.T) {
+		s := New()
+		s.At(1, func() {
+			if !s.TryAdvance(1) || s.Now() != 1 || s.Fired() != 2 {
+				t.Errorf("TryAdvance(now): ok=false or now=%g fired=%d", s.Now(), s.Fired())
+			}
+			if !s.TryAdvance(3.5) || s.Now() != 3.5 || s.Fired() != 3 {
+				t.Errorf("TryAdvance(3.5): ok=false or now=%g fired=%d", s.Now(), s.Fired())
+			}
+			if !s.TryAdvance(5) || s.Now() != 5 {
+				t.Errorf("TryAdvance at the horizon: now=%g", s.Now())
+			}
+		})
+		s.At(6, func() {})
+		s.RunUntil(5)
+		if s.Fired() != 4 || s.Pending() != 1 {
+			t.Fatalf("Fired=%d Pending=%d, want 4 and 1", s.Fired(), s.Pending())
+		}
+		s.Run()
+		if s.Fired() != 5 {
+			t.Fatalf("Fired=%d after Run, want 5", s.Fired())
+		}
+	})
 }
 
 func TestRunUntilInclusiveBoundary(t *testing.T) {

@@ -17,6 +17,11 @@ import (
 // clustering and far-future outliers exercise every sift path; cancels
 // are followed by a replacement so the survivor count under churn is
 // checked exactly, and the Simulator's fire times must come out sorted.
+// The Simulator mode also runs a self-rebooking chain that tries
+// TryAdvance before At, the way the arrival chain does, against a
+// reference chain booked only through At: its successors tie with now and
+// with pending events and cross RunUntil horizons, and the fire sequence
+// must still match.
 func TestDifferentialAgainstReferenceHeap(t *testing.T) {
 	for _, mode := range []string{"simulator", "queue"} {
 		t.Run(mode, func(t *testing.T) { differential(t, mode == "queue") })
@@ -64,6 +69,10 @@ func differential(t *testing.T, bare bool) {
 			return q.Len()
 		}
 		return sim.Pending()
+	}
+	ch := &chainRun{}
+	if !bare {
+		ch.start(sim, ref, &gotFired, &refFired)
 	}
 	now, cancelled := 0.0, 0
 	for round := 0; round < 200; round++ {
@@ -137,22 +146,110 @@ func differential(t *testing.T, bare bool) {
 	if len(gotFired) != len(refFired) {
 		t.Fatalf("drained %d events, heap drained %d", len(gotFired), len(refFired))
 	}
-	if want := len(at) - cancelled; len(gotFired) != want {
-		t.Fatalf("fired %d events, want %d scheduled - %d cancelled", len(gotFired), len(at), cancelled)
+	if want := len(at) - cancelled + len(ch.at); len(gotFired) != want {
+		t.Fatalf("fired %d events, want %d scheduled - %d cancelled + %d chained",
+			len(gotFired), len(at), cancelled, len(ch.at))
 	}
 	for i := range gotFired {
 		if gotFired[i] != refFired[i] {
 			t.Fatalf("pop order diverges at %d: arena fired %d, heap fired %d", i, gotFired[i], refFired[i])
 		}
 	}
+	timeOf := func(id int) float64 {
+		if id < 0 {
+			return ch.at[-id-1]
+		}
+		return at[id]
+	}
 	for i := 1; !bare && i < len(gotFired); i++ {
-		if at[gotFired[i]] < at[gotFired[i-1]] {
-			t.Fatalf("fire order regressed at %d: %g after %g", i, at[gotFired[i]], at[gotFired[i-1]])
+		if timeOf(gotFired[i]) < timeOf(gotFired[i-1]) {
+			t.Fatalf("fire order regressed at %d: %g after %g", i, timeOf(gotFired[i]), timeOf(gotFired[i-1]))
 		}
 	}
 	if cancelled == 0 || len(gotFired) == 0 {
 		t.Fatalf("workload too thin: fired %d, cancelled %d", len(gotFired), cancelled)
 	}
+	if !bare && (ch.inPlace == 0 || ch.booked == 0) {
+		t.Fatalf("chain too thin: %d occurrences in place, %d booked", ch.inPlace, ch.booked)
+	}
+}
+
+// chainLen is how many occurrences differential's self-rebooking chain runs.
+const chainLen = 3000
+
+// chainRun is what the Simulator side of differential's chain did: its
+// fire times by occurrence, and how many occurrences it ran in place and
+// how many it booked. The queue mode runs no chain and leaves it zero.
+type chainRun struct {
+	at              []float64
+	inPlace, booked int
+}
+
+// start books differential's self-rebooking chains at t=0. Occurrence
+// k records id −(k+1) in got (Simulator) and want (reference). The
+// Simulator chain tries TryAdvance before At; the reference chain always
+// books through At. Both draw the same successor sequence from their own
+// equally seeded streams, so any difference in the fire sequences is a
+// TryAdvance misjudgement.
+func (ch *chainRun) start(sim *Simulator, ref *refSim, got, want *[]int) {
+	// next draws a successor time: a tie with now or with the earliest
+	// pending event, the dense near future, a coarse grid, or far enough
+	// ahead to cross a RunUntil horizon.
+	next := func(r *rng.Source, now float64, earliest func() (float64, bool)) float64 {
+		choice, u := r.Uint64()%5, r.Float64()
+		switch choice {
+		case 0:
+			return now
+		case 1:
+			if t, ok := earliest(); ok {
+				return t
+			}
+			return now + 1
+		case 2:
+			return now + u*3
+		case 3:
+			return now + math.Floor(u*8)
+		default:
+			return now + u*40
+		}
+	}
+	simRng, refRng := rng.New(5), rng.New(5)
+	k := 0
+	var simStep Handler
+	simStep = func() {
+		for {
+			*got = append(*got, -(k + 1))
+			ch.at = append(ch.at, sim.Now())
+			k++
+			if k == chainLen {
+				return
+			}
+			t := next(simRng, sim.Now(), sim.q.PeekTime)
+			if !sim.TryAdvance(t) {
+				ch.booked++
+				sim.At(t, simStep)
+				return
+			}
+			ch.inPlace++
+		}
+	}
+	refK := 0
+	var refStep Handler
+	refStep = func() {
+		*want = append(*want, -(refK + 1))
+		refK++
+		if refK == chainLen {
+			return
+		}
+		ref.At(next(refRng, ref.now, func() (float64, bool) {
+			if len(ref.queue) == 0 {
+				return 0, false
+			}
+			return ref.queue[0].time, true
+		}), refStep)
+	}
+	sim.At(0, simStep)
+	ref.At(0, refStep)
 }
 
 // TestCancelAfterPopIsInert pins the cancel-after-pop edge: a Token whose
