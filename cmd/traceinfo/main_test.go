@@ -145,6 +145,54 @@ func TestRunGoldenSpans(t *testing.T) {
 	}
 }
 
+// TestRunGoldenClusterSpans pins the -spans report for the trace of
+//
+//	hybridsim -horizon 1000 -reps 1 -cells 3 -mobility 0.01 -overlap 0.5 \
+//	  -spans 1 -loss 0.1 -retries 2 -ttl 100 -trace f
+//
+// where requests in loss backoff roam and are refused at a barrier: the
+// destination's refusal merges in ahead of the origin's same-instant
+// span-retry, span-enqueue and span-handoff.
+func TestRunGoldenClusterSpans(t *testing.T) {
+	cfg := hybridqos.PaperConfig()
+	cfg.Horizon = 1000
+	cfg.Replications = 1
+	cfg.RequestTTL = 100
+	cfg.Faults = &hybridqos.FaultsConfig{LossProb: 0.1, MaxRetries: 2, RetryBackoff: 1}
+	cfg.Cluster = &hybridqos.ClusterOptions{Cells: 3, CatalogOverlap: 0.5, MobilityRate: 0.01, AttachDelay: 1, HandoffEvery: 10}
+	cfg.Spans = &hybridqos.SpanTraceConfig{Rates: []float64{1}}
+	tracePath := filepath.Join(t.TempDir(), "cluster.jsonl")
+	if _, err := hybridqos.WriteClusterTrace(cfg, tracePath); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := trace.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, events, options{classes: 3, buckets: 10, spans: true}); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "golden_cluster_spans.txt")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test -update)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("output drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+	}
+}
+
 // TestSpansRequireSpanEvents pins the error for a trace recorded without
 // -spans sampling.
 func TestSpansRequireSpanEvents(t *testing.T) {

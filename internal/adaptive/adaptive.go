@@ -138,8 +138,8 @@ type Plan struct {
 	Cutoff int
 	// Theta and Lambda are the estimates the plan was computed from.
 	Theta, Lambda float64
-	// PredictedCost and PredictedDelay are the model's values at Cutoff.
-	PredictedCost, PredictedDelay float64
+	// PredictedCost is the model's total cost at Cutoff.
+	PredictedCost float64
 	// Ranking is the empirical popularity order the push set should use
 	// (ranks into the ORIGINAL catalog, hottest first).
 	Ranking []int
@@ -214,12 +214,11 @@ func (p Planner) Replan(e *Estimator, windowDuration float64) (Plan, error) {
 		return Plan{}, err
 	}
 	return Plan{
-		Cutoff:         best.K,
-		Theta:          theta,
-		Lambda:         lambda,
-		PredictedCost:  best.TotalCost,
-		PredictedDelay: best.Overall,
-		Ranking:        ranking,
+		Cutoff:        best.K,
+		Theta:         theta,
+		Lambda:        lambda,
+		PredictedCost: best.TotalCost,
+		Ranking:       ranking,
 	}, nil
 }
 
@@ -230,7 +229,6 @@ type EpochController struct {
 	epochLen  float64
 	epochEnd  float64
 	current   Plan
-	planned   bool
 	// History records every accepted plan (diagnostics).
 	History []Plan
 }
@@ -259,9 +257,6 @@ func NewEpochController(planner Planner, d int, epochLen float64, initialCutoff 
 // Cutoff returns the currently recommended cutoff.
 func (c *EpochController) Cutoff() int { return c.current.Cutoff }
 
-// Planned reports whether at least one re-plan has happened.
-func (c *EpochController) Planned() bool { return c.planned }
-
 // Observe feeds one request (rank at simulated time now) and re-plans when
 // the epoch boundary passes. It returns true when a new plan was adopted.
 func (c *EpochController) Observe(rank int, now float64) bool {
@@ -276,7 +271,6 @@ func (c *EpochController) Observe(rank int, now float64) bool {
 		return false // keep the previous plan; too little data this epoch
 	}
 	c.current = plan
-	c.planned = true
 	c.History = append(c.History, plan)
 	return true
 }

@@ -163,7 +163,7 @@ func TestReplanTracksSkew(t *testing.T) {
 	if hot.Cutoff > flat.Cutoff {
 		t.Fatalf("hot-skew cutoff %d above flat-skew cutoff %d", hot.Cutoff, flat.Cutoff)
 	}
-	if hot.PredictedCost <= 0 || hot.PredictedDelay <= 0 {
+	if hot.PredictedCost <= 0 {
 		t.Fatalf("plan predictions: %+v", hot)
 	}
 	if len(hot.Ranking) != 100 {
@@ -197,8 +197,8 @@ func TestEpochControllerLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctl.Cutoff() != 40 || ctl.Planned() {
-		t.Fatalf("initial state: K=%d planned=%v", ctl.Cutoff(), ctl.Planned())
+	if ctl.Cutoff() != 40 || len(ctl.History) != 0 {
+		t.Fatalf("initial state: K=%d plans=%d", ctl.Cutoff(), len(ctl.History))
 	}
 	r := rng.New(5)
 	dist := zipf.Must(100, 1.2)
@@ -210,7 +210,7 @@ func TestEpochControllerLoop(t *testing.T) {
 			replans++
 		}
 	}
-	if replans == 0 || !ctl.Planned() {
+	if replans == 0 {
 		t.Fatal("controller never re-planned")
 	}
 	if len(ctl.History) != replans {

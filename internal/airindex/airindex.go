@@ -56,9 +56,6 @@ func (c Config) Validate() error {
 
 // Metrics are the expected per-request client-side costs for push items.
 type Metrics struct {
-	// CycleLength is the indexed broadcast cycle: data plus m index
-	// segments.
-	CycleLength float64
 	// AccessTime is the expected request-to-reception time under the
 	// index-first protocol: wait for the next index segment (dozing),
 	// read it, doze to the item's slot, receive the item.
@@ -100,9 +97,8 @@ func Analyze(c Config) (Metrics, error) {
 	access := cycle/(2*float64(c.M)) + c.IndexLen + cycle/2 + meanItem
 	tune := c.IndexLen + meanItem
 	m := Metrics{
-		CycleLength: cycle,
-		AccessTime:  access,
-		TuningTime:  tune,
+		AccessTime: access,
+		TuningTime: tune,
 	}
 	if access > 0 {
 		m.DozeFraction = 1 - tune/access

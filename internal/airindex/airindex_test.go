@@ -45,9 +45,11 @@ func TestAnalyzeBasicIdentities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := c.Catalog.PushCycleLength(40)
-	if math.Abs(m.CycleLength-(data+4*0.5)) > 1e-12 {
-		t.Fatalf("cycle %g, want data %g + 2", m.CycleLength, data)
+	// (1, m) closed form on the indexed cycle: data plus m index segments.
+	cycle := c.Catalog.PushCycleLength(40) + 4*0.5
+	meanItem := c.Catalog.WeightedPushLength(40) / c.Catalog.PushMass(40)
+	if want := cycle/(2*4) + 0.5 + cycle/2 + meanItem; math.Abs(m.AccessTime-want) > 1e-12*want {
+		t.Fatalf("access %g, want %g from cycle %g", m.AccessTime, want, cycle)
 	}
 	if m.TuningTime >= m.AccessTime {
 		t.Fatalf("tuning %g not below access %g", m.TuningTime, m.AccessTime)

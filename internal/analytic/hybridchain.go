@@ -47,6 +47,7 @@ type HybridStationary struct {
 	P00 float64
 	// PullBusy is the stationary probability the server is in the pull
 	// phase (paper: ≈ ρ = λ/μ₂ in the untruncated chain).
+	//lint:allow deadcode oracle: TestHybridChainMatchesDES and TestHybridChainPullOccupancy check it against the DES and the paper's ρ
 	PullBusy float64
 	// ELPull is E[L_pull], the expected number of customers in the pull
 	// system (Eq. 5's left side, solved numerically).

@@ -102,8 +102,6 @@ type Result struct {
 	PerClass []ClassDelay
 	// TotalCost is Σ_c q_c · Wait_c, the quantity Figures 5–6 minimise.
 	TotalCost float64
-	// PushWait and PullWait decompose the overall delay (diagnostics).
-	PushWait, PullWait float64
 }
 
 // AccessTime evaluates the model at cutoff k (0 ≤ k ≤ D).
@@ -152,10 +150,9 @@ func (m Model) perClassLambdas(total float64) []float64 {
 func (m Model) assemble(k int, pushW, pullService float64, pullWaits []float64) Result {
 	pushMass := m.Catalog.PushMass(k)
 	pullMass := m.Catalog.PullMass(k)
-	res := Result{K: k, PushWait: pushW}
+	res := Result{K: k}
 	probs := m.Classes.Probs()
 	weights := m.Classes.Weights()
-	var pullAgg float64
 	for c := range probs {
 		pullTotal := pullWaits[c] + pullService
 		wait := pushMass*pushW + pullMass*pullTotal
@@ -163,9 +160,7 @@ func (m Model) assemble(k int, pushW, pullService float64, pullWaits []float64) 
 		res.PerClass = append(res.PerClass, cd)
 		res.Overall += probs[c] * wait
 		res.TotalCost += cd.Cost
-		pullAgg += probs[c] * pullTotal
 	}
-	res.PullWait = pullAgg
 	return res
 }
 
@@ -240,15 +235,11 @@ type refinedState struct {
 	W float64
 	// A is the item entry rate into the pull queue.
 	A float64
-	// S is the pull service-opportunity rate (items per broadcast unit).
-	S float64
 	// UBar is the request-weighted probability the requested item is
 	// already queued on arrival.
 	UBar float64
 	// MeanServedLen is the entry-rate-weighted mean length of served items.
 	MeanServedLen float64
-	// NBar is the mean number of requests satisfied per transmission.
-	NBar float64
 }
 
 // solveRefined runs the fixed point described in DESIGN.md: item i (rank
@@ -312,7 +303,6 @@ func (m Model) solveRefined(k int) refinedState {
 	}
 	st.W = (lo + hi) / 2
 	st.A, st.MeanServedLen = entry(st.W)
-	st.S = 1 / (st.MeanServedLen + interleave)
 	// Request-weighted queued probability.
 	var ubar float64
 	for _, r := range rates {
@@ -320,9 +310,6 @@ func (m Model) solveRefined(k int) refinedState {
 		ubar += r / (m.LambdaTotal * pullMass) * ui
 	}
 	st.UBar = ubar
-	if st.A > 0 {
-		st.NBar = m.LambdaTotal * pullMass / st.A
-	}
 	return st
 }
 

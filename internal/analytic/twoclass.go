@@ -49,6 +49,7 @@ type TwoClassResult struct {
 	// (E[W_i] = L_i/λ_i); NaN for a class with zero arrivals.
 	W1, W2 float64
 	// Idle is p(0,0,0).
+	//lint:allow deadcode oracle: TestTwoClassIdleMatchesMM1 checks the solved chain against M/M/1's idle probability
 	Idle float64
 }
 

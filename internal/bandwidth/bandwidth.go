@@ -79,13 +79,9 @@ type poolTake struct {
 
 // Grant is a successful reservation, to be handed back via Release.
 type Grant struct {
-	class  clients.Class
-	takes  []poolTake
-	amount float64
+	class clients.Class
+	takes []poolTake
 }
-
-// Amount returns the granted bandwidth units.
-func (g *Grant) Amount() float64 { return g.amount }
 
 // Class returns the governing class the grant was made for.
 func (g *Grant) Class() clients.Class { return g.class }
@@ -96,11 +92,11 @@ type ClassStats struct {
 	Attempts int64
 	// Blocked counts attempts rejected for insufficient bandwidth.
 	Blocked int64
-	// UnitsGranted sums granted bandwidth units.
-	UnitsGranted float64
 }
 
 // BlockingRate returns Blocked/Attempts, or 0 when no attempts were made.
+//
+//lint:allow deadcode oracle: TestBlockingRateMatchesAnalyticModel compares the simulated rate against analytic.ExpectedBlockingRate
 func (s ClassStats) BlockingRate() float64 {
 	if s.Attempts == 0 {
 		return 0
@@ -171,10 +167,10 @@ func (a *Allocator) Stats(c clients.Class) ClassStats {
 	return a.stats[c]
 }
 
-// Demand draws the Poisson bandwidth requirement for an item of the given
+// demand draws the Poisson bandwidth requirement for an item of the given
 // length: 1 + Poisson(DemandMean·length) units (the +1 keeps demands
 // strictly positive as a zero-bandwidth transmission is meaningless).
-func (a *Allocator) Demand(length float64) float64 {
+func (a *Allocator) demand(length float64) float64 {
 	if length <= 0 || math.IsNaN(length) {
 		panic(fmt.Sprintf("bandwidth: invalid length %g", length))
 	}
@@ -188,13 +184,12 @@ func (a *Allocator) Demand(length float64) float64 {
 // requests are lost, per the paper.
 func (a *Allocator) Reserve(c clients.Class, length float64) (g *Grant, blocked bool) {
 	a.check(c)
-	demand := a.Demand(length)
+	demand := a.demand(length)
 	a.stats[c].Attempts++
 
 	if a.available[c] >= demand {
 		a.available[c] -= demand
-		a.stats[c].UnitsGranted += demand
-		return &Grant{class: c, takes: []poolTake{{int(c), demand}}, amount: demand}, false
+		return &Grant{class: c, takes: []poolTake{{int(c), demand}}}, false
 	}
 
 	if a.cfg.AllowBorrow {
@@ -222,8 +217,7 @@ func (a *Allocator) Reserve(c clients.Class, length float64) (g *Grant, blocked 
 					remaining -= take
 				}
 			}
-			a.stats[c].UnitsGranted += demand
-			return &Grant{class: c, takes: takes, amount: demand}, false
+			return &Grant{class: c, takes: takes}, false
 		}
 	}
 
@@ -245,15 +239,6 @@ func (a *Allocator) Release(g *Grant) {
 		}
 	}
 	g.takes = nil
-}
-
-// TotalAvailable returns the sum of free bandwidth across all pools.
-func (a *Allocator) TotalAvailable() float64 {
-	sum := 0.0
-	for _, v := range a.available {
-		sum += v
-	}
-	return sum
 }
 
 func (a *Allocator) check(c clients.Class) {

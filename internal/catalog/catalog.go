@@ -14,12 +14,9 @@ import (
 	"hybridqos/internal/zipf"
 )
 
-// Item is one data item in the server database. Rank is 1-based: rank 1 is
-// the most popular item. Length is in broadcast units (the time the downlink
-// needs to transmit the item at unit rate).
+// Item is one data item in the server database. Length is in broadcast
+// units (the time the downlink needs to transmit the item at unit rate).
 type Item struct {
-	// Rank is the popularity rank, 1-based.
-	Rank int
 	// Length is the item's transmission length in broadcast units.
 	Length float64
 	// Prob is the item's access probability P_i under the catalog's Zipf law.
@@ -112,7 +109,6 @@ func Generate(cfg Config) (*Catalog, error) {
 	items := make([]Item, cfg.D)
 	for i := range items {
 		items[i] = Item{
-			Rank:   i + 1,
 			Length: lengthSampler(),
 			Prob:   dist.Prob(i + 1),
 		}
@@ -147,7 +143,7 @@ func FromLengths(lengths []float64, theta float64) (*Catalog, error) {
 		if l <= 0 || math.IsNaN(l) || math.IsInf(l, 0) {
 			return nil, fmt.Errorf("catalog: invalid length %g at rank %d", l, i+1)
 		}
-		items[i] = Item{Rank: i + 1, Length: l, Prob: dist.Prob(i + 1)}
+		items[i] = Item{Length: l, Prob: dist.Prob(i + 1)}
 	}
 	return &Catalog{items: items, dist: dist}, nil
 }
@@ -246,18 +242,4 @@ func (c *Catalog) Items() []Item {
 	out := make([]Item, len(c.items))
 	copy(out, c.items)
 	return out
-}
-
-// TotalLength returns Σ_{i=1..D} L_i.
-func (c *Catalog) TotalLength() float64 {
-	sum := 0.0
-	for _, it := range c.items {
-		sum += it.Length
-	}
-	return sum
-}
-
-// MeanLength returns the unweighted average item length.
-func (c *Catalog) MeanLength() float64 {
-	return c.TotalLength() / float64(len(c.items))
 }

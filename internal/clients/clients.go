@@ -144,9 +144,6 @@ func (cl *Classification) SampleClass(r *rng.Source) Class {
 	return Class(cl.alias.Sample(r))
 }
 
-// MaxWeight returns the largest (class 0) priority weight.
-func (cl *Classification) MaxWeight() float64 { return cl.weights[0] }
-
 func (cl *Classification) check(c Class) {
 	if c < 0 || int(c) >= len(cl.weights) {
 		panic(fmt.Sprintf("clients: class %d out of [0,%d)", int(c), len(cl.weights)))

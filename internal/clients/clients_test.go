@@ -50,9 +50,6 @@ func TestPaperConfig(t *testing.T) {
 	if cl.Weight(0) != 3 || cl.Weight(1) != 2 || cl.Weight(2) != 1 {
 		t.Fatalf("weights = %v, want 3,2,1", cl.Weights())
 	}
-	if cl.MaxWeight() != 3 {
-		t.Fatalf("MaxWeight = %g", cl.MaxWeight())
-	}
 	// Assumption 6: fewest Class-A, most Class-C.
 	if !(cl.Prob(0) < cl.Prob(1) && cl.Prob(1) < cl.Prob(2)) {
 		t.Fatalf("class probabilities not increasing A<B<C: %v", cl.Probs())

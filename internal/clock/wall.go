@@ -48,9 +48,6 @@ func NewWall(unit time.Duration) (*Wall, error) {
 	}, nil
 }
 
-// Unit returns the wall duration of one broadcast unit.
-func (w *Wall) Unit() time.Duration { return w.unit }
-
 // Now implements Clock: broadcast units elapsed since the clock was built.
 func (w *Wall) Now() float64 {
 	return float64(time.Since(w.origin)) / float64(w.unit)

@@ -71,7 +71,7 @@ func TestAdaptiveReplanFromClusterTrace(t *testing.T) {
 	if observed < 1000 {
 		t.Fatalf("hot cell produced only %d arrivals; load shift too weak for estimation", observed)
 	}
-	if !ctl.Planned() || replans == 0 {
+	if replans == 0 {
 		t.Fatal("controller never re-planned despite epoch boundaries passing")
 	}
 	if ctl.Cutoff() == initialCutoff {

@@ -8,6 +8,7 @@ import (
 	"hybridqos/internal/clients"
 	"hybridqos/internal/cluster"
 	"hybridqos/internal/core"
+	"hybridqos/internal/stats"
 	"hybridqos/internal/trace"
 	"hybridqos/internal/workpool"
 )
@@ -58,6 +59,32 @@ func TestSingleCellMatchesCore(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.Aggregate.PerClass[0].Delay, want.PerClass[0].Delay) {
 			t.Errorf("HandoffEvery=%g: aggregate delay diverged for class 0", every)
+		}
+	}
+}
+
+// With DelayHistBound set, the aggregate's per-class delay histograms are
+// bounded too: each equals a histogram bounded at the same cap that merged
+// the cells' histograms in cell order.
+func TestAggregateDelayHistBounded(t *testing.T) {
+	b := base(t)
+	b.DelayHistBound = 32
+	cl, err := cluster.New(cluster.Config{Cells: 3, Base: b, CatalogOverlap: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, agg := range res.Aggregate.PerClass {
+		var want stats.Histogram
+		want.SetBound(b.DelayHistBound)
+		for _, pc := range res.PerCell {
+			want.Merge(&pc.Metrics.PerClass[ci].DelayHist)
+		}
+		if !reflect.DeepEqual(agg.DelayHist, want) {
+			t.Errorf("class %d: aggregate delay histogram is not the bounded merge of the cells'", ci)
 		}
 	}
 }

@@ -5,7 +5,7 @@ package core
 // A cell is simply a Server stepped in segments — Start arms it, AdvanceTo
 // runs the event loop to a barrier time, Finish closes the books — plus the
 // cross-cell mobility surface: ExtractRoamers pulls pending requests out of
-// the cell, Inject re-attaches a roamer that arrived over the backhaul, and
+// the cell, ScheduleInject re-attaches a roamer that arrived over the backhaul, and
 // RefuseHandoff records a roamer the cell turned away. Run (engine.go) is
 // Start + AdvanceTo(horizon) + Finish, so single-cell output is bit-identical
 // however the engine is driven: nothing executes at a barrier except the
@@ -174,14 +174,14 @@ func (s *Server) ExtractRoamers(roam func() bool) []Roamer {
 	return out
 }
 
-// Inject delivers a roamer to this cell at the current simulated time.
+// inject delivers a roamer to this cell at the current simulated time.
 // Unlike handleArrival the request arrives over the inter-cell backhaul, so
 // it skips uplink contention — but it still passes admission control, and
 // its deadline budget (measured from the original arrival) kept running
 // while in transit. Accepted roamers re-attach as a push waiter when the
 // item is within this cell's push cutoff, otherwise they join the pull
 // queue.
-func (s *Server) Inject(item int, class clients.Class, arrival float64, attempts int, span int64) InjectOutcome {
+func (s *Server) inject(item int, class clients.Class, arrival float64, attempts int, span int64) InjectOutcome {
 	now := s.clk.Now()
 	if s.cfg.RequestTTL > 0 && now > arrival+s.cfg.RequestTTL {
 		if arrival >= s.warmupEnd {
@@ -227,7 +227,7 @@ func (s *Server) Inject(item int, class clients.Class, arrival float64, attempts
 // shared state.
 func (s *Server) ScheduleInject(at float64, item int, class clients.Class, arrival float64, attempts int, span int64, done func(InjectOutcome)) {
 	s.clk.At(at, func() {
-		out := s.Inject(item, class, arrival, attempts, span)
+		out := s.inject(item, class, arrival, attempts, span)
 		if done != nil {
 			done(out)
 		}
@@ -237,7 +237,7 @@ func (s *Server) ScheduleInject(at float64, item int, class clients.Class, arriv
 // RefuseHandoff records a roamer this cell turned away without processing:
 // reason trace.RefusalNoItem when the item is absent from the cell's
 // catalog, or trace.RefusalHorizon when the transit would end past the
-// simulation horizon. (The refusals Inject decides itself —
+// simulation horizon. (The refusals inject decides itself —
 // trace.RefusalExpired, trace.RefusalShed — book themselves.)
 // arrival and span carry the roamer's original arrival and span ID for the
 // refusal's span terminal (0s when the roamer is unsampled).

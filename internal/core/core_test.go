@@ -216,7 +216,11 @@ func TestBandwidthBlockingDropsRequests(t *testing.T) {
 	if m.BlockedTransmissions == 0 {
 		t.Fatal("no blocking under starved bandwidth")
 	}
-	if m.TotalDropped() == 0 {
+	var dropped int64
+	for _, cm := range m.PerClass {
+		dropped += cm.Dropped
+	}
+	if dropped == 0 {
 		t.Fatal("blocking produced no dropped requests")
 	}
 	if len(m.Bandwidth) != 3 {

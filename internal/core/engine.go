@@ -905,6 +905,8 @@ func (s *Server) fillCache(clientID, item int, now float64) {
 
 // CacheHitRate returns the population-wide client cache hit rate, 0 when
 // caching is disabled.
+//
+//lint:allow deadcode measurement: ABL-CACHE's BenchmarkCachePolicies reports each cache policy's hit rate with it (DESIGN.md)
 func (s *Server) CacheHitRate() float64 {
 	if s.caches == nil {
 		return 0

@@ -119,11 +119,8 @@ func TestCorruptionTriggersRetriesAndFailures(t *testing.T) {
 	if served == 0 {
 		t.Fatal("nothing served — retries should recover most requests")
 	}
-	if m.Goodput() >= m.RawTransmissions() {
-		t.Fatalf("goodput %d not below raw throughput %d", m.Goodput(), m.RawTransmissions())
-	}
-	if m.Goodput() != m.RawTransmissions()-m.CorruptedPushes-m.CorruptedPulls {
-		t.Fatal("goodput accounting broken")
+	if m.CorruptedPushes+m.CorruptedPulls == 0 {
+		t.Fatal("no transmission corrupted despite 40% loss")
 	}
 }
 
@@ -141,17 +138,18 @@ func TestTotalLossWithoutRetriesFailsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Goodput() != 0 {
-		t.Fatalf("goodput %d on a fully corrupted channel", m.Goodput())
+	if corrupted := m.CorruptedPushes + m.CorruptedPulls; corrupted != m.PushBroadcasts+m.PullTransmissions {
+		t.Fatalf("%d of %d transmissions corrupted on a fully corrupted channel", corrupted, m.PushBroadcasts+m.PullTransmissions)
 	}
-	var served int64
+	var served, failed int64
 	for _, cm := range m.PerClass {
 		served += cm.Served
+		failed += cm.Failed
 	}
 	if served != 0 {
 		t.Fatalf("%d requests served on a fully corrupted channel", served)
 	}
-	if m.TotalFailed() == 0 {
+	if failed == 0 {
 		t.Fatal("no pull requests failed without retries")
 	}
 }
@@ -211,9 +209,6 @@ func TestSheddingProtectsTopClass(t *testing.T) {
 	}
 	if a.FailureRate() >= c.FailureRate() {
 		t.Fatalf("Class-A failure rate %.4f not below Class-C %.4f", a.FailureRate(), c.FailureRate())
-	}
-	if m.TotalShed() != c.Shed {
-		t.Fatal("TotalShed accounting broken")
 	}
 }
 

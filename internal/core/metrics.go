@@ -71,33 +71,20 @@ func (cm *ClassMetrics) DropRate() float64 {
 	return float64(cm.Dropped) / float64(total)
 }
 
-// ExpiryRate returns expired/(served+dropped+expired), 0 when nothing
-// completed.
-func (cm *ClassMetrics) ExpiryRate() float64 {
-	total := cm.Served + cm.Dropped + cm.Expired
-	if total == 0 {
-		return 0
-	}
-	return float64(cm.Expired) / float64(total)
-}
-
-// Failures sums the class's terminal failure outcomes: bandwidth drops,
-// deadline expiries, retry-budget exhaustion and admission shedding.
-// First-attempt uplink losses are excluded — the back-channel is class-blind
-// and its losses never reach the server's scheduling decisions.
-func (cm *ClassMetrics) Failures() int64 {
-	return cm.Dropped + cm.Expired + cm.Failed + cm.Shed
-}
-
-// FailureRate returns Failures/(Served+Failures) — the per-class probability
-// a request that reached the server ended without delivery. 0 when nothing
-// completed.
+// FailureRate returns failures/(served+failures) — the per-class
+// probability a request that reached the server ended without delivery. 0
+// when nothing completed. Failures are the class's terminal failure
+// outcomes: bandwidth drops, deadline expiries, retry-budget exhaustion and
+// admission shedding. First-attempt uplink losses are excluded — the
+// back-channel is class-blind and its losses never reach the server's
+// scheduling decisions.
 func (cm *ClassMetrics) FailureRate() float64 {
-	total := cm.Served + cm.Failures()
+	failures := cm.Dropped + cm.Expired + cm.Failed + cm.Shed
+	total := cm.Served + failures
 	if total == 0 {
 		return 0
 	}
-	return float64(cm.Failures()) / float64(total)
+	return float64(failures) / float64(total)
 }
 
 // Metrics is the result of one run.
@@ -154,36 +141,6 @@ func (m *Metrics) TotalCost() float64 {
 	return sum
 }
 
-// TotalDropped sums dropped requests across classes.
-func (m *Metrics) TotalDropped() int64 {
-	var n int64
-	for _, cm := range m.PerClass {
-		n += cm.Dropped
-	}
-	return n
-}
-
-// RawTransmissions returns every completed transmission, corrupted or not —
-// the channel's raw throughput in transmissions.
-func (m *Metrics) RawTransmissions() int64 {
-	return m.PushBroadcasts + m.PullTransmissions
-}
-
-// Goodput returns the transmissions clients could actually decode: raw
-// throughput minus downlink corruption.
-func (m *Metrics) Goodput() int64 {
-	return m.RawTransmissions() - m.CorruptedPushes - m.CorruptedPulls
-}
-
-// TotalShed sums admission-shed requests across classes.
-func (m *Metrics) TotalShed() int64 {
-	var n int64
-	for _, cm := range m.PerClass {
-		n += cm.Shed
-	}
-	return n
-}
-
 // TotalHandoffs sums accepted inbound handoffs across classes.
 func (m *Metrics) TotalHandoffs() int64 {
 	var n int64
@@ -198,15 +155,6 @@ func (m *Metrics) TotalHandoffRefusals() int64 {
 	var n int64
 	for _, cm := range m.PerClass {
 		n += cm.HandoffRefusals
-	}
-	return n
-}
-
-// TotalFailed sums retry-exhausted requests across classes.
-func (m *Metrics) TotalFailed() int64 {
-	var n int64
-	for _, cm := range m.PerClass {
-		n += cm.Failed
 	}
 	return n
 }

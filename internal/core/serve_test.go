@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"hybridqos/internal/clients"
 	"hybridqos/internal/clock"
 	"hybridqos/internal/faults"
+	"hybridqos/internal/stats"
 	"hybridqos/internal/telemetry"
 	"hybridqos/internal/trace"
 )
@@ -600,9 +602,11 @@ func TestRealtimeBoundedState(t *testing.T) {
 	if n := v.Pending(); n != 0 {
 		t.Errorf("an idle pull-only serving Server booked %d events at Start", n)
 	}
+	var want stats.Histogram
+	want.SetBound(servingDelayHistBound)
 	for _, cm := range rt.Peek().PerClass {
-		if cm.DelayHist.Bound() != servingDelayHistBound {
-			t.Errorf("class %d delay histogram bound %d, want %d", cm.Class, cm.DelayHist.Bound(), servingDelayHistBound)
+		if !reflect.DeepEqual(cm.DelayHist, want) {
+			t.Errorf("class %d delay histogram is not an empty one bounded at %d", cm.Class, servingDelayHistBound)
 		}
 	}
 }

@@ -25,9 +25,6 @@ func TestUplinkLossesCounted(t *testing.T) {
 	if lost == 0 {
 		t.Fatal("starved uplink lost no requests")
 	}
-	if tb.Lost == 0 || tb.Admitted == 0 {
-		t.Fatalf("bucket counters: admitted %d lost %d", tb.Admitted, tb.Lost)
-	}
 	// Served + uplink-lost cannot exceed arrivals.
 	for c, cm := range m.PerClass {
 		if cm.Served+cm.Dropped+cm.UplinkLost > cm.Arrivals {

@@ -106,9 +106,6 @@ func TestRequestTTLExpiry(t *testing.T) {
 			t.Fatalf("class %v recorded delay %g beyond TTL %g",
 				cm.Class, cm.Delay.Max(), base.RequestTTL)
 		}
-		if r := cm.ExpiryRate(); r < 0 || r > 1 {
-			t.Fatalf("expiry rate %g", r)
-		}
 	}
 	if expired == 0 {
 		t.Fatal("tight TTL produced no expiries")

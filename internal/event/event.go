@@ -254,7 +254,6 @@ func (q *Queue) swap(a, b int) {
 type Simulator struct {
 	now     float64
 	horizon float64 // the running loop's horizon: +Inf in Run, −Inf outside a run
-	fired   uint64
 	stopped bool
 	q       Queue
 }
@@ -264,9 +263,6 @@ func New() *Simulator { return &Simulator{horizon: math.Inf(-1)} }
 
 // Now returns the current simulated time.
 func (s *Simulator) Now() float64 { return s.now }
-
-// Fired returns the number of events executed so far.
-func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of scheduled-but-unfired events.
 func (s *Simulator) Pending() int { return s.q.Len() }
@@ -305,7 +301,7 @@ func (s *Simulator) Stop() { s.stopped = true }
 
 // TryAdvance lets the running handler fire its own successor at t in place
 // of booking it: when t is the event the loop would fire next anyway, it
-// advances the clock to t, counts one fired event and returns true, and
+// advances the clock to t and returns true, and
 // the caller runs the successor's work itself. That holds when a Run or
 // RunUntil is in progress, t is at or before its horizon, the loop is not
 // stopped, t is not before now, and t is strictly before every pending
@@ -323,7 +319,6 @@ func (s *Simulator) TryAdvance(t float64) bool {
 		return false
 	}
 	s.now = t
-	s.fired++
 	return true
 }
 
@@ -336,7 +331,6 @@ func (s *Simulator) step() bool {
 	}
 	t, h := s.q.Pop()
 	s.now = t
-	s.fired++
 	h()
 	return true
 }

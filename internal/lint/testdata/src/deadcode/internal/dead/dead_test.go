@@ -2,4 +2,7 @@ package dead
 
 import "testing"
 
-func TestTouch(t *testing.T) { TestOnly() }
+func TestTouch(t *testing.T) {
+	TestOnly()
+	NewWidget().TestOnlyMethod()
+}

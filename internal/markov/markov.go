@@ -75,12 +75,12 @@ func (c *Chain) maxOutRate() float64 {
 	return m
 }
 
-// StationaryPower computes the stationary distribution by uniformization and
+// stationaryPower computes the stationary distribution by uniformization and
 // power iteration: P = I + Q/Λ with Λ slightly above the max exit rate, then
 // π ← πP until the L1 change drops below tol. Returns an error if the chain
 // has no transitions or the iteration fails to converge within maxIter
 // sweeps. The chain must be irreducible for the result to be meaningful.
-func (c *Chain) StationaryPower(tol float64, maxIter int) ([]float64, error) {
+func (c *Chain) stationaryPower(tol float64, maxIter int) ([]float64, error) {
 	if tol <= 0 || maxIter <= 0 {
 		return nil, fmt.Errorf("markov: invalid tol %g or maxIter %d", tol, maxIter)
 	}
@@ -126,11 +126,11 @@ func (c *Chain) StationaryPower(tol float64, maxIter int) ([]float64, error) {
 	return nil, fmt.Errorf("markov: power iteration did not converge in %d sweeps", maxIter)
 }
 
-// StationaryDense computes the stationary distribution exactly by solving
+// stationaryDense computes the stationary distribution exactly by solving
 // πQ = 0 with Σπ = 1 via dense Gaussian elimination with partial pivoting.
 // Intended for chains up to a few thousand states. The chain must be
 // irreducible; a singular system returns an error.
-func (c *Chain) StationaryDense() ([]float64, error) {
+func (c *Chain) stationaryDense() ([]float64, error) {
 	n := c.n
 	// Build A = Qᵀ (columns of Q become rows: A[i][j] = Q[j][i]), then
 	// replace the last row with the normalisation Σπ = 1.
@@ -191,7 +191,7 @@ func (c *Chain) StationaryDense() ([]float64, error) {
 func (c *Chain) Stationary() ([]float64, error) {
 	const denseLimit = 1200
 	if c.n <= denseLimit {
-		return c.StationaryDense()
+		return c.stationaryDense()
 	}
-	return c.StationaryPower(1e-12, 2_000_000)
+	return c.stationaryPower(1e-12, 2_000_000)
 }

@@ -67,7 +67,7 @@ func TestSelfLoopIgnored(t *testing.T) {
 	ch.AddRate(0, 0, 100)
 	ch.AddRate(0, 1, 1)
 	ch.AddRate(1, 0, 1)
-	pi, err := ch.StationaryDense()
+	pi, err := ch.stationaryDense()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +83,8 @@ func TestTwoStateChain(t *testing.T) {
 	ch.AddRate(0, 1, a)
 	ch.AddRate(1, 0, b)
 	for name, solve := range map[string]func() ([]float64, error){
-		"dense": ch.StationaryDense,
-		"power": func() ([]float64, error) { return ch.StationaryPower(1e-13, 1e6) },
+		"dense": ch.stationaryDense,
+		"power": func() ([]float64, error) { return ch.stationaryPower(1e-13, 1e6) },
 	} {
 		pi, err := solve()
 		if err != nil {
@@ -105,7 +105,7 @@ func TestMM1CAgainstClosedForm(t *testing.T) {
 	} {
 		ch := mm1c(tc.lambda, tc.mu, tc.c)
 		want := mm1cExact(tc.lambda, tc.mu, tc.c)
-		pi, err := ch.StationaryDense()
+		pi, err := ch.stationaryDense()
 		if err != nil {
 			t.Fatalf("lambda=%g: %v", tc.lambda, err)
 		}
@@ -119,11 +119,11 @@ func TestMM1CAgainstClosedForm(t *testing.T) {
 
 func TestPowerMatchesDense(t *testing.T) {
 	ch := mm1c(2, 3, 30)
-	dense, err := ch.StationaryDense()
+	dense, err := ch.stationaryDense()
 	if err != nil {
 		t.Fatal(err)
 	}
-	power, err := ch.StationaryPower(1e-13, 5_000_000)
+	power, err := ch.stationaryPower(1e-13, 5_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,24 +155,24 @@ func TestReducibleChainErrors(t *testing.T) {
 	ch.AddRate(1, 0, 1)
 	ch.AddRate(2, 3, 1)
 	ch.AddRate(3, 2, 1)
-	if _, err := ch.StationaryDense(); err == nil {
+	if _, err := ch.stationaryDense(); err == nil {
 		t.Fatal("reducible chain solved without error")
 	}
 }
 
 func TestEmptyChainPowerErrors(t *testing.T) {
 	ch := NewChain(3)
-	if _, err := ch.StationaryPower(1e-10, 1000); err == nil {
+	if _, err := ch.stationaryPower(1e-10, 1000); err == nil {
 		t.Fatal("transition-free chain converged")
 	}
 }
 
 func TestPowerBadArgs(t *testing.T) {
 	ch := mm1c(1, 2, 3)
-	if _, err := ch.StationaryPower(0, 100); err == nil {
+	if _, err := ch.stationaryPower(0, 100); err == nil {
 		t.Fatal("tol=0 accepted")
 	}
-	if _, err := ch.StationaryPower(1e-10, 0); err == nil {
+	if _, err := ch.stationaryPower(1e-10, 0); err == nil {
 		t.Fatal("maxIter=0 accepted")
 	}
 }
@@ -180,7 +180,7 @@ func TestPowerBadArgs(t *testing.T) {
 func TestMM1CExpectedQueueLength(t *testing.T) {
 	// For M/M/1/C with rho<1 and large C, E[N] approaches rho/(1-rho).
 	lambda, mu := 1.0, 2.0
-	pi, err := mm1c(lambda, mu, 200).StationaryDense()
+	pi, err := mm1c(lambda, mu, 200).stationaryDense()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestPropertyBirthDeathDetailedBalance(t *testing.T) {
 		mu := float64(muRaw%50)/10 + 0.1
 		c := int(cRaw%20) + 2
 		ch := mm1c(lambda, mu, c)
-		pi, err := ch.StationaryDense()
+		pi, err := ch.stationaryDense()
 		if err != nil {
 			return false
 		}
@@ -233,7 +233,7 @@ func BenchmarkDenseSolve200(b *testing.B) {
 	ch := mm1c(2, 3, 199)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ch.StationaryDense(); err != nil {
+		if _, err := ch.stationaryDense(); err != nil {
 			b.Fatal(err)
 		}
 	}

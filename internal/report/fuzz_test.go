@@ -62,8 +62,8 @@ func FuzzTableNeverPanics(f *testing.F) {
 		if out == "" {
 			t.Fatal("empty render")
 		}
-		if tbl.NumRows() != 1 {
-			t.Fatalf("NumRows = %d", tbl.NumRows())
+		if len(tbl.rows) != 1 {
+			t.Fatalf("rows = %d", len(tbl.rows))
 		}
 	})
 }

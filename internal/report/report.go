@@ -46,9 +46,6 @@ func (t *Table) AddFloats(label string, format string, values ...float64) {
 	t.AddRow(cells...)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // FormatFloat renders a float with the given fmt verb, showing NaN and Inf
 // readably.
 func FormatFloat(v float64, format string) string {
@@ -137,9 +134,6 @@ func (c *CSV) AddRow(cells ...string) {
 	copy(row, cells)
 	c.rows = append(c.rows, row)
 }
-
-// NumRows returns the number of data records.
-func (c *CSV) NumRows() int { return len(c.rows) }
 
 // WriteTo renders the document. It implements io.WriterTo.
 func (c *CSV) WriteTo(w io.Writer) (int64, error) {

@@ -45,8 +45,8 @@ func TestTableRaggedRows(t *testing.T) {
 	tbl := NewTable("", "a", "b", "c")
 	tbl.AddRow("1")                // short: pads
 	tbl.AddRow("1", "2", "3", "4") // long: truncates
-	if tbl.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tbl.NumRows())
+	if len(tbl.rows) != 2 {
+		t.Fatalf("rows = %d", len(tbl.rows))
 	}
 	out := tbl.String()
 	if strings.Contains(out, "4") {
@@ -87,8 +87,8 @@ func TestCSVBasic(t *testing.T) {
 	if got := c.String(); got != want {
 		t.Fatalf("got %q want %q", got, want)
 	}
-	if c.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", c.NumRows())
+	if len(c.rows) != 2 {
+		t.Fatalf("rows = %d", len(c.rows))
 	}
 }
 

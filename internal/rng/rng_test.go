@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -234,50 +233,6 @@ func TestPoissonPanicsOnNegative(t *testing.T) {
 		}
 	}()
 	New(1).Poisson(-1)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(37)
-	check := func(n int) bool {
-		if n < 0 || n > 5000 {
-			return true
-		}
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleUniformOnThree(t *testing.T) {
-	r := New(41)
-	counts := map[[3]int]int{}
-	const draws = 60000
-	for i := 0; i < draws; i++ {
-		p := [3]int{0, 1, 2}
-		r.Shuffle(3, func(a, b int) { p[a], p[b] = p[b], p[a] })
-		counts[p]++
-	}
-	if len(counts) != 6 {
-		t.Fatalf("Shuffle(3) produced %d distinct permutations, want 6", len(counts))
-	}
-	want := float64(draws) / 6
-	for p, c := range counts {
-		if math.Abs(float64(c)-want)/want > 0.06 {
-			t.Fatalf("permutation %v occurred %d times, want ~%g", p, c, want)
-		}
-	}
 }
 
 // TestIntnPinned pins the first 32 Intn draws from one seed. The bounds

@@ -143,9 +143,6 @@ func (b *BroadcastDisk) Next() int {
 	return item
 }
 
-// ProgramLength returns the major-cycle length in item slots (diagnostic).
-func (b *BroadcastDisk) ProgramLength() int { return len(b.program) }
-
 // SquareRootRule implements the Hameed–Vaidya online scheduler: at each slot
 // broadcast the item maximising (t − lastBroadcast_i)²·P_i/L_i, which
 // asymptotically spaces item i's replicas ∝ sqrt(L_i/P_i) — the optimal

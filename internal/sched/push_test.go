@@ -95,7 +95,7 @@ func TestBroadcastDiskCoversAllItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
-	for i := 0; i < bd.ProgramLength(); i++ {
+	for i := 0; i < len(bd.program); i++ {
 		item := bd.Next()
 		if item < 1 || item > 12 {
 			t.Fatalf("item %d outside push set", item)
@@ -116,7 +116,7 @@ func TestBroadcastDiskHotterMoreFrequent(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[int]int{}
-	for i := 0; i < bd.ProgramLength(); i++ {
+	for i := 0; i < len(bd.program); i++ {
 		counts[bd.Next()]++
 	}
 	// Rank 1 is on the hottest disk (freq 3), rank 12 on the coldest
@@ -133,7 +133,7 @@ func TestBroadcastDiskMoreDisksThanItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
-	for i := 0; i < bd.ProgramLength(); i++ {
+	for i := 0; i < len(bd.program); i++ {
 		seen[bd.Next()] = true
 	}
 	if !seen[1] || !seen[2] {
@@ -147,8 +147,8 @@ func TestBroadcastDiskSingleDiskIsFlatLike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bd.ProgramLength() != 4 {
-		t.Fatalf("single-disk program length %d, want 4", bd.ProgramLength())
+	if len(bd.program) != 4 {
+		t.Fatalf("single-disk program length %d, want 4", len(bd.program))
 	}
 	for want := 1; want <= 4; want++ {
 		if got := bd.Next(); got != want {

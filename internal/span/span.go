@@ -215,12 +215,17 @@ func (bd *Builder) Add(e trace.Event) error {
 	}
 	if b == nil {
 		// A span refused at a barrier closes in the destination cell's
-		// stream; the origin's same-instant span-handoff can merge in
-		// after it (tie broken by cell index). The zero-length transit it
-		// would have opened was already elided — drop it.
-		for _, c := range bd.closed {
-			if c.span.ID == e.Req && e.Kind == trace.KindSpanHandoff && e.T == c.span.End && c.span.Outcome.IsRefused() {
-				return nil
+		// stream; the origin's same-instant events for it — its
+		// span-handoff, and a span-retry and span-enqueue when the request
+		// was in loss backoff — can merge in after it (tie broken by cell
+		// index). The request had already left the origin, so the refusal
+		// is its end: drop them. Any other kind there is still rejected.
+		switch e.Kind {
+		case trace.KindSpanHandoff, trace.KindSpanRetry, trace.KindSpanEnqueue:
+			for _, c := range bd.closed {
+				if c.span.ID == e.Req && e.T == c.span.End && c.span.Outcome.IsRefused() {
+					return nil
+				}
 			}
 		}
 		return fmt.Errorf("%s for span %d, which is not open", e.Kind, e.Req)

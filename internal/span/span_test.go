@@ -532,6 +532,21 @@ func TestBuildRejectsMalformedStreams(t *testing.T) {
 			{T: 1, Kind: trace.KindSpanStart, Req: 7, Reason: trace.VerdictPull},
 			{T: 2, Kind: trace.KindServed, Req: 7},
 		}},
+		"second end at refusal instant": {index: 2, events: []trace.Event{
+			{T: 1, Kind: trace.KindSpanStart, Req: 7, Reason: trace.VerdictPull},
+			{T: 2, Kind: trace.KindSpanEnd, Req: 7, Reason: trace.EndRefusedNoItem, Arrival: 1},
+			{T: 2, Kind: trace.KindSpanEnd, Req: 7, Reason: trace.EndRefusedNoItem, Arrival: 1},
+		}},
+		"attach at refusal instant": {index: 2, events: []trace.Event{
+			{T: 1, Kind: trace.KindSpanStart, Req: 7, Reason: trace.VerdictPull},
+			{T: 2, Kind: trace.KindSpanEnd, Req: 7, Reason: trace.EndRefusedNoItem, Arrival: 1},
+			{T: 2, Kind: trace.KindSpanAttach, Req: 7, Cell: 1},
+		}},
+		"non-span kind at refusal instant": {index: 2, events: []trace.Event{
+			{T: 1, Kind: trace.KindSpanStart, Req: 7, Reason: trace.VerdictPull},
+			{T: 2, Kind: trace.KindSpanEnd, Req: 7, Reason: trace.EndRefusedNoItem, Arrival: 1},
+			{T: 2, Kind: trace.KindServed, Req: 7},
+		}},
 	}
 	for name, c := range cases {
 		_, err := span.Build(c.events)
@@ -540,6 +555,41 @@ func TestBuildRejectsMalformedStreams(t *testing.T) {
 		} else if want := fmt.Sprintf("span: event %d:", c.index); !strings.HasPrefix(err.Error(), want) {
 			t.Errorf("%s: error %q does not name event %d", name, err, c.index)
 		}
+	}
+}
+
+// A request in loss backoff roams at a barrier and the destination refuses
+// it. The refusal, from the destination's stream, merges in ahead of the
+// origin's same-instant span-retry, span-enqueue and span-handoff: the span
+// ends refused and those three are dropped. An event for it at a later
+// instant is still rejected.
+func TestRefusedRoamerInBackoff(t *testing.T) {
+	events := []trace.Event{
+		{T: 783.5, Kind: trace.KindSpanStart, Req: 7, Item: 53, Class: 2, Cell: 1, Reason: trace.VerdictPull},
+		{T: 783.5, Kind: trace.KindSpanEnqueue, Req: 7, Item: 53, Class: 2, Cell: 1, Score: 3, Requests: 4},
+		{T: 839, Kind: trace.KindSpanLoss, Req: 7, Item: 53, Class: 2, Cell: 1, Attempt: 1, Start: 837},
+		{T: 840, Kind: trace.KindSpanEnd, Req: 7, Item: 53, Class: 2, Reason: trace.EndRefusedNoItem, Arrival: 783.5},
+		{T: 840, Kind: trace.KindSpanRetry, Req: 7, Item: 53, Class: 2, Cell: 1, Attempt: 1},
+		{T: 840, Kind: trace.KindSpanEnqueue, Req: 7, Item: 53, Class: 2, Cell: 1, Score: 0.625, Requests: 1},
+		{T: 840, Kind: trace.KindSpanHandoff, Req: 7, Item: 53, Class: 2, Cell: 1},
+	}
+	spans, err := span.Build(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != 1 {
+		t.Fatalf("%d spans, want 1", len(spans))
+	}
+	sp := spans[0]
+	if sp.Open || sp.Outcome != trace.EndRefusedNoItem || sp.End != 840 || sp.Losses != 1 || sp.Retries != 0 || len(sp.Enqueues) != 1 {
+		t.Fatalf("unexpected reconstruction: %+v", sp)
+	}
+	if err := span.Verify(spans); err != nil {
+		t.Fatal(err)
+	}
+	late := append(events, trace.Event{T: 841, Kind: trace.KindSpanRetry, Req: 7, Item: 53, Class: 2, Cell: 1, Attempt: 2})
+	if _, err := span.Build(late); err == nil || !strings.HasPrefix(err.Error(), "span: event 7:") {
+		t.Fatalf("event after the refusal instant: error %v, want one naming event 7", err)
 	}
 }
 

@@ -16,9 +16,9 @@ func TestWelfordMergeBothEmpty(t *testing.T) {
 	if a.N() != 0 {
 		t.Fatalf("empty merge empty: N = %d, want 0", a.N())
 	}
-	if !math.IsNaN(a.Mean()) || !math.IsNaN(a.Variance()) || !math.IsNaN(a.Min()) || !math.IsNaN(a.Max()) {
+	if !math.IsNaN(a.Mean()) || !math.IsNaN(a.variance()) || !math.IsNaN(a.Min()) || !math.IsNaN(a.Max()) {
 		t.Fatalf("empty merge empty not NaN-clean: mean %g var %g min %g max %g",
-			a.Mean(), a.Variance(), a.Min(), a.Max())
+			a.Mean(), a.variance(), a.Min(), a.Max())
 	}
 	// Still accumulates normally afterwards.
 	a.Add(7)
@@ -41,8 +41,8 @@ func TestWelfordMergeSingletons(t *testing.T) {
 		t.Fatalf("mean = %g, want 3", a.Mean())
 	}
 	// Unbiased variance of {2, 4} is ((2-3)^2 + (4-3)^2) / 1 = 2, exactly.
-	if a.Variance() != 2 {
-		t.Fatalf("variance = %g, want exactly 2", a.Variance())
+	if a.variance() != 2 {
+		t.Fatalf("variance = %g, want exactly 2", a.variance())
 	}
 	if a.Min() != 2 || a.Max() != 4 {
 		t.Fatalf("min/max = %g/%g, want 2/4", a.Min(), a.Max())
@@ -53,8 +53,8 @@ func TestWelfordMergeSingletons(t *testing.T) {
 	c.Add(4)
 	d.Add(2)
 	c.Merge(&d)
-	if c.Mean() != a.Mean() || c.Variance() != a.Variance() {
-		t.Fatalf("merge not symmetric: mean %g var %g", c.Mean(), c.Variance())
+	if c.Mean() != a.Mean() || c.variance() != a.variance() {
+		t.Fatalf("merge not symmetric: mean %g var %g", c.Mean(), c.variance())
 	}
 }
 

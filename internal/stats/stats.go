@@ -50,17 +50,14 @@ func (w *Welford) Mean() float64 {
 	return w.mean
 }
 
-// Variance returns the unbiased sample variance, or NaN with fewer than two
+// variance returns the unbiased sample variance, or NaN with fewer than two
 // observations.
-func (w *Welford) Variance() float64 {
+func (w *Welford) variance() float64 {
 	if w.n < 2 {
 		return math.NaN()
 	}
 	return w.m2 / float64(w.n-1)
 }
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Min returns the minimum observation, or NaN when empty.
 func (w *Welford) Min() float64 {
@@ -109,7 +106,7 @@ func (w *Welford) CI95() (mean, halfWidth float64) {
 	if w.n < 2 {
 		return mean, math.NaN()
 	}
-	se := w.StdDev() / math.Sqrt(float64(w.n))
+	se := math.Sqrt(w.variance()) / math.Sqrt(float64(w.n))
 	return mean, tCritical95(w.n-1) * se
 }
 
@@ -189,9 +186,6 @@ func (tw *TimeWeighted) Max() float64 {
 	return tw.max
 }
 
-// Elapsed returns the total time span covered.
-func (tw *TimeWeighted) Elapsed() float64 { return tw.elapsed }
-
 // Histogram collects observations for percentile queries. By default it
 // stores every raw sample, so percentiles are exact. SetBound switches an
 // empty histogram into bounded mode: a fixed-capacity deterministic
@@ -213,7 +207,10 @@ type Histogram struct {
 // SetBound switches h into bounded mode with the given retained-sample cap.
 // It panics on a bound below 2 or when observations were already recorded
 // (the thinning schedule must see the stream from the start to stay
-// deterministic).
+// deterministic). Bounded mode's thin keeps every second sample in the
+// order they are held, which is arrival order only until Percentile sorts
+// them in place; so a bounded histogram's Percentile is defined only after
+// its last Add or Merge.
 func (h *Histogram) SetBound(bound int) {
 	if bound < 2 {
 		panic(fmt.Sprintf("stats: histogram bound %d < 2", bound))
@@ -228,9 +225,6 @@ func (h *Histogram) SetBound(bound int) {
 		h.samples = make([]float64, 0, bound)
 	}
 }
-
-// Bound returns the retained-sample cap, or 0 in exact mode.
-func (h *Histogram) Bound() int { return h.bound }
 
 // Add records one observation.
 func (h *Histogram) Add(x float64) {
@@ -265,10 +259,6 @@ func (h *Histogram) thin() {
 // N returns the number of observations, including any thinned away in
 // bounded mode.
 func (h *Histogram) N() int { return int(h.n) }
-
-// Retained returns the number of samples currently held (equal to N in
-// exact mode, at most the bound in bounded mode).
-func (h *Histogram) Retained() int { return len(h.samples) }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. NaN when empty; panics on p outside
@@ -372,37 +362,4 @@ func BucketQuantile(p float64, bounds []float64, counts []int64) float64 {
 		return lo + frac*(bounds[i]-lo)
 	}
 	return bounds[len(bounds)-1]
-}
-
-// Buckets returns counts of samples falling into nBuckets equal-width buckets
-// spanning [min, max], plus the bucket edges. Useful for ASCII rendering.
-func (h *Histogram) Buckets(nBuckets int) (counts []int, edges []float64) {
-	if nBuckets <= 0 {
-		panic(fmt.Sprintf("stats: nBuckets = %d", nBuckets))
-	}
-	counts = make([]int, nBuckets)
-	edges = make([]float64, nBuckets+1)
-	if len(h.samples) == 0 {
-		return counts, edges
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-	lo, hi := h.samples[0], h.samples[len(h.samples)-1]
-	if hi == lo {
-		hi = lo + 1
-	}
-	width := (hi - lo) / float64(nBuckets)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	for _, x := range h.samples {
-		b := int((x - lo) / width)
-		if b >= nBuckets {
-			b = nBuckets - 1
-		}
-		counts[b]++
-	}
-	return counts, edges
 }

@@ -10,7 +10,7 @@ import (
 
 func TestWelfordEmpty(t *testing.T) {
 	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Variance()) || !math.IsNaN(w.Min()) || !math.IsNaN(w.Max()) {
+	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.variance()) || !math.IsNaN(w.Min()) || !math.IsNaN(w.Max()) {
 		t.Fatal("empty Welford should report NaN moments")
 	}
 	if w.N() != 0 {
@@ -30,8 +30,8 @@ func TestWelfordKnownValues(t *testing.T) {
 		t.Fatalf("Mean = %g, want 5", w.Mean())
 	}
 	// Sample variance of that classic set is 32/7.
-	if math.Abs(w.Variance()-32.0/7) > 1e-12 {
-		t.Fatalf("Variance = %g, want %g", w.Variance(), 32.0/7)
+	if math.Abs(w.variance()-32.0/7) > 1e-12 {
+		t.Fatalf("Variance = %g, want %g", w.variance(), 32.0/7)
 	}
 	if w.Min() != 2 || w.Max() != 9 {
 		t.Fatalf("Min/Max = %g/%g", w.Min(), w.Max())
@@ -41,8 +41,8 @@ func TestWelfordKnownValues(t *testing.T) {
 func TestWelfordSingleObservation(t *testing.T) {
 	var w Welford
 	w.Add(3.5)
-	if w.Mean() != 3.5 || !math.IsNaN(w.Variance()) {
-		t.Fatalf("single obs: mean %g var %g", w.Mean(), w.Variance())
+	if w.Mean() != 3.5 || !math.IsNaN(w.variance()) {
+		t.Fatalf("single obs: mean %g var %g", w.Mean(), w.variance())
 	}
 	_, hw := w.CI95()
 	if !math.IsNaN(hw) {
@@ -69,8 +69,8 @@ func TestWelfordMergeEqualsSequential(t *testing.T) {
 	if math.Abs(a.Mean()-all.Mean()) > 1e-10 {
 		t.Fatalf("merged mean %g, want %g", a.Mean(), all.Mean())
 	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-10 {
-		t.Fatalf("merged variance %g, want %g", a.Variance(), all.Variance())
+	if math.Abs(a.variance()-all.variance()) > 1e-10 {
+		t.Fatalf("merged variance %g, want %g", a.variance(), all.variance())
 	}
 	if a.Min() != all.Min() || a.Max() != all.Max() {
 		t.Fatal("merged min/max wrong")
@@ -144,8 +144,8 @@ func TestTimeWeightedBasic(t *testing.T) {
 	if tw.Max() != 4 {
 		t.Fatalf("Max = %g", tw.Max())
 	}
-	if tw.Elapsed() != 20 {
-		t.Fatalf("Elapsed = %g", tw.Elapsed())
+	if tw.elapsed != 20 {
+		t.Fatalf("elapsed = %g", tw.elapsed)
 	}
 }
 
@@ -242,41 +242,6 @@ func TestHistogramPercentilePanics(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i)) // 0..9
-	}
-	counts, edges := h.Buckets(5)
-	if len(counts) != 5 || len(edges) != 6 {
-		t.Fatalf("shape: %d counts, %d edges", len(counts), len(edges))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Fatalf("bucket counts sum to %d", total)
-	}
-	if edges[0] != 0 || math.Abs(edges[5]-9) > 1e-12 {
-		t.Fatalf("edges [%g,%g]", edges[0], edges[5])
-	}
-}
-
-func TestHistogramBucketsDegenerate(t *testing.T) {
-	var h Histogram
-	h.Add(5)
-	h.Add(5)
-	counts, _ := h.Buckets(3)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 2 {
-		t.Fatalf("identical samples lost in buckets: %v", counts)
-	}
-}
-
 // Property: Welford mean/variance match the two-pass formulas on arbitrary
 // inputs.
 func TestPropertyWelfordMatchesTwoPass(t *testing.T) {
@@ -298,7 +263,7 @@ func TestPropertyWelfordMatchesTwoPass(t *testing.T) {
 			ss += (x - mean) * (x - mean)
 		}
 		variance := ss / float64(len(raw)-1)
-		return math.Abs(w.Mean()-mean) < 1e-9 && math.Abs(w.Variance()-variance) < 1e-6
+		return math.Abs(w.Mean()-mean) < 1e-9 && math.Abs(w.variance()-variance) < 1e-6
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -365,14 +330,14 @@ func TestHistogramBoundedCapsRetention(t *testing.T) {
 	if h.N() != 100000 {
 		t.Fatalf("N = %d, want true count 100000", h.N())
 	}
-	if h.Retained() >= 64 {
-		t.Fatalf("retained %d samples, bound 64", h.Retained())
+	if len(h.samples) >= 64 {
+		t.Fatalf("retained %d samples, bound 64", len(h.samples))
 	}
-	if h.Retained() < 32 {
-		t.Fatalf("retained %d samples, want at least bound/2", h.Retained())
+	if len(h.samples) < 32 {
+		t.Fatalf("retained %d samples, want at least bound/2", len(h.samples))
 	}
-	if h.Bound() != 64 {
-		t.Fatalf("Bound() = %d", h.Bound())
+	if h.bound != 64 {
+		t.Fatalf("bound = %d", h.bound)
 	}
 }
 
@@ -423,8 +388,8 @@ func TestHistogramBoundedMergeKeepsTrueN(t *testing.T) {
 	if a.N() != 2000 {
 		t.Fatalf("merged N = %d, want 2000", a.N())
 	}
-	if a.Retained() >= 32 {
-		t.Fatalf("merged retained %d, bound 32", a.Retained())
+	if len(a.samples) >= 32 {
+		t.Fatalf("merged retained %d, bound 32", len(a.samples))
 	}
 	// An unbounded pool merging bounded parts keeps the true count too.
 	var pool Histogram
@@ -457,13 +422,13 @@ func TestHistogramSetBoundPanics(t *testing.T) {
 }
 
 func TestHistogramUnboundedUnchanged(t *testing.T) {
-	// Exact mode must keep every sample: N == Retained, percentiles exact.
+	// Exact mode must keep every sample: N == len(samples), percentiles exact.
 	var h Histogram
 	for i := 0; i < 1000; i++ {
 		h.Add(float64(i))
 	}
-	if h.N() != 1000 || h.Retained() != 1000 {
-		t.Fatalf("N %d retained %d", h.N(), h.Retained())
+	if h.N() != 1000 || len(h.samples) != 1000 {
+		t.Fatalf("N %d retained %d", h.N(), len(h.samples))
 	}
 	if got := h.Percentile(50); got != 499.5 {
 		t.Fatalf("P50 = %g", got)

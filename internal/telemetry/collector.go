@@ -244,9 +244,6 @@ func (c *Collector) Cell() int { return c.cell }
 // SnapshotEvery returns the configured snapshot cadence (0 = disabled).
 func (c *Collector) SnapshotEvery() float64 { return c.every }
 
-// Registry exposes the underlying registry (tests, extensions).
-func (c *Collector) Registry() *Registry { return c.reg }
-
 // Arrival counts one request arrival for the class.
 func (c *Collector) Arrival(class int) {
 	c.counter(cArrivals, class).Inc()

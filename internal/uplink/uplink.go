@@ -39,8 +39,6 @@ type TokenBucket struct {
 	burst  float64
 	tokens float64
 	last   float64
-	// Admitted and Lost count outcomes.
-	Admitted, Lost int64
 }
 
 // NewTokenBucket validates and builds the bucket, initially full.
@@ -70,18 +68,7 @@ func (tb *TokenBucket) TryRequest(now float64, _ *rng.Source) bool {
 	tb.last = now
 	if tb.tokens >= 1 {
 		tb.tokens--
-		tb.Admitted++
 		return true
 	}
-	tb.Lost++
 	return false
-}
-
-// LossRate returns Lost/(Admitted+Lost), 0 when unused.
-func (tb *TokenBucket) LossRate() float64 {
-	total := tb.Admitted + tb.Lost
-	if total == 0 {
-		return 0
-	}
-	return float64(tb.Lost) / float64(total)
 }

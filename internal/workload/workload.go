@@ -141,9 +141,6 @@ func (m *MMPP) Rate() float64 {
 	return num / den
 }
 
-// State returns the current modulating state (diagnostics, tests).
-func (m *MMPP) State() int { return m.state }
-
 // BatchPoisson is a compound Poisson process: events at rate EventRate, each
 // carrying 1 + Geometric(1−1/MeanBatch) requests — a flash-crowd model where
 // correlated clients request together.
