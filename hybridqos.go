@@ -22,7 +22,6 @@
 package hybridqos
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -225,10 +224,7 @@ func (tc *TelemetryConfig) newCollector(exemplars int, seed uint64) (*telemetry.
 	}
 	if hook := tc.OnSnapshot; hook != nil {
 		opts.OnSnapshot = func(s *telemetry.Snapshot) {
-			var buf bytes.Buffer
-			if err := telemetry.WriteProm(&buf, s); err == nil {
-				hook(s.T, buf.Bytes())
-			}
+			hook(s.T, telemetry.AppendProm(nil, s))
 		}
 	}
 	return telemetry.New(opts)

@@ -236,10 +236,3 @@ func (c *Catalog) checkCutoff(k int) {
 		panic(fmt.Sprintf("catalog: cutoff %d out of [0,%d]", k, len(c.items)))
 	}
 }
-
-// Items returns a copy of all items in rank order.
-func (c *Catalog) Items() []Item {
-	out := make([]Item, len(c.items))
-	copy(out, c.items)
-	return out
-}

@@ -239,15 +239,6 @@ func TestItemAccessorPanics(t *testing.T) {
 	}()
 }
 
-func TestItemsReturnsCopy(t *testing.T) {
-	c := paperCat(t)
-	items := c.Items()
-	items[0].Length = 999
-	if c.Length(1) == 999 {
-		t.Fatal("Items() exposed internal state")
-	}
-}
-
 // Property: for any valid cutoff the mass and weighted-length identities hold
 // on randomly generated catalogs.
 func TestPropertyCutoffIdentities(t *testing.T) {

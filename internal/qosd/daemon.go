@@ -12,13 +12,14 @@
 package qosd
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"hybridqos/internal/admission"
@@ -50,6 +51,32 @@ type Response struct {
 	DelayUnits float64 `json:"delay_units,omitempty"`
 	// Push reports whether a broadcast served it.
 	Push bool `json:"push,omitempty"`
+}
+
+// appendJSON appends r exactly as encoding/json's Encoder writes it: the
+// object, then a newline. Outcome is copied between quotes unescaped, as
+// every outcome Serve answers with is a plain ASCII word, and DelayUnits
+// is finite, as every engine delay is.
+func (r Response) appendJSON(b []byte) []byte {
+	b = append(append(append(b, `{"outcome":"`...), r.Outcome...), '"')
+	b = strconv.AppendInt(append(b, `,"class":`...), int64(r.Class), 10)
+	if f := r.DelayUnits; f != 0 {
+		// encoding/json's float64 format: 'f' inside [1e-6, 1e21), else
+		// 'e' with a negative two-digit exponent trimmed (e-07 → e-7).
+		format := byte('f')
+		if abs := math.Abs(f); abs < 1e-6 || abs >= 1e21 {
+			format = 'e'
+		}
+		b = strconv.AppendFloat(append(b, `,"delay_units":`...), f, format, -1, 64)
+		if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	if r.Push {
+		b = append(b, `,"push":true`...)
+	}
+	return append(b, "}\n"...)
 }
 
 // Daemon wires the serving engine to HTTP.
@@ -342,34 +369,47 @@ func (d *Daemon) handleRequest(w http.ResponseWriter, r *http.Request) {
 		})
 	})
 	a := <-ch
-	writeJSON(w, a.status, a.resp)
+	writeResponse(w, a.status, a.resp)
 }
 
-// handleMetrics snapshots the registry on the clock goroutine and serves
-// the Prometheus rendering.
+// Content-Type header values, shared by every response that sets them
+// (net/http only reads them).
+var (
+	jsonContentType = []string{"application/json"}
+	promContentType = []string{"text/plain; version=0.0.4; charset=utf-8"}
+)
+
+// bufPool recycles response body buffers across handler goroutines.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeResponse writes one /request answer, byte-identical to
+// writeJSON's encoding of it.
+func writeResponse(w http.ResponseWriter, status int, resp Response) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	buf := bufPool.Get().(*[]byte)
+	*buf = resp.appendJSON((*buf)[:0])
+	w.Write(*buf) //nolint:errcheck // the client may be gone; nothing to do
+	bufPool.Put(buf)
+}
+
+// handleMetrics snapshots the registry on the clock goroutine, then renders
+// the snapshot, which owns its counts, here on the handler goroutine: a
+// scrape holds the engine loop only for the copy.
 func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if d.state.Load() == stateDrained {
 		// The clock loop may already be stopped; nothing left to report.
 		http.Error(w, "drained", http.StatusServiceUnavailable)
 		return
 	}
-	type rendered struct {
-		body []byte
-		err  error
-	}
-	ch := make(chan rendered, 1)
-	d.exec(func() {
-		var buf bytes.Buffer
-		err := telemetry.WriteProm(&buf, d.tele.TakeSnapshot(d.clk.Now()))
-		ch <- rendered{buf.Bytes(), err}
-	})
-	out := <-ch
-	if out.err != nil {
-		http.Error(w, out.err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(out.body)
+	ch := make(chan *telemetry.Snapshot, 1)
+	d.exec(func() { ch <- d.tele.TakeSnapshot(d.clk.Now()) })
+	snap := <-ch
+	buf := bufPool.Get().(*[]byte)
+	*buf = telemetry.AppendProm((*buf)[:0], snap)
+	w.Header()["Content-Type"] = promContentType
+	w.Write(*buf) //nolint:errcheck // the client may be gone; nothing to do
+	bufPool.Put(buf)
 }
 
 // handleSpans snapshots the completed-span ring on the clock goroutine and
@@ -389,7 +429,7 @@ func (d *Daemon) handleSpans(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, spans)
 }
 
-// writeJSON writes one JSON response body.
+// writeJSON writes one JSON response body (/debug/spans).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

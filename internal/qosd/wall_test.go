@@ -7,7 +7,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -140,5 +142,82 @@ func TestDaemonWallHTTPEndToEnd(t *testing.T) {
 	case <-wall.Done():
 	case <-time.After(10 * time.Second):
 		t.Fatal("wall clock loop did not stop")
+	}
+}
+
+// TestDaemonWallConcurrentScrapes scrapes /metrics from several goroutines
+// while requests are served on a Wall clock. Scrapes render on their own
+// handler goroutines from snapshots taken on the clock loop, so under
+// -race this checks that no rendering reads engine state, and that
+// concurrent renders do not share buffers.
+func TestDaemonWallConcurrentScrapes(t *testing.T) {
+	cfg := testConfig()
+	cfg.Admission.DefaultDeadline = 5000
+	wall, err := clock.NewWall(time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(cfg, wall, wall.Submit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go wall.Run()
+	defer func() {
+		wall.Stop()
+		<-wall.Done()
+	}()
+	d.Start()
+	for d.state.Load() != stateReady {
+		time.Sleep(time.Millisecond)
+	}
+	h := d.Handler()
+
+	const scrapers, scrapes, requests = 4, 20, 10
+	var wg sync.WaitGroup
+	errs := make(chan error, scrapers+len(cfg.Keys))
+	for i := 0; i < scrapers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < scrapes; j++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+				if body := rec.Body.String(); rec.Code != http.StatusOK ||
+					!strings.HasPrefix(body, "# TYPE hybridqos_sim_time gauge\n") || !strings.HasSuffix(body, "\n") {
+					errs <- fmt.Errorf("scrape answered %d: %q", rec.Code, body)
+					return
+				}
+			}
+		}()
+	}
+	for key := range cfg.Keys {
+		wg.Add(1)
+		go func(key string) {
+			defer wg.Done()
+			for j := 0; j < requests; j++ {
+				req := httptest.NewRequest(http.MethodPost, "/request", strings.NewReader(`{"item":3}`))
+				req.Header.Set("X-API-Key", key)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				var resp Response
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK || resp.Outcome != "served" {
+					errs <- fmt.Errorf("%s request answered %d: %q", key, rec.Code, rec.Body)
+					return
+				}
+			}
+		}(key)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for key, class := range cfg.Keys {
+		if want := fmt.Sprintf("hybridqos_arrivals_total{class=\"%d\"} %d\n", class, requests); !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("final scrape lacks %s's %q:\n%s", key, want, rec.Body)
+		}
 	}
 }

@@ -287,18 +287,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
 }
 
-// Mean returns the sample mean, or NaN when empty.
-func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range h.samples {
-		sum += x
-	}
-	return sum / float64(len(h.samples))
-}
-
 // Merge folds other into h: retained samples are appended (and re-thinned
 // when h is bounded) and the true observation count is carried over, so
 // N() stays the total across both streams.

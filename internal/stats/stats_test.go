@@ -183,7 +183,7 @@ func TestTimeWeightedZeroDurationSteps(t *testing.T) {
 
 func TestHistogramPercentiles(t *testing.T) {
 	var h Histogram
-	if !math.IsNaN(h.Percentile(50)) || !math.IsNaN(h.Mean()) {
+	if !math.IsNaN(h.Percentile(50)) {
 		t.Fatal("empty histogram should be NaN")
 	}
 	for i := 1; i <= 100; i++ {
@@ -200,9 +200,6 @@ func TestHistogramPercentiles(t *testing.T) {
 	}
 	if got := h.Percentile(50); math.Abs(got-50.5) > 1e-9 {
 		t.Fatalf("P50 = %g, want 50.5", got)
-	}
-	if got := h.Mean(); math.Abs(got-50.5) > 1e-9 {
-		t.Fatalf("Mean = %g", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -84,14 +85,14 @@ type Options struct {
 // trace.Tracer or a loss model, never share one across parallel
 // replications).
 type Collector struct {
-	reg        *Registry
+	reg        Registry
 	every      float64
 	onSnapshot func(*Snapshot)
 	snapshots  int64
 	cell       int
 	exK        int
 	exRng      *rng.Source
-	exemplars  map[exemplarKey]*exemplarRes
+	exemplars  family[exemplarKey, exemplarRes]
 
 	// Handle caches, indexed by class+1 (ClassNone in slot 0): the
 	// registry instance each metric{class} resolved to on first touch, so
@@ -209,6 +210,14 @@ type exemplarKey struct {
 	bucket int
 }
 
+// compare orders reservoir keys by (class, bucket).
+func (a exemplarKey) compare(b exemplarKey) int {
+	if c := cmp.Compare(a.class, b.class); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.bucket, b.bucket)
+}
+
 // exemplarRes is one bucket's span-ID reservoir: Algorithm R over the
 // stream of sampled span IDs observed for the bucket.
 type exemplarRes struct {
@@ -228,7 +237,6 @@ func New(opts Options) (*Collector, error) {
 		return nil, fmt.Errorf("telemetry: exemplars enabled without an RNG stream")
 	}
 	return &Collector{
-		reg:        NewRegistry(),
 		every:      opts.SnapshotEvery,
 		onSnapshot: opts.OnSnapshot,
 		cell:       opts.Cell,
@@ -339,15 +347,7 @@ func (c *Collector) Exemplar(class int, delay float64, span int64) {
 	if c.exK == 0 || span == 0 {
 		return
 	}
-	if c.exemplars == nil {
-		c.exemplars = make(map[exemplarKey]*exemplarRes)
-	}
-	k := exemplarKey{class: class, bucket: bucketIndex(delay)}
-	res := c.exemplars[k]
-	if res == nil {
-		res = &exemplarRes{}
-		c.exemplars[k] = res
-	}
+	res := c.exemplars.get(exemplarKey{class: class, bucket: bucketIndex(delay)})
 	res.seen++
 	if len(res.spans) < c.exK {
 		res.spans = append(res.spans, span)
@@ -501,37 +501,40 @@ func (s *Snapshot) Hist(name string, class int) (HistSnap, bool) {
 func (c *Collector) TakeSnapshot(t float64) *Snapshot {
 	c.snapshots++
 	s := &Snapshot{T: t, Seq: c.snapshots, Cell: c.cell}
-	for _, k := range sortedKeys(c.reg.counters, keyLess) {
-		s.Counters = append(s.Counters, CounterSnap{Name: k.name, Class: k.class, V: c.reg.counters[k].Value()})
-	}
-	for _, k := range sortedKeys(c.reg.gauges, keyLess) {
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: k.name, Class: k.class, V: c.reg.gauges[k].Value()})
-	}
-	for _, k := range sortedKeys(c.reg.hists, keyLess) {
-		h := c.reg.hists[k]
-		s.Hists = append(s.Hists, HistSnap{Name: k.name, Class: k.class, Counts: h.Counts(), Sum: h.Sum()})
-	}
-	for _, k := range sortedKeys(c.exemplars, exemplarLess) {
-		res := c.exemplars[k]
-		s.Exemplars = append(s.Exemplars, ExemplarSnap{
-			Class:  k.class,
-			Bucket: k.bucket,
-			Spans:  append([]int64(nil), res.spans...),
-			Seen:   res.seen,
-		})
-	}
+	s.Counters = snapSection(c.reg.counters.order, func(e member[metricKey, Counter]) CounterSnap {
+		return CounterSnap{Name: e.key.name, Class: e.key.class, V: e.m.Value()}
+	})
+	s.Gauges = snapSection(c.reg.gauges.order, func(e member[metricKey, Gauge]) GaugeSnap {
+		return GaugeSnap{Name: e.key.name, Class: e.key.class, V: e.m.Value()}
+	})
+	s.Hists = snapSection(c.reg.hists.order, func(e member[metricKey, Histogram]) HistSnap {
+		return HistSnap{Name: e.key.name, Class: e.key.class, Counts: e.m.Counts(), Sum: e.m.Sum()}
+	})
+	s.Exemplars = snapSection(c.exemplars.order, func(e member[exemplarKey, exemplarRes]) ExemplarSnap {
+		return ExemplarSnap{
+			Class:  e.key.class,
+			Bucket: e.key.bucket,
+			Spans:  append([]int64(nil), e.m.spans...),
+			Seen:   e.m.seen,
+		}
+	})
 	if c.onSnapshot != nil {
 		c.onSnapshot(s)
 	}
 	return s
 }
 
-// exemplarLess orders reservoir keys by (class, bucket).
-func exemplarLess(a, b exemplarKey) bool {
-	if a.class != b.class {
-		return a.class < b.class
+// snapSection copies a family's members, in key order, into one snapshot
+// section sized to fit; an empty family gives a nil section.
+func snapSection[K comparable, M, S any](order []member[K, M], snap func(member[K, M]) S) []S {
+	if len(order) == 0 {
+		return nil
 	}
-	return a.bucket < b.bucket
+	out := make([]S, len(order))
+	for i, e := range order {
+		out[i] = snap(e)
+	}
+	return out
 }
 
 // DiffReplay compares the replay-auditable sections of two snapshots — the

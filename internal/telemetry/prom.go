@@ -1,108 +1,102 @@
 package telemetry
 
-import (
-	"fmt"
-	"io"
-	"math"
-	"strconv"
-)
+import "strconv"
 
-// WriteProm renders a snapshot in the Prometheus text exposition format
-// (version 0.0.4): counters as `hybridqos_<name>_total`, gauges as
-// `hybridqos_<name>`, histograms as the conventional `_bucket`/`_sum`/
-// `_count` triple with cumulative `le` buckets. Class-labelled metrics carry
-// a `class` label with the numeric class index. Output order follows the
-// snapshot's sorted sections, so identical snapshots render to identical
-// bytes. The function is tolerant of snapshots decoded from untrusted input:
-// histogram count slices of any length render without panicking.
-func WriteProm(w io.Writer, s *Snapshot) error {
-	if s == nil {
-		return fmt.Errorf("telemetry: nil snapshot")
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE hybridqos_sim_time gauge\nhybridqos_sim_time %s\n", promFloat(s.T)); err != nil {
-		return err
-	}
-	var lastType string
-	emitType := func(name, kind string) error {
-		if name == lastType {
-			return nil
+// promPrefix starts every exposed metric name.
+const promPrefix = "hybridqos_"
+
+// AppendProm appends a snapshot rendered in the Prometheus text exposition
+// format (version 0.0.4) to b and returns the extended buffer: counters as
+// `hybridqos_<name>_total`, gauges as `hybridqos_<name>`, histograms as the
+// conventional `_bucket`/`_sum`/`_count` triple with cumulative `le`
+// buckets. Class-labelled metrics carry a `class` label with the numeric
+// class index. Output order follows the snapshot's sorted sections, so
+// identical snapshots render to identical bytes; a TYPE line is written
+// whenever the full metric name differs from the previous TYPE line's, in
+// any section. The renderer allocates only to grow b, and it is tolerant of
+// snapshots decoded from untrusted input: histogram count slices of any
+// length render without panicking. s must be non-nil.
+func AppendProm(b []byte, s *Snapshot) []byte {
+	b = append(b, "# TYPE hybridqos_sim_time gauge\nhybridqos_sim_time "...)
+	b = promFloat(b, s.T)
+	b = append(b, '\n')
+	// b[lastStart:lastEnd] is the previous TYPE line's metric name.
+	lastStart, lastEnd := 0, 0
+	typeLine := func(name, suffix, kind string) {
+		prev := b[lastStart:lastEnd]
+		if len(prev) == len(promPrefix)+len(name)+len(suffix) &&
+			string(prev[len(promPrefix):len(promPrefix)+len(name)]) == name &&
+			string(prev[len(promPrefix)+len(name):]) == suffix {
+			return
 		}
-		lastType = name
-		_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
-		return err
+		b = append(b, "# TYPE "...)
+		lastStart = len(b)
+		b = append(append(append(b, promPrefix...), name...), suffix...)
+		lastEnd = len(b)
+		b = append(append(append(b, ' '), kind...), '\n')
 	}
 	for _, c := range s.Counters {
-		name := "hybridqos_" + c.Name + "_total"
-		if err := emitType(name, "counter"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", name, promLabels(c.Class, ""), c.V); err != nil {
-			return err
-		}
+		typeLine(c.Name, "_total", "counter")
+		b = promSeries(b, c.Name, "_total", c.Class, -1)
+		b = append(strconv.AppendInt(b, c.V, 10), '\n')
 	}
 	for _, g := range s.Gauges {
-		name := "hybridqos_" + g.Name
-		if err := emitType(name, "gauge"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s%s %s\n", name, promLabels(g.Class, ""), promFloat(g.V)); err != nil {
-			return err
-		}
+		typeLine(g.Name, "", "gauge")
+		b = promSeries(b, g.Name, "", g.Class, -1)
+		b = append(promFloat(b, g.V), '\n')
 	}
 	for _, h := range s.Hists {
-		name := "hybridqos_" + h.Name
-		if err := emitType(name, "histogram"); err != nil {
-			return err
-		}
+		typeLine(h.Name, "", "histogram")
 		var cum int64
-		for i, bound := range delayBounds {
+		for i := range delayBounds {
 			if i < len(h.Counts) {
 				cum += h.Counts[i]
 			}
-			le := promFloat(bound)
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabels(h.Class, le), cum); err != nil {
-				return err
+			b = promSeries(b, h.Name, "_bucket", h.Class, i)
+			b = append(strconv.AppendInt(b, cum, 10), '\n')
+		}
+		n := h.N()
+		b = promSeries(b, h.Name, "_bucket", h.Class, len(delayBounds))
+		b = append(strconv.AppendInt(b, n, 10), '\n')
+		b = promSeries(b, h.Name, "_sum", h.Class, -1)
+		b = append(promFloat(b, h.Sum), '\n')
+		b = promSeries(b, h.Name, "_count", h.Class, -1)
+		b = append(strconv.AppendInt(b, n, 10), '\n')
+	}
+	return b
+}
+
+// promSeries appends one sample's series name, label set and the space
+// before its value: the class label when the metric is class-keyed, and the
+// `le` label of delay bucket bucket (−1 for none; len(delayBounds) is the
+// +Inf overflow bucket).
+func promSeries(b []byte, name, suffix string, class, bucket int) []byte {
+	b = append(append(append(b, promPrefix...), name...), suffix...)
+	if class != ClassNone || bucket >= 0 {
+		b = append(b, '{')
+		if class != ClassNone {
+			b = append(strconv.AppendInt(append(b, `class="`...), int64(class), 10), '"')
+			if bucket >= 0 {
+				b = append(b, ',')
 			}
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabels(h.Class, "+Inf"), h.N()); err != nil {
-			return err
+		if bucket >= 0 {
+			b = append(b, `le="`...)
+			if bucket < len(delayBounds) {
+				b = promFloat(b, delayBounds[bucket])
+			} else {
+				b = append(b, "+Inf"...)
+			}
+			b = append(b, '"')
 		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, promLabels(h.Class, ""), promFloat(h.Sum)); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", name, promLabels(h.Class, ""), h.N()); err != nil {
-			return err
-		}
+		b = append(b, '}')
 	}
-	return nil
+	return append(b, ' ')
 }
 
-// promLabels renders the label set for a metric: the class label when the
-// metric is class-keyed and the `le` bound label for histogram buckets.
-func promLabels(class int, le string) string {
-	switch {
-	case class == ClassNone && le == "":
-		return ""
-	case class == ClassNone:
-		return `{le="` + le + `"}`
-	case le == "":
-		return `{class="` + strconv.Itoa(class) + `"}`
-	default:
-		return `{class="` + strconv.Itoa(class) + `",le="` + le + `"}`
-	}
-}
-
-// promFloat renders a float the way Prometheus expects (shortest round-trip
-// form; NaN and infinities spelled out).
-func promFloat(v float64) string {
-	switch {
-	case math.IsNaN(v):
-		return "NaN"
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	default:
-		return strconv.FormatFloat(v, 'g', -1, 64)
-	}
+// promFloat appends a float the way Prometheus expects: the shortest
+// round-trip form, with NaN and the infinities spelled NaN, +Inf and -Inf
+// (strconv's own spelling).
+func promFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

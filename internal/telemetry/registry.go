@@ -6,7 +6,7 @@
 // sim-time cadence.
 //
 // The layer obeys the repository's determinism contract: no wall clock, no
-// map-order-dependent effects (every export collects keys and sorts them),
+// map-order-dependent effects (every export walks keys kept in sorted order),
 // and fixed histogram bucket bounds, so a snapshot stream is a pure function
 // of the simulated event trajectory. Counters and histograms are exactly
 // reproducible from a trace — trace.VerifySnapshots replays the event stream
@@ -16,8 +16,11 @@
 package telemetry
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // delayBounds are the inclusive upper bounds of the log-scale (base-2) delay
@@ -119,76 +122,71 @@ type metricKey struct {
 	class int
 }
 
+// compare orders metric keys by (name, class).
+func (a metricKey) compare(b metricKey) int {
+	if c := strings.Compare(a.name, b.name); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.class, b.class)
+}
+
 // ClassNone labels metrics that are not split by service class.
 const ClassNone = -1
 
-// Registry holds the live metric instances. Instances are created lazily on
-// first touch; export order is deterministic (sorted by name, then class).
-// The zero value is not usable; call NewRegistry.
-type Registry struct {
-	counters map[metricKey]*Counter
-	gauges   map[metricKey]*Gauge
-	hists    map[metricKey]*Histogram
+// family holds the instances of one kind of metric, created lazily on first
+// touch: an index by key, and every instance in key order. A new instance
+// is inserted at its sorted position, so exports walk order as it stands
+// and never sort, and no output depends on Go's randomised map order. The
+// zero value is an empty family.
+type family[K interface {
+	comparable
+	compare(K) int
+}, M any] struct {
+	byKey map[K]*M
+	order []member[K, M]
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[metricKey]*Counter),
-		gauges:   make(map[metricKey]*Gauge),
-		hists:    make(map[metricKey]*Histogram),
+// member is one instance of a family with its key.
+type member[K comparable, M any] struct {
+	key K
+	m   *M
+}
+
+// get returns (creating if needed) the instance for k.
+func (f *family[K, M]) get(k K) *M {
+	if m, ok := f.byKey[k]; ok {
+		return m
 	}
+	if f.byKey == nil {
+		f.byKey = make(map[K]*M)
+	}
+	m := new(M)
+	f.byKey[k] = m
+	i, _ := slices.BinarySearchFunc(f.order, k, func(e member[K, M], k K) int { return e.key.compare(k) })
+	f.order = slices.Insert(f.order, i, member[K, M]{k, m})
+	return m
+}
+
+// Registry holds the live metric instances. Instances are created lazily on
+// first touch; export order is deterministic (sorted by name, then class).
+// The zero value is an empty registry.
+type Registry struct {
+	counters family[metricKey, Counter]
+	gauges   family[metricKey, Gauge]
+	hists    family[metricKey, Histogram]
 }
 
 // Counter returns (creating if needed) the counter name{class}.
 func (r *Registry) Counter(name string, class int) *Counter {
-	k := metricKey{name, class}
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
+	return r.counters.get(metricKey{name, class})
 }
 
 // Gauge returns (creating if needed) the gauge name{class}.
 func (r *Registry) Gauge(name string, class int) *Gauge {
-	k := metricKey{name, class}
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
+	return r.gauges.get(metricKey{name, class})
 }
 
 // Histogram returns (creating if needed) the histogram name{class}.
 func (r *Registry) Histogram(name string, class int) *Histogram {
-	k := metricKey{name, class}
-	h, ok := r.hists[k]
-	if !ok {
-		h = &Histogram{}
-		r.hists[k] = h
-	}
-	return h
-}
-
-// sortedKeys returns the map's keys ordered by less — the collect-then-sort
-// idiom every export path goes through, so no output ever depends on Go's
-// randomised map iteration order.
-func sortedKeys[K comparable, V any](m map[K]V, less func(a, b K) bool) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
-	return keys
-}
-
-// keyLess orders metric keys by (name, class).
-func keyLess(a, b metricKey) bool {
-	if a.name != b.name {
-		return a.name < b.name
-	}
-	return a.class < b.class
+	return r.hists.get(metricKey{name, class})
 }
