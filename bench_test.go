@@ -196,6 +196,13 @@ func TestAllocsPerRequestCeiling(t *testing.T) {
 // so reverting the growth policy fails this test.
 const maxTracedBytesPerEvent = 4
 
+// maxTracedHeapBytesPerEvent is the same budget in bytes. The relative
+// budget above scales with sizeof(trace.Event), so it cannot see the event
+// itself grow; this one can. A 96-byte event measures 296 B per recorded
+// event; the ceiling leaves 15% of margin for engine or telemetry drift,
+// while the old 128-byte layout (about 390 B) fails it.
+const maxTracedHeapBytesPerEvent = 340
+
 // TestTracedBytesPerEventCeiling measures the recorded-run path — trace
 // buffer, telemetry collector and span sampling on the paper workload — so
 // a trace-cost regression fails tier-1 on a count, not a timing.
@@ -232,6 +239,9 @@ func TestTracedBytesPerEventCeiling(t *testing.T) {
 		float64(bytes)/float64(events), got, size, events/runs)
 	if got > maxTracedBytesPerEvent {
 		t.Fatalf("%.2f event sizes of heap per recorded event exceeds budget %d", got, maxTracedBytesPerEvent)
+	}
+	if perEvent := float64(bytes) / float64(events); perEvent > maxTracedHeapBytesPerEvent {
+		t.Fatalf("%.0f heap bytes per recorded event exceeds budget %d B", perEvent, maxTracedHeapBytesPerEvent)
 	}
 }
 

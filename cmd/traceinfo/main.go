@@ -238,11 +238,11 @@ func writeCells(w io.Writer, events []trace.Event, classes int) {
 		}
 		switch e.Kind {
 		case trace.KindArrival:
-			get(e.Cell).arrivals[c]++
+			get(int(e.Cell)).arrivals[c]++
 		case trace.KindHandoff:
-			get(e.Cell).handoffs[c]++
+			get(int(e.Cell)).handoffs[c]++
 		case trace.KindHandoffRefused:
-			r := get(e.Cell)
+			r := get(int(e.Cell))
 			r.refusals[c]++
 			if col, known := reasonCol[e.Reason.String()]; known {
 				r.byReason[col]++

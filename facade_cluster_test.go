@@ -128,7 +128,7 @@ func TestWriteClusterTrace(t *testing.T) {
 	if int64(len(events)) != n {
 		t.Fatalf("read %d events, writer reported %d", len(events), n)
 	}
-	cells := map[int]bool{}
+	cells := map[int32]bool{}
 	handoffs := 0
 	for i, e := range events {
 		if i > 0 && e.T < events[i-1].T {

@@ -47,10 +47,17 @@ type Config struct {
 	Seed uint64
 }
 
+// maxItems bounds a catalog's size D, so every rank fits the int32 a trace
+// event carries a runner-up rank in (trace.Event.RunnerUp).
+const maxItems = math.MaxInt32
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	if c.D <= 0 {
 		return fmt.Errorf("catalog: D must be positive, got %d", c.D)
+	}
+	if c.D > maxItems {
+		return fmt.Errorf("catalog: D %d exceeds %d", c.D, maxItems)
 	}
 	if c.Theta < 0 || math.IsNaN(c.Theta) || math.IsInf(c.Theta, 0) {
 		return fmt.Errorf("catalog: invalid theta %g", c.Theta)
@@ -133,6 +140,9 @@ func MustGenerate(cfg Config) *Catalog {
 func FromLengths(lengths []float64, theta float64) (*Catalog, error) {
 	if len(lengths) == 0 {
 		return nil, fmt.Errorf("catalog: empty length vector")
+	}
+	if len(lengths) > maxItems {
+		return nil, fmt.Errorf("catalog: %d lengths exceed %d items", len(lengths), maxItems)
 	}
 	dist, err := zipf.New(len(lengths), theta)
 	if err != nil {

@@ -24,6 +24,7 @@ func TestConfigValidate(t *testing.T) {
 		{D: 10, Theta: math.NaN(), MinLen: 1, MaxLen: 5},
 		{D: 10, Theta: 1, MinLen: 0, MaxLen: 5},
 		{D: 10, Theta: 1, MinLen: 5, MaxLen: 4},
+		{D: math.MaxInt32 + 1, Theta: 1, MinLen: 1, MaxLen: 5}, // ranks beyond trace.Event.RunnerUp's int32
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -123,6 +123,9 @@ func (c Config) Validate() error {
 	if c.Cells < 1 {
 		return fmt.Errorf("cluster: cell count %d < 1", c.Cells)
 	}
+	if c.Cells > math.MaxInt32 {
+		return fmt.Errorf("cluster: cell count %d exceeds %d, the largest cell a trace event carries", c.Cells, math.MaxInt32)
+	}
 	if c.Base.Tracer != nil || c.Base.Telemetry != nil {
 		return fmt.Errorf("cluster: Base.Tracer/Telemetry must be nil (the cluster owns per-cell tracing; see CollectTrace and TelemetryEvery)")
 	}
@@ -257,7 +260,7 @@ func New(cfg Config) (*Cluster, error) {
 		cs := &cellState{id: i, mobRng: mobRoot.Split(fmt.Sprintf("cell-%d", i))}
 		if cfg.CollectTrace {
 			cs.buf = &trace.Buffer{}
-			cc.Tracer = trace.Tag{Cell: i, Next: cs.buf}
+			cc.Tracer = trace.Tag{Cell: int32(i), Next: cs.buf}
 		}
 		if cfg.TelemetryEvery > 0 {
 			opts := telemetry.Options{SnapshotEvery: cfg.TelemetryEvery, Cell: i}

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -160,7 +161,7 @@ func TestHandoffAccounting(t *testing.T) {
 	if in+refused != out {
 		t.Errorf("handoffs out=%d but in=%d + refused=%d = %d", out, in, refused, in+refused)
 	}
-	cells := make(map[int]bool)
+	cells := make(map[int32]bool)
 	for _, e := range res.Trace {
 		cells[e.Cell] = true
 	}
@@ -313,6 +314,7 @@ func TestValidate(t *testing.T) {
 		mut  func(*cluster.Config)
 	}{
 		{"zero cells", func(c *cluster.Config) { c.Cells = 0 }},
+		{"cells beyond a trace event's int32 cell", func(c *cluster.Config) { c.Cells = math.MaxInt32 + 1 }},
 		{"overlap > 1", func(c *cluster.Config) { c.CatalogOverlap = 1.5 }},
 		{"negative rate", func(c *cluster.Config) { c.Mobility.Rate = -1 }},
 		{"negative delay", func(c *cluster.Config) { c.Mobility.AttachDelay = -1 }},

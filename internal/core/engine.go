@@ -505,7 +505,7 @@ func (s *Server) enqueuePull(req pullqueue.Request, now float64) {
 		if e := s.selector.Entry(req.Item); e != nil {
 			s.emit(trace.Event{
 				T: now, Kind: trace.KindSpanEnqueue, Item: req.Item, Class: req.Class,
-				Req: span, Score: trace.Score(s.selector.Score(e, now)), Requests: e.NumRequests(),
+				Req: span, Score: trace.Score(s.selector.Score(e, now)), Requests: int32(e.NumRequests()),
 			})
 		}
 	}
@@ -657,7 +657,7 @@ func (s *Server) completePush(item int) {
 		if s.emitOn {
 			s.emit(trace.Event{
 				T: now, Kind: trace.KindCorrupt, Item: item, Class: -1,
-				Push: true, Requests: len(s.pushWaiters[item]),
+				Push: true, Requests: int32(len(s.pushWaiters[item])),
 			})
 		}
 		s.attemptPull()
@@ -667,7 +667,7 @@ func (s *Server) completePush(item int) {
 	if s.emitOn {
 		s.emit(trace.Event{
 			T: now, Kind: trace.KindPushComplete, Item: item, Class: -1,
-			Requests: len(s.pushWaiters[item]),
+			Requests: int32(len(s.pushWaiters[item])),
 		})
 	}
 	start := now - s.cfg.Catalog.Length(item)
@@ -721,7 +721,7 @@ func (s *Server) attemptPull() {
 				if s.emitOn {
 					s.emit(trace.Event{
 						T: s.clk.Now(), Kind: trace.KindBlocked, Item: entry.Item,
-						Class: entry.HighestClass(), Requests: len(entry.Requests),
+						Class: entry.HighestClass(), Requests: int32(len(entry.Requests)),
 					})
 				}
 				for _, r := range entry.Requests {
@@ -756,7 +756,7 @@ func (s *Server) attemptPull() {
 		if s.emitOn {
 			s.emit(trace.Event{
 				T: s.clk.Now(), Kind: trace.KindPullStart, Item: entry.Item,
-				Class: entry.HighestClass(), Requests: len(entry.Requests),
+				Class: entry.HighestClass(), Requests: int32(len(entry.Requests)),
 			})
 		}
 		// Serial downlink: at most one pull completion in flight, so the
@@ -791,11 +791,11 @@ func (s *Server) emitDecision(entry *pullqueue.Entry) {
 	now := s.clk.Now()
 	ev := trace.Event{
 		T: now, Kind: trace.KindDecision, Item: entry.Item,
-		Class: entry.HighestClass(), Requests: len(entry.Requests),
+		Class: entry.HighestClass(), Requests: int32(len(entry.Requests)),
 		Score: trace.Score(s.selector.Score(entry, now)),
 	}
 	if ru := s.selector.Peek(now); ru != nil {
-		ev.RunnerUp = ru.Item
+		ev.RunnerUp = int32(ru.Item)
 		ev.RunnerUpScore = trace.Score(s.selector.Score(ru, now))
 	}
 	s.emit(ev)
@@ -815,7 +815,7 @@ func (s *Server) completePull(entry *pullqueue.Entry, grant *bandwidth.Grant) {
 		if s.emitOn {
 			s.emit(trace.Event{
 				T: now, Kind: trace.KindCorrupt, Item: entry.Item,
-				Class: entry.HighestClass(), Requests: len(entry.Requests),
+				Class: entry.HighestClass(), Requests: int32(len(entry.Requests)),
 			})
 		}
 		// retryAfterLoss schedules against value copies of the requests, so
@@ -857,7 +857,7 @@ func (s *Server) completePull(entry *pullqueue.Entry, grant *bandwidth.Grant) {
 	if s.emitOn {
 		s.emit(trace.Event{
 			T: now, Kind: trace.KindPullComplete, Item: entry.Item,
-			Class: entry.HighestClass(), Requests: len(entry.Requests),
+			Class: entry.HighestClass(), Requests: int32(len(entry.Requests)),
 		})
 	}
 	for _, r := range entry.Requests {

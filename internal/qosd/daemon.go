@@ -27,6 +27,7 @@ import (
 	"hybridqos/internal/clients"
 	"hybridqos/internal/clock"
 	"hybridqos/internal/core"
+	"hybridqos/internal/jsonenc"
 	"hybridqos/internal/span"
 	"hybridqos/internal/telemetry"
 )
@@ -60,18 +61,8 @@ type Response struct {
 func (r Response) appendJSON(b []byte) []byte {
 	b = append(append(append(b, `{"outcome":"`...), r.Outcome...), '"')
 	b = strconv.AppendInt(append(b, `,"class":`...), int64(r.Class), 10)
-	if f := r.DelayUnits; f != 0 {
-		// encoding/json's float64 format: 'f' inside [1e-6, 1e21), else
-		// 'e' with a negative two-digit exponent trimmed (e-07 → e-7).
-		format := byte('f')
-		if abs := math.Abs(f); abs < 1e-6 || abs >= 1e21 {
-			format = 'e'
-		}
-		b = strconv.AppendFloat(append(b, `,"delay_units":`...), f, format, -1, 64)
-		if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
+	if r.DelayUnits != 0 {
+		b = jsonenc.AppendFloat(append(b, `,"delay_units":`...), r.DelayUnits)
 	}
 	if r.Push {
 		b = append(b, `,"push":true`...)

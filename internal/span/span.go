@@ -188,11 +188,11 @@ func (bd *Builder) Add(e trace.Event) error {
 		// request of the item): attach to each open span of that item
 		// queued in that cell.
 		for b := bd.items[e.Item]; b != nil; b = b.next {
-			if b.mode == SegQueueWait && b.curCell == e.Cell {
+			if b.mode == SegQueueWait && b.curCell == int(e.Cell) {
 				b.span.Decisions = append(b.span.Decisions, Decision{
 					T: e.T, Item: e.Item, Score: float64(e.Score),
-					RunnerUp: e.RunnerUp, RunnerUpScore: float64(e.RunnerUpScore),
-					Requests: e.Requests, Cell: e.Cell,
+					RunnerUp: int(e.RunnerUp), RunnerUpScore: float64(e.RunnerUpScore),
+					Requests: int(e.Requests), Cell: int(e.Cell),
 				})
 			}
 		}
@@ -235,7 +235,7 @@ func (bd *Builder) Add(e trace.Event) error {
 		b.closeSegment(b.mode, e.T, 0)
 		b.mode = SegQueueWait
 		b.span.Enqueues = append(b.span.Enqueues, Enqueue{
-			T: e.T, Score: float64(e.Score), Requests: e.Requests, Cell: e.Cell,
+			T: e.T, Score: float64(e.Score), Requests: int(e.Requests), Cell: int(e.Cell),
 		})
 	case trace.KindSpanLoss:
 		// The corrupted transmission: wait up to its start, then the
@@ -269,8 +269,8 @@ func (bd *Builder) Add(e trace.Event) error {
 			b.closeSegment(SegTransit, e.T, 0)
 		}
 		b.attachT, b.hasAtt = e.T, true
-		b.curCell = e.Cell
-		b.span.Cells = append(b.span.Cells, e.Cell)
+		b.curCell = int(e.Cell)
+		b.span.Cells = append(b.span.Cells, int(e.Cell))
 		b.mode = startMode(e.Reason)
 	case trace.KindSpanEnd:
 		if e.Reason == trace.EndServed || (e.Reason == trace.EndExpired && e.Start > 0) {
@@ -300,10 +300,10 @@ func (bd *Builder) start(e trace.Event) {
 		span: Span{
 			ID: e.Req, Class: e.Class, Item: e.Item,
 			Verdict: e.Reason, Start: e.T, End: e.T, Open: true,
-			Cells: []int{e.Cell},
+			Cells: []int{int(e.Cell)},
 		},
 		cursor:  e.T,
-		curCell: e.Cell,
+		curCell: int(e.Cell),
 		mode:    startMode(e.Reason),
 	}
 	if head := bd.items[e.Item]; head != nil {

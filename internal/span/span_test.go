@@ -631,12 +631,12 @@ func decodeEvents(data []byte) []trace.Event {
 		t += float64(who >> 4 & 3)
 		e := trace.Event{
 			T: t, Kind: fuzzKinds[k&7], Reason: trace.Reason(k >> 3),
-			Req: int64(who&3) + 1, Item: int(who>>2&1) + 1, Cell: int(who >> 3 & 1), Push: who>>7 == 1,
+			Req: int64(who&3) + 1, Item: int(who>>2&1) + 1, Cell: int32(who >> 3 & 1), Push: who>>7 == 1,
 			Start: t - float64(lag&7)/4, Attempt: int(lag >> 3 & 3),
-			Score: trace.Score(score & 15), Requests: int(score >> 4),
+			Score: trace.Score(score & 15), Requests: int32(score >> 4),
 		}
 		if e.Kind == trace.KindDecision {
-			e.Req, e.RunnerUp = 0, 3-e.Item
+			e.Req, e.RunnerUp = 0, int32(3-e.Item)
 		}
 		events = append(events, e)
 	}

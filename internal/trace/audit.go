@@ -28,7 +28,7 @@ func Apply(c *telemetry.Collector, e Event) {
 	case KindPullComplete:
 		c.PullComplete()
 	case KindBlocked:
-		c.Blocked(int(e.Class), e.Requests)
+		c.Blocked(int(e.Class), int(e.Requests))
 	case KindCorrupt:
 		c.Corrupt(e.Push)
 	case KindRetry:

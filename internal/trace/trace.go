@@ -7,12 +7,16 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"hybridqos/internal/clients"
+	"hybridqos/internal/jsonenc"
 	"hybridqos/internal/telemetry"
 )
 
@@ -226,15 +230,24 @@ func lookup(names []string, field string, text []byte) (int, error) {
 type Score float64
 
 // MarshalJSON implements json.Marshaler.
-func (s Score) MarshalJSON() ([]byte, error) {
-	switch {
-	case math.IsInf(float64(s), 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(float64(s), -1):
-		return []byte(`"-Inf"`), nil
+func (s Score) MarshalJSON() ([]byte, error) { return s.appendJSON(nil) }
+
+// appendJSON appends the score's wire form; NaN is an error.
+func (s Score) appendJSON(b []byte) ([]byte, error) {
+	switch f := float64(s); {
+	case math.IsInf(f, 1):
+		return append(b, `"+Inf"`...), nil
+	case math.IsInf(f, -1):
+		return append(b, `"-Inf"`...), nil
+	case math.IsNaN(f):
+		return b, errNaNScore
 	}
-	return json.Marshal(float64(s))
+	return jsonenc.AppendFloat(b, float64(s)), nil
 }
+
+// errNaNScore rejects a NaN score, which neither a JSON number nor the
+// ±Inf strings can carry.
+var errNaNScore = errors.New("trace: NaN score")
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (s *Score) UnmarshalJSON(data []byte) error {
@@ -250,39 +263,28 @@ func (s *Score) UnmarshalJSON(data []byte) error {
 }
 
 // Event is one trace record. Fields are compact so a run can emit millions
-// of them: Kind and Reason are one-byte codes, every other field is a
+// of them: Kind and Reason are one-byte codes, the pending-request count,
+// cell and runner-up rank are int32, every other field is an 8-byte
 // scalar, and the only pointer is Snap, set solely on the (rare) periodic
-// KindSnapshot events — 128 bytes on 64-bit platforms, pinned by
-// TestEventLayout. The field order is the JSON field order, so it is part
-// of the wire format.
+// KindSnapshot events — 96 bytes on 64-bit platforms with no padding to
+// speak of, pinned by TestEventLayout. The fields are ordered by size, not
+// by the wire: the JSON field order and omitted zero values are set by the
+// event's own encoder (MarshalJSON, JSONL), which writes
+// t, kind, item, class, arrival, requests, push, attempt, cell, reason,
+// req, score, runner_up, runner_up_score, start, snap
+// exactly as encoding/json wrote the tagged fields in that order. Decoding
+// (Read) matches fields by their tag names.
 type Event struct {
 	// T is the simulated time.
 	T float64 `json:"t"`
-	// Kind is the event type.
-	Kind Kind `json:"kind"`
 	// Item is the catalog rank involved (0 when not applicable).
 	Item int `json:"item,omitempty"`
 	// Class is the service class involved (−1 when not applicable).
 	Class clients.Class `json:"class"`
 	// Arrival is the request's arrival time (KindServed only).
 	Arrival float64 `json:"arrival,omitempty"`
-	// Requests is the pending-request count involved (transmissions/blocks).
-	Requests int `json:"requests,omitempty"`
-	// Push distinguishes push-served from pull-served (KindServed) and
-	// push-corrupted from pull-corrupted (KindCorrupt).
-	Push bool `json:"push,omitempty"`
 	// Attempt is the 1-based re-request number (KindRetry only).
 	Attempt int `json:"attempt,omitempty"`
-	// Cell is the broadcast cell the event belongs to in multi-cell runs,
-	// stamped by a Tag tracer; 0 (omitted) in single-cell runs.
-	Cell int `json:"cell,omitempty"`
-	// Reason qualifies KindHandoffRefused events: "expired" (deadline passed
-	// in transit), "shed" (admission control), "no-item" (item absent from
-	// the destination cell's catalog) or "horizon" (transit would end past
-	// the simulation horizon). On span kinds it carries the admission
-	// verdict (KindSpanStart/KindSpanAttach) or terminal outcome
-	// (KindSpanEnd).
-	Reason Reason `json:"reason,omitempty"`
 	// Req is the globally unique span/request ID on span provenance events
 	// (0 = not a span event). Cluster runs namespace IDs per cell so links
 	// survive stream merging.
@@ -290,9 +292,8 @@ type Event struct {
 	// Score is the selection score: the entry's post-add score on
 	// KindSpanEnqueue, the winning score on KindDecision.
 	Score Score `json:"score,omitempty"`
-	// RunnerUp and RunnerUpScore identify the second-best queue entry at a
-	// KindDecision extraction (0/0 when the queue held a single entry).
-	RunnerUp      int   `json:"runner_up,omitempty"`
+	// RunnerUpScore is the second-best queue entry's score at a
+	// KindDecision extraction (0 when the queue held a single entry).
 	RunnerUpScore Score `json:"runner_up_score,omitempty"`
 	// Start is the service (transmission) start time on KindSpanEnd served
 	// outcomes and KindSpanLoss events, so wait and service segments can be
@@ -301,6 +302,117 @@ type Event struct {
 	Start float64 `json:"start,omitempty"`
 	// Snap is the embedded telemetry snapshot (KindSnapshot only).
 	Snap *telemetry.Snapshot `json:"snap,omitempty"`
+	// Requests is the pending-request count involved (transmissions/blocks):
+	// the length of one pull entry's request slice or one item's push-waiter
+	// slice. It cannot pass 2³¹−1: that would be one slice of 2³¹ pending
+	// requests of at least 32 bytes each, 64 GiB, in one cell.
+	Requests int32 `json:"requests,omitempty"`
+	// Cell is the broadcast cell the event belongs to in multi-cell runs,
+	// stamped by a Tag tracer; 0 (omitted) in single-cell runs.
+	// cluster.Config.Validate bounds the cell count to int32.
+	Cell int32 `json:"cell,omitempty"`
+	// RunnerUp is the second-best queue entry's catalog rank at a
+	// KindDecision extraction (0 when the queue held a single entry).
+	// catalog.Config.Validate and catalog.FromLengths bound ranks to int32.
+	RunnerUp int32 `json:"runner_up,omitempty"`
+	// Kind is the event type.
+	Kind Kind `json:"kind"`
+	// Reason qualifies KindHandoffRefused events: "expired" (deadline passed
+	// in transit), "shed" (admission control), "no-item" (item absent from
+	// the destination cell's catalog) or "horizon" (transit would end past
+	// the simulation horizon). On span kinds it carries the admission
+	// verdict (KindSpanStart/KindSpanAttach) or terminal outcome
+	// (KindSpanEnd).
+	Reason Reason `json:"reason,omitempty"`
+	// Push distinguishes push-served from pull-served (KindServed) and
+	// push-corrupted from pull-corrupted (KindCorrupt).
+	Push bool `json:"push,omitempty"`
+}
+
+// MarshalJSON implements json.Marshaler with the JSONL encoder, so
+// json.Marshal of an event writes the trace's wire bytes.
+func (e Event) MarshalJSON() ([]byte, error) { return e.appendJSON(nil) }
+
+// appendJSON appends e as one JSON object (no newline) in wire order.
+// Zero-valued optional fields are omitted, −0 included, as encoding/json's
+// omitempty omits them. It fails where encoding/json failed on the tagged
+// struct: a NaN or infinite time (t, arrival, start), a NaN score, or a
+// kind or reason code outside the vocabulary. Snap, set only on rare
+// snapshot events, still goes through encoding/json.
+func (e *Event) appendJSON(b []byte) ([]byte, error) {
+	if int(e.Kind) >= len(kindNames) {
+		return b, fmt.Errorf("trace: invalid kind code %d", uint8(e.Kind))
+	}
+	if int(e.Reason) >= len(reasonNames) {
+		return b, fmt.Errorf("trace: invalid reason code %d", uint8(e.Reason))
+	}
+	var err error
+	if b, err = appendTime(append(b, `{"t":`...), "t", e.T); err != nil {
+		return b, err
+	}
+	b = append(append(append(b, `,"kind":"`...), kindNames[e.Kind]...), '"')
+	if e.Item != 0 {
+		b = strconv.AppendInt(append(b, `,"item":`...), int64(e.Item), 10)
+	}
+	b = strconv.AppendInt(append(b, `,"class":`...), int64(e.Class), 10)
+	if e.Arrival != 0 {
+		if b, err = appendTime(append(b, `,"arrival":`...), "arrival", e.Arrival); err != nil {
+			return b, err
+		}
+	}
+	if e.Requests != 0 {
+		b = strconv.AppendInt(append(b, `,"requests":`...), int64(e.Requests), 10)
+	}
+	if e.Push {
+		b = append(b, `,"push":true`...)
+	}
+	if e.Attempt != 0 {
+		b = strconv.AppendInt(append(b, `,"attempt":`...), int64(e.Attempt), 10)
+	}
+	if e.Cell != 0 {
+		b = strconv.AppendInt(append(b, `,"cell":`...), int64(e.Cell), 10)
+	}
+	if e.Reason != ReasonNone {
+		b = append(append(append(b, `,"reason":"`...), reasonNames[e.Reason]...), '"')
+	}
+	if e.Req != 0 {
+		b = strconv.AppendInt(append(b, `,"req":`...), e.Req, 10)
+	}
+	if e.Score != 0 {
+		if b, err = e.Score.appendJSON(append(b, `,"score":`...)); err != nil {
+			return b, err
+		}
+	}
+	if e.RunnerUp != 0 {
+		b = strconv.AppendInt(append(b, `,"runner_up":`...), int64(e.RunnerUp), 10)
+	}
+	if e.RunnerUpScore != 0 {
+		if b, err = e.RunnerUpScore.appendJSON(append(b, `,"runner_up_score":`...)); err != nil {
+			return b, err
+		}
+	}
+	if e.Start != 0 {
+		if b, err = appendTime(append(b, `,"start":`...), "start", e.Start); err != nil {
+			return b, err
+		}
+	}
+	if e.Snap != nil {
+		snap, err := json.Marshal(e.Snap)
+		if err != nil {
+			return b, fmt.Errorf("trace: snap: %w", err)
+		}
+		b = append(append(b, `,"snap":`...), snap...)
+	}
+	return append(b, '}'), nil
+}
+
+// appendTime appends a finite time; a NaN or infinite one is an error, as
+// it was to encoding/json.
+func appendTime(b []byte, field string, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, fmt.Errorf("trace: unsupported %s value %g", field, f)
+	}
+	return jsonenc.AppendFloat(b, f), nil
 }
 
 // Tracer consumes events. Implementations must tolerate high event rates;
@@ -348,24 +460,28 @@ func (c *Counter) Total() int64 {
 // drain the buffer.
 type JSONL struct {
 	w   *bufio.Writer
-	enc *json.Encoder
+	buf []byte // the line being encoded, reused across events
 	err error
 	n   int64
 }
 
 // NewJSONL wraps a writer.
 func NewJSONL(w io.Writer) *JSONL {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	return &JSONL{w: bw, enc: json.NewEncoder(bw)}
+	return &JSONL{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
-// Event implements Tracer. The first encoding error sticks and is reported
-// by Flush.
+// Event implements Tracer. An event that fails to encode writes nothing;
+// the first encoding or write error sticks and is reported by Flush.
 func (j *JSONL) Event(e Event) {
 	if j.err != nil {
 		return
 	}
-	if err := j.enc.Encode(e); err != nil {
+	b, err := e.appendJSON(j.buf[:0])
+	if err == nil {
+		j.buf = append(b, '\n')
+		_, err = j.w.Write(j.buf)
+	}
+	if err != nil {
 		j.err = err
 		return
 	}
@@ -388,7 +504,7 @@ func (j *JSONL) Flush() error {
 // downstream tracer, so parallel cells never share tracer state.
 type Tag struct {
 	// Cell is the ID stamped onto every event.
-	Cell int
+	Cell int32
 	// Next receives the stamped events.
 	Next Tracer
 }
@@ -450,16 +566,34 @@ func MergeByTime(streams ...[]Event) []Event {
 	return out
 }
 
-// Read parses a JSONL trace stream back into events.
+// maxLineBytes bounds one JSONL line Read accepts. Snapshot events carry
+// the whole metrics registry, a few KiB per cell.
+const maxLineBytes = 64 << 20
+
+// Read parses a JSONL trace stream back into events: one JSON object per
+// line, as JSONL writes them, blank lines skipped. Fields are matched by
+// name, so any field order decodes. An error names the 1-based line: a
+// malformed object, an unknown kind or reason name, or a requests, cell or
+// runner_up value outside int32 is rejected, never wrapped.
 func Read(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), maxLineBytes)
 	var out []Event
-	for dec.More() {
+	line := 0
+	for sc.Scan() {
+		line++
+		text := sc.Bytes()
+		if len(bytes.TrimSpace(text)) == 0 {
+			continue
+		}
 		var e Event
-		if err := dec.Decode(&e); err != nil {
-			return nil, fmt.Errorf("trace: decoding event %d: %w", len(out), err)
+		if err := json.Unmarshal(text, &e); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		out = append(out, e)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("trace: line %d: %w", line+1, err)
 	}
 	return out, nil
 }

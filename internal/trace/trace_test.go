@@ -236,8 +236,8 @@ func TestScoreJSON(t *testing.T) {
 // TestEventLayout pins Event's size and that Snap is its only pointer, so a
 // recorded run's buffer stays compact and mostly pointer-free.
 func TestEventLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Event{}); size > 128 {
-		t.Errorf("sizeof(Event) = %d B, want <= 128", size)
+	if size := unsafe.Sizeof(Event{}); size > 96 {
+		t.Errorf("sizeof(Event) = %d B, want <= 96", size)
 	}
 	typ := reflect.TypeOf(Event{})
 	for i := 0; i < typ.NumField(); i++ {
