@@ -157,12 +157,14 @@ func benchCoreConfig(tb testing.TB) core.Config {
 	}
 }
 
-// maxAllocsPerRequest is the steady-state heap-allocation budget per
-// simulated request. The pre-pooling engine sat near 2.75, the slimmed hot
-// path near 1.12; with the arena-backed event queue and the request arena
-// the engine measures ~0.014, so a breach means an arena, pooling or
-// histogram regression.
-const maxAllocsPerRequest = 0.5
+// maxAllocsPerRequest is the heap-allocation budget per simulated request
+// of benchCoreConfig's run (15,000 requests). The pre-pooling engine sat
+// near 2.75, the slimmed hot path near 1.12; with the arena-backed event
+// queue and the request arena the run measures 0.0432, nearly all of it
+// building the Server and growing its queues and arenas to peak size
+// (about 650 allocations per run). The budget leaves 27% of margin for
+// toolchain drift; one new allocation per 80 requests fails it.
+const maxAllocsPerRequest = 0.055
 
 // TestAllocsPerRequestCeiling measures the live engine, so an allocation
 // regression fails tier-1.
@@ -178,9 +180,9 @@ func TestAllocsPerRequestCeiling(t *testing.T) {
 		}
 	})
 	got := perRun / requests
-	t.Logf("%.3f allocs per simulated request", got)
+	t.Logf("%.4f allocs per simulated request", got)
 	if got > maxAllocsPerRequest {
-		t.Fatalf("%.3f allocs/request exceeds budget %.1f", got, maxAllocsPerRequest)
+		t.Fatalf("%.4f allocs/request exceeds budget %.3f", got, maxAllocsPerRequest)
 	}
 }
 

@@ -77,10 +77,13 @@ type poolTake struct {
 	units float64
 }
 
-// Grant is a successful reservation, to be handed back via Release.
+// Grant is a reservation, to be handed back via Release. The caller owns
+// it: Reserve fills it and Release empties it, and both reuse its storage,
+// so one Grant serves every transmission of a serial downlink without a
+// heap allocation after the first.
 type Grant struct {
 	class clients.Class
-	takes []poolTake
+	takes []poolTake // empty while the grant holds nothing
 }
 
 // Class returns the governing class the grant was made for.
@@ -178,59 +181,88 @@ func (a *Allocator) demand(length float64) float64 {
 }
 
 // Reserve attempts to reserve bandwidth for an item of the given length on
-// behalf of class c. It draws the Poisson demand, then either grants it
-// (possibly borrowing from lower-priority pools when AllowBorrow is set) or
-// blocks. A nil grant with blocked=true means the item and its pending
-// requests are lost, per the paper.
-func (a *Allocator) Reserve(c clients.Class, length float64) (g *Grant, blocked bool) {
+// behalf of class c, into g. It draws the Poisson demand, then either
+// grants it (possibly borrowing from lower-priority pools when AllowBorrow
+// is set) or blocks. blocked=true means the item and its pending requests
+// are lost, per the paper, and leaves g empty. g must be empty: reserving
+// into a grant that still holds bandwidth panics, since it would leak that
+// bandwidth.
+//
+//qos:hotpath
+func (a *Allocator) Reserve(c clients.Class, length float64, g *Grant) (blocked bool) {
 	a.check(c)
+	if len(g.takes) != 0 {
+		panic("bandwidth: reserving into a grant that still holds bandwidth")
+	}
+	if cap(g.takes) < len(a.available) {
+		g.grow(len(a.available))
+	}
 	demand := a.demand(length)
 	a.stats[c].Attempts++
+	g.class = c
 
 	if a.available[c] >= demand {
-		a.available[c] -= demand
-		return &Grant{class: c, takes: []poolTake{{int(c), demand}}}, false
+		a.take(g, int(c), demand)
+		return false
 	}
 
 	if a.cfg.AllowBorrow {
 		// Take everything from own pool, then spill into lower-priority
-		// pools (higher class index), lowest priority first.
+		// pools (higher class index), lowest priority first, down to the
+		// highest-priority pool the scan needed (lo).
 		free := a.available[c]
-		order := []int{int(c)}
+		lo := len(a.available)
 		for p := len(a.available) - 1; p > int(c) && free < demand; p-- {
 			if a.available[p] > 0 {
 				free += a.available[p]
-				order = append(order, p)
+				lo = p
 			}
 		}
 		if free >= demand {
 			remaining := demand
-			takes := make([]poolTake, 0, len(order))
-			for _, p := range order {
-				if remaining <= 0 {
-					break
-				}
-				take := math.Min(a.available[p], remaining)
-				if take > 0 {
-					a.available[p] -= take
-					takes = append(takes, poolTake{p, take})
+			if take := math.Min(a.available[c], remaining); take > 0 {
+				a.take(g, int(c), take)
+				remaining -= take
+			}
+			for p := len(a.available) - 1; p >= lo && remaining > 0; p-- {
+				if take := math.Min(a.available[p], remaining); take > 0 {
+					a.take(g, p, take)
 					remaining -= take
 				}
 			}
-			return &Grant{class: c, takes: takes}, false
+			return false
 		}
 	}
 
 	a.stats[c].Blocked++
-	return nil, true
+	return true
+}
+
+// take moves units from pool p into g, within the capacity Reserve made.
+//
+//qos:hotpath
+func (a *Allocator) take(g *Grant, p int, units float64) {
+	a.available[p] -= units
+	n := len(g.takes)
+	g.takes = g.takes[:n+1]
+	g.takes[n] = poolTake{p, units}
+}
+
+// grow is Reserve's cold path: a grant takes from at most n pools, so its
+// storage is sized once, on its first reservation.
+func (g *Grant) grow(n int) {
+	g.takes = make([]poolTake, 0, n)
 }
 
 // Release returns a grant's bandwidth to exactly the pools it was taken
-// from. Releasing nil or an already-released grant panics: it indicates
-// double accounting in the scheduler.
+// from and empties the grant, keeping its storage for the next Reserve.
+// Releasing nil, an already-released grant or one never filled panics: it
+// indicates double accounting in the scheduler.
+//
+//qos:hotpath
 func (a *Allocator) Release(g *Grant) {
-	if g == nil || g.takes == nil {
-		panic("bandwidth: releasing nil or already-released grant")
+	if g == nil || len(g.takes) == 0 {
+		panic("bandwidth: releasing nil, empty or already-released grant")
 	}
 	for _, tk := range g.takes {
 		a.available[tk.pool] += tk.units
@@ -238,7 +270,7 @@ func (a *Allocator) Release(g *Grant) {
 			panic(fmt.Sprintf("bandwidth: pool %d overfilled to %g (capacity %g)", tk.pool, a.available[tk.pool], a.capacity[tk.pool]))
 		}
 	}
-	g.takes = nil
+	g.takes = g.takes[:0]
 }
 
 func (a *Allocator) check(c clients.Class) {

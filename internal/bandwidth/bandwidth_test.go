@@ -1,7 +1,9 @@
 package bandwidth
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -101,8 +103,8 @@ func TestDemandPanicsOnBadLength(t *testing.T) {
 
 func TestReserveAndRelease(t *testing.T) {
 	a := alloc(t, Config{Total: 100, Fractions: []float64{0.5, 0.5}, DemandMean: 0})
-	g, blocked := a.Reserve(0, 2) // demand = 1
-	if blocked || g == nil {
+	var g Grant
+	if a.Reserve(0, 2, &g) { // demand = 1
 		t.Fatal("reserve blocked with abundant bandwidth")
 	}
 	if g.Class() != 0 {
@@ -111,7 +113,7 @@ func TestReserveAndRelease(t *testing.T) {
 	if a.Available(0) != 49 {
 		t.Fatalf("available after reserve = %g", a.Available(0))
 	}
-	a.Release(g)
+	a.Release(&g)
 	if a.Available(0) != 50 {
 		t.Fatalf("available after release = %g", a.Available(0))
 	}
@@ -124,15 +126,13 @@ func TestReserveAndRelease(t *testing.T) {
 func TestBlockingWhenPoolExhausted(t *testing.T) {
 	// Pool of 2 units for class 0, deterministic demand 1 per reserve.
 	a := alloc(t, Config{Total: 4, Fractions: []float64{0.5, 0.5}, DemandMean: 0})
-	var grants []*Grant
+	grants := make([]Grant, 3)
 	for i := 0; i < 2; i++ {
-		g, blocked := a.Reserve(0, 1)
-		if blocked {
+		if a.Reserve(0, 1, &grants[i]) {
 			t.Fatalf("reserve %d blocked early", i)
 		}
-		grants = append(grants, g)
 	}
-	if _, blocked := a.Reserve(0, 1); !blocked {
+	if !a.Reserve(0, 1, &grants[2]) {
 		t.Fatal("third reserve should block: pool exhausted")
 	}
 	st := a.Stats(0)
@@ -143,11 +143,11 @@ func TestBlockingWhenPoolExhausted(t *testing.T) {
 		t.Fatalf("BlockingRate = %g", got)
 	}
 	// Class 1's pool is unaffected by class 0's exhaustion.
-	if _, blocked := a.Reserve(1, 1); blocked {
+	if a.Reserve(1, 1, new(Grant)) {
 		t.Fatal("class 1 blocked by class 0 exhaustion under strict partitioning")
 	}
-	for _, g := range grants {
-		a.Release(g)
+	for i := range grants[:2] {
+		a.Release(&grants[i])
 	}
 	if a.Available(0) != 2 {
 		t.Fatalf("class 0 pool not restored: %g", a.Available(0))
@@ -159,19 +159,18 @@ func TestBorrowMode(t *testing.T) {
 	cfg := Config{Total: 4, Fractions: []float64{0.25, 0.75}, DemandMean: 0, AllowBorrow: true}
 	a := alloc(t, cfg)
 	// Drain class 0 with one demand-1 grant, then demand another: must borrow.
-	g1, blocked := a.Reserve(0, 1)
-	if blocked {
+	var g1, g2 Grant
+	if a.Reserve(0, 1, &g1) {
 		t.Fatal("first reserve blocked")
 	}
-	g2, blocked := a.Reserve(0, 1)
-	if blocked {
+	if a.Reserve(0, 1, &g2) {
 		t.Fatal("borrowing reserve blocked despite free lower-priority bandwidth")
 	}
 	if a.Available(1) != 2 {
 		t.Fatalf("class 1 pool after borrow = %g, want 2", a.Available(1))
 	}
-	a.Release(g2)
-	a.Release(g1)
+	a.Release(&g2)
+	a.Release(&g1)
 	if a.Available(0) != 1 || a.Available(1) != 3 {
 		t.Fatalf("pools after release = %g,%g", a.Available(0), a.Available(1))
 	}
@@ -182,10 +181,10 @@ func TestBorrowNeverTakesFromHigherClass(t *testing.T) {
 	a := alloc(t, cfg)
 	// Exhaust class 1 (capacity 1), then demand more: the only free
 	// bandwidth is class 0's, which class 1 must NOT touch.
-	if _, blocked := a.Reserve(1, 1); blocked {
+	if a.Reserve(1, 1, new(Grant)) {
 		t.Fatal("first class-1 reserve blocked")
 	}
-	if _, blocked := a.Reserve(1, 1); !blocked {
+	if !a.Reserve(1, 1, new(Grant)) {
 		t.Fatal("class 1 borrowed from the higher-priority class-0 pool")
 	}
 	if a.Available(0) != 3 {
@@ -203,7 +202,8 @@ func TestReleasePanics(t *testing.T) {
 		}()
 		a.Release(nil)
 	}()
-	g, _ := a.Reserve(0, 1)
+	g := new(Grant)
+	a.Reserve(0, 1, g)
 	a.Release(g)
 	defer func() {
 		if recover() == nil {
@@ -220,7 +220,7 @@ func TestClassCheckPanics(t *testing.T) {
 			t.Fatal("out-of-range class did not panic")
 		}
 	}()
-	a.Reserve(3, 1)
+	a.Reserve(3, 1, new(Grant))
 }
 
 func TestBlockingRateZeroAttempts(t *testing.T) {
@@ -237,8 +237,8 @@ func TestLargerFractionLowersBlocking(t *testing.T) {
 		a := Must(cfg, rng.New(42))
 		var live []*Grant
 		for i := 0; i < 5000; i++ {
-			g, blocked := a.Reserve(0, 2)
-			if !blocked {
+			g := new(Grant)
+			if !a.Reserve(0, 2, g) {
 				live = append(live, g)
 			}
 			// Release oldest half periodically to keep pressure on.
@@ -265,8 +265,8 @@ func TestPropertyConservation(t *testing.T) {
 		for _, op := range ops {
 			c := int(op % 3)
 			if op%2 == 0 || len(live) == 0 {
-				g, blocked := a.Reserve(clientsClass(c), float64(op%4)+1)
-				if !blocked {
+				g := new(Grant)
+				if !a.Reserve(clientsClass(c), float64(op%4)+1, g) {
 					live = append(live, g)
 				}
 			} else {
@@ -291,12 +291,178 @@ func TestPropertyConservation(t *testing.T) {
 	}
 }
 
-func BenchmarkReserveRelease(b *testing.B) {
-	a := Must(PaperConfig(), rng.New(1))
-	for i := 0; i < b.N; i++ {
-		g, blocked := a.Reserve(0, 2)
-		if !blocked {
+// TestReleaseEmptyGrantPanics: a grant Reserve never filled — a zero
+// Grant, or one whose reservation blocked — holds nothing to return.
+func TestReleaseEmptyGrantPanics(t *testing.T) {
+	a := alloc(t, Config{Total: 2, Fractions: []float64{0.5, 0.5}, DemandMean: 0})
+	var held, blocked Grant
+	a.Reserve(0, 1, &held)
+	if !a.Reserve(0, 1, &blocked) {
+		t.Fatal("second reserve should block: pool exhausted")
+	}
+	for _, g := range []*Grant{{}, &blocked} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("releasing an empty grant (%+v) did not panic", *g)
+				}
+			}()
 			a.Release(g)
+		}()
+	}
+}
+
+// TestReserveIntoHeldGrantPanics: refilling a grant before releasing it
+// would leak the bandwidth it holds.
+func TestReserveIntoHeldGrantPanics(t *testing.T) {
+	a := alloc(t, PaperConfig())
+	var g Grant
+	a.Reserve(0, 1, &g)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reserving into a held grant did not panic")
 		}
+	}()
+	a.Reserve(0, 1, &g)
+}
+
+// borrowReference is the borrowing reservation as first written, with an
+// explicit list of the pools to visit: own pool first, then every
+// lower-priority pool with bandwidth free, lowest priority first, until
+// the list covers the demand. It returns the takes, or blocked.
+func borrowReference(avail []float64, c int, demand float64) ([]poolTake, bool) {
+	if avail[c] >= demand {
+		return []poolTake{{c, demand}}, false
+	}
+	free := avail[c]
+	order := []int{c}
+	for p := len(avail) - 1; p > c && free < demand; p-- {
+		if avail[p] > 0 {
+			free += avail[p]
+			order = append(order, p)
+		}
+	}
+	if free < demand {
+		return nil, true
+	}
+	var takes []poolTake
+	remaining := demand
+	for _, p := range order {
+		if remaining <= 0 {
+			break
+		}
+		if take := math.Min(avail[p], remaining); take > 0 {
+			takes = append(takes, poolTake{p, take})
+			remaining -= take
+		}
+	}
+	return takes, false
+}
+
+// TestBorrowMatchesReference drives a borrowing allocator through random
+// reserve/release sequences and checks every reservation against
+// borrowReference, bit for bit, on a shadow copy of the demand stream.
+func TestBorrowMatchesReference(t *testing.T) {
+	check := func(seed uint16, ops []uint8) bool {
+		cfg := Config{Total: 17.3, Fractions: []float64{0.4, 0.1, 0.3, 0.2}, DemandMean: 1.3, AllowBorrow: true}
+		a := Must(cfg, rng.New(uint64(seed)))
+		shadow := rng.New(uint64(seed))
+		var live []*Grant
+		for _, op := range ops {
+			if op%3 == 2 && len(live) > 0 {
+				k := int(op) % len(live)
+				a.Release(live[k])
+				live = append(live[:k], live[k+1:]...)
+				continue
+			}
+			c, length := int(op%4), float64(op%5)+0.5
+			avail := append([]float64(nil), a.available...)
+			want, wantBlocked := borrowReference(avail, c, 1+float64(shadow.Poisson(cfg.DemandMean*length)))
+			g := new(Grant)
+			if blocked := a.Reserve(clientsClass(c), length, g); blocked != wantBlocked {
+				return false
+			}
+			if wantBlocked {
+				continue
+			}
+			if len(g.takes) != len(want) {
+				return false
+			}
+			for i := range want {
+				if g.takes[i] != want[i] {
+					return false
+				}
+			}
+			live = append(live, g)
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBorrowStopsAtScannedPools: when rounding leaves a sliver of the
+// demand uncovered by the pools the scan counted (0.7 + 0.3 sums to 1, but
+// 1 − 0.7 − 0.3 is 5.6e-17), the grant stops there, as borrowReference's
+// visit list does, and leaves the higher-priority pool 1 untouched.
+func TestBorrowStopsAtScannedPools(t *testing.T) {
+	a := alloc(t, Config{Total: 30, Fractions: []float64{0.2, 0.3, 0.5}, DemandMean: 0, AllowBorrow: true})
+	avail := []float64{0.7, 5, 0.3}
+	copy(a.available, avail)
+	want, _ := borrowReference(avail, 0, 1)
+	var g Grant
+	if a.Reserve(0, 1, &g) {
+		t.Fatal("reserve blocked with enough bandwidth across pools 0 and 2")
+	}
+	if !reflect.DeepEqual(g.takes, want) {
+		t.Fatalf("takes %v, want %v", g.takes, want)
+	}
+	if a.Available(1) != 5 {
+		t.Fatalf("pool 1 left with %g, want 5", a.Available(1))
+	}
+}
+
+// TestReserveReleaseAllocationFree: once a grant has been filled, reusing
+// it costs no heap allocation on either the strict or the borrowing path.
+func TestReserveReleaseAllocationFree(t *testing.T) {
+	for _, borrow := range []bool{false, true} {
+		cfg := PaperConfig()
+		cfg.AllowBorrow = borrow
+		a := Must(cfg, rng.New(1))
+		var g Grant
+		allocs := testing.AllocsPerRun(1000, func() {
+			if !a.Reserve(1, 2, &g) {
+				a.Release(&g)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("borrow=%v: %g allocations per Reserve/Release, want 0", borrow, allocs)
+		}
+	}
+}
+
+// BenchmarkReserveRelease times one reservation and its release through a
+// reused grant, as the engine makes them: 0 allocs/op. borrow=true holds
+// most of the Class-B pool so that most Class-B reservations borrow.
+func BenchmarkReserveRelease(b *testing.B) {
+	for _, borrow := range []bool{false, true} {
+		b.Run(fmt.Sprintf("borrow=%v", borrow), func(b *testing.B) {
+			cfg := PaperConfig()
+			cfg.AllowBorrow = borrow
+			a := Must(cfg, rng.New(1))
+			if borrow {
+				for i := 0; i < 3; i++ {
+					a.Reserve(1, 0.5, new(Grant))
+				}
+			}
+			var g Grant
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !a.Reserve(1, 2, &g) {
+					a.Release(&g)
+				}
+			}
+		})
 	}
 }

@@ -1,5 +1,9 @@
 package core
 
+// Two slot arenas keep per-request state off the heap in steady state:
+// reqArena below for submitted requests, and retryArena (at the end of the
+// file) for booked loss retries.
+//
 // Struct-of-arrays arena for submitted requests (serving mode). One
 // admitted request = one int32 slot across the parallel field slices; freed
 // slots recycle through a freelist, so steady-state serving allocates no
@@ -18,6 +22,7 @@ package core
 import (
 	"hybridqos/internal/clients"
 	"hybridqos/internal/clock"
+	"hybridqos/internal/pullqueue"
 )
 
 // maxGen bounds slot generations so the packed handle stays negative.
@@ -111,5 +116,58 @@ func (a *reqArena) release(slot int32) {
 // freeGrow is release's cold path: the freelist reaches peak-concurrency
 // length once, then recycles.
 func (a *reqArena) freeGrow(slot int32) {
+	a.free = append(a.free, slot)
+}
+
+// retryArena holds every booked loss retry's request between the failed
+// delivery and its backoff firing. A slot's handler is built once, when
+// the slot is created, and hands the slot to onFire; fired slots recycle
+// through a freelist, so steady-state retries allocate nothing.
+type retryArena struct {
+	req  []pullqueue.Request
+	fire []func() // per-slot handler, built once at grow
+	free []int32  // recycled slots awaiting reuse
+
+	// onFire is the engine's retry path; it copies the request out and
+	// releases the slot before running the retry.
+	onFire func(slot int32)
+}
+
+// alloc returns a free slot.
+//
+//qos:hotpath
+func (a *retryArena) alloc() int32 {
+	if n := len(a.free); n > 0 {
+		slot := a.free[n-1]
+		a.free = a.free[:n-1]
+		return slot
+	}
+	return a.grow()
+}
+
+// grow is alloc's cold path: the arena extends to the peak count of
+// retries booked at once, then the freelist recycles.
+func (a *retryArena) grow() int32 {
+	slot := int32(len(a.req))
+	a.req = append(a.req, pullqueue.Request{})
+	a.fire = append(a.fire, func() { a.onFire(slot) })
+	return slot
+}
+
+// release recycles a fired retry's slot.
+//
+//qos:hotpath
+func (a *retryArena) release(slot int32) {
+	if n := len(a.free); n < cap(a.free) {
+		a.free = a.free[:n+1]
+		a.free[n] = slot
+	} else {
+		a.freeGrow(slot)
+	}
+}
+
+// freeGrow is release's cold path: the freelist reaches the peak count of
+// retries booked at once, then recycles.
+func (a *retryArena) freeGrow(slot int32) {
 	a.free = append(a.free, slot)
 }

@@ -120,7 +120,17 @@ type Server struct {
 	nextBatch int              // batch size for the booked arrival event, if one is booked
 	pushItem  int              // item of the in-flight push transmission
 	pullEntry *pullqueue.Entry // entry of the in-flight pull transmission
-	pullGrant *bandwidth.Grant // its bandwidth grant, nil without an allocator
+	pullGrant bandwidth.Grant  // its bandwidth grant, empty without an allocator
+
+	// The telemetry snapshot chain is single-outstanding too: snapH emits
+	// snapshot snapK and books the next one.
+	snapH func()
+	snapK int64
+
+	// retries holds every booked loss retry until its backoff fires;
+	// unlike the handlers above they are multi-outstanding (every lost
+	// request books its own), so each takes an arena slot (arena.go).
+	retries retryArena
 
 	// txTok is the in-flight transmission's completion event, cancelled
 	// when a drain quiesces the loop (serve.go).
@@ -279,10 +289,17 @@ func newServer(cfg Config, clk clock.Clock) (*Server, error) {
 	}
 	s.pushH = func() { s.completePush(s.pushItem) }
 	s.pullH = func() {
-		entry, grant := s.pullEntry, s.pullGrant
-		s.pullEntry, s.pullGrant = nil, nil
-		s.completePull(entry, grant)
+		entry := s.pullEntry
+		s.pullEntry = nil
+		s.completePull(entry)
 	}
+	s.snapH = func() {
+		k := s.snapK
+		t := float64(k) * s.tele.SnapshotEvery()
+		s.emit(trace.Event{T: t, Kind: trace.KindSnapshot, Class: -1, Snap: s.tele.TakeSnapshot(t)})
+		s.scheduleSnapshot(k + 1)
+	}
+	s.retries.onFire = s.fireRetry
 
 	s.metrics = &Metrics{Horizon: cfg.Horizon, Cutoff: cfg.Cutoff}
 	for c := 0; c < cfg.Classes.NumClasses(); c++ {
@@ -331,18 +348,19 @@ func (s *Server) observePendingRetries() {
 
 // scheduleSnapshot books the k-th periodic telemetry snapshot (1-based) at
 // simulated time k·every. Snapshots are chained rather than pre-booked so
-// the event heap stays small. The callback only reads simulation state —
-// no RNG draws, no queue mutations — so a telemetry-enabled run follows a
-// trajectory bit-identical to the same run without it.
+// the event heap stays small, and one is booked at a time, so the reused
+// snapH finds its index in s.snapK. The callback only reads simulation
+// state — no RNG draws, no queue mutations — so a telemetry-enabled run
+// follows a trajectory bit-identical to the same run without it.
+//
+//qos:hotpath
 func (s *Server) scheduleSnapshot(k int64) {
 	t := float64(k) * s.tele.SnapshotEvery()
 	if t > s.cfg.Horizon {
 		return
 	}
-	s.clk.At(t, func() {
-		s.emit(trace.Event{T: t, Kind: trace.KindSnapshot, Class: -1, Snap: s.tele.TakeSnapshot(t)})
-		s.scheduleSnapshot(k + 1)
-	})
+	s.snapK = k
+	s.clk.At(t, s.snapH)
 }
 
 // Run executes the simulation to its horizon and returns the metrics.
@@ -582,15 +600,23 @@ func (s *Server) retryAfterLoss(r pullqueue.Request, now float64) bool {
 	}
 	s.pendingRetries++
 	s.observePendingRetries()
-	// Unlike the arrival/push/pull handlers, retries are multi-outstanding
-	// (every lost request books its own), so each needs its own closure.
-	//lint:allow hotalloc per-retry closure: retries are loss-path only and bounded by MaxAttempts
-	s.clk.At(retryAt, func() {
-		s.pendingRetries--
-		s.observePendingRetries()
-		s.handleRetry(r)
-	})
+	slot := s.retries.alloc()
+	s.retries.req[slot] = r
+	s.clk.At(retryAt, s.retries.fire[slot])
 	return true
+}
+
+// fireRetry runs a booked retry whose backoff elapsed. The request is
+// copied out and its slot freed first, so a retry that fails again can
+// book its next attempt into the same slot.
+//
+//qos:hotpath
+func (s *Server) fireRetry(slot int32) {
+	r := s.retries.req[slot]
+	s.retries.release(slot)
+	s.pendingRetries--
+	s.observePendingRetries()
+	s.handleRetry(r)
 }
 
 // handleRetry delivers a client's re-request to the server. Like any fresh
@@ -671,7 +697,12 @@ func (s *Server) completePush(item int) {
 		})
 	}
 	start := now - s.cfg.Catalog.Length(item)
-	for _, w := range s.pushWaiters[item] {
+	// The list is detached while it is served: a done callback that
+	// submits the same item again registers for the next broadcast, and is
+	// put back below instead of being truncated away with the served ones.
+	waiters := s.pushWaiters[item]
+	s.pushWaiters[item] = nil
+	for _, w := range waiters {
 		ws := start
 		if w.joined > ws {
 			// The waiter tuned in mid-broadcast (or a roamer re-attached
@@ -682,7 +713,7 @@ func (s *Server) completePush(item int) {
 		s.recordServed(w.class, w.arrival, now, true, item, w.tag, ws)
 		s.fillCache(w.client, item, now)
 	}
-	s.pushWaiters[item] = s.pushWaiters[item][:0]
+	s.pushWaiters[item] = append(waiters[:0], s.pushWaiters[item]...)
 	s.attemptPull()
 }
 
@@ -712,10 +743,8 @@ func (s *Server) attemptPull() {
 		}
 		s.observeQueue()
 
-		var grant *bandwidth.Grant
 		if s.alloc != nil {
-			g, blocked := s.alloc.Reserve(entry.HighestClass(), entry.Length)
-			if blocked {
+			if s.alloc.Reserve(entry.HighestClass(), entry.Length, &s.pullGrant) {
 				// Paper: the item and all its pending requests are lost.
 				s.metrics.BlockedTransmissions++
 				if s.emitOn {
@@ -748,7 +777,6 @@ func (s *Server) attemptPull() {
 				}
 				return
 			}
-			grant = g
 			s.observeBandwidth()
 		}
 
@@ -761,7 +789,7 @@ func (s *Server) attemptPull() {
 		}
 		// Serial downlink: at most one pull completion in flight, so the
 		// entry and grant ride in fields and the handler is reused.
-		s.pullEntry, s.pullGrant = entry, grant
+		s.pullEntry = entry
 		s.txTok = s.clk.After(entry.Length, s.pullH)
 		return
 	}
@@ -805,7 +833,7 @@ func (s *Server) emitDecision(entry *pullqueue.Entry) {
 // channel back to the push system.
 //
 //qos:hotpath
-func (s *Server) completePull(entry *pullqueue.Entry, grant *bandwidth.Grant) {
+func (s *Server) completePull(entry *pullqueue.Entry) {
 	now := s.clk.Now()
 	s.metrics.PullTransmissions++
 	if s.loss != nil && s.loss.Corrupted(now, s.lossRng) {
@@ -842,8 +870,8 @@ func (s *Server) completePull(entry *pullqueue.Entry, grant *bandwidth.Grant) {
 			}
 		}
 		s.selector.Recycle(entry)
-		if grant != nil {
-			s.alloc.Release(grant)
+		if s.alloc != nil {
+			s.alloc.Release(&s.pullGrant)
 			s.observeBandwidth()
 		}
 		if s.cutoff > 0 {
@@ -865,8 +893,8 @@ func (s *Server) completePull(entry *pullqueue.Entry, grant *bandwidth.Grant) {
 		s.fillCache(r.Client, entry.Item, now)
 	}
 	s.selector.Recycle(entry)
-	if grant != nil {
-		s.alloc.Release(grant)
+	if s.alloc != nil {
+		s.alloc.Release(&s.pullGrant)
 		s.observeBandwidth()
 	}
 	if s.cutoff > 0 {

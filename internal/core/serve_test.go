@@ -317,6 +317,45 @@ func TestRealtimePushServesWaiters(t *testing.T) {
 	}
 }
 
+// TestRealtimePushResubmitDuringBroadcast: a done callback that submits
+// the same push item again — a closed-loop client re-requesting on its
+// answer — registers while the item's broadcast is still being served. It
+// must be served by the item's next broadcast, not wiped with the waiters
+// just served and left to expire.
+func TestRealtimePushResubmitDuringBroadcast(t *testing.T) {
+	v := clock.NewVirtual()
+	rt, err := NewServing(Config{
+		Catalog: rtCatalog(t, 8),
+		Classes: rtClasses(t, 2, 1),
+		Cutoff:  4,
+	}, v, admission.Config{
+		Classes:         make([]admission.ClassConfig, 2),
+		DefaultDeadline: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	var got []Result
+	v.At(0.5, func() {
+		rt.Submit(1, 0, 0, func(first Result) {
+			got = append(got, first)
+			rt.Submit(1, 0, 0, func(second Result) { got = append(got, second) })
+		})
+	})
+	v.RunUntil(200)
+	// Item 1 is on the air over [0,1) and every 4 units after: the first
+	// request hears the end of the first broadcast, the second a whole
+	// cycle later.
+	want := []Result{
+		{Outcome: OutcomeServed, Delay: 0.5, Push: true},
+		{Outcome: OutcomeServed, Delay: 4, Push: true},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("results %+v, want %+v", got, want)
+	}
+}
+
 // TestRealtimeDrain: mid-storm drain must stop admission, resolve every
 // admitted request by its deadline, and report completion exactly once.
 func TestRealtimeDrain(t *testing.T) {

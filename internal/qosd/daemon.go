@@ -252,7 +252,7 @@ func (d *Daemon) Serve(req Request, class int, respond func(status int, resp Res
 		respond(http.StatusServiceUnavailable, Response{Outcome: "draining", Class: class})
 		return
 	}
-	if req.Item > d.cat.D() {
+	if req.Item < 1 || req.Item > d.cat.D() {
 		respond(http.StatusBadRequest, Response{Outcome: "bad_item", Class: class})
 		return
 	}

@@ -333,9 +333,14 @@ func TestDaemonServeRefusals(t *testing.T) {
 	gotStatus, gotOutcome := 0, ""
 	record := func(status int, resp Response) { gotStatus, gotOutcome = status, resp.Outcome }
 
-	d.Serve(Request{Item: 9999}, 0, record)
-	if gotStatus != http.StatusBadRequest || gotOutcome != "bad_item" {
-		t.Errorf("item out of range answered %d %q", gotStatus, gotOutcome)
+	// Both sides of [1, D]: Serve takes requests that did not come through
+	// ParseRequest, so it must not hand the engine an item it panics on.
+	for _, item := range []int{9999, 0, -1} {
+		gotStatus, gotOutcome = 0, ""
+		d.Serve(Request{Item: item}, 0, record)
+		if gotStatus != http.StatusBadRequest || gotOutcome != "bad_item" {
+			t.Errorf("item %d out of range answered %d %q", item, gotStatus, gotOutcome)
+		}
 	}
 
 	d.Drain(nil)
