@@ -115,7 +115,7 @@ func main() {
 		Replications:   *reps,
 		Seed:           *seed,
 	}
-	if *bw > 0 {
+	if *bw != 0 {
 		fr, err := parseFloats(*fracs)
 		if err != nil {
 			fatal("parsing -fractions: %v", err)
@@ -128,7 +128,7 @@ func main() {
 		}
 	}
 
-	if *loss > 0 || *gilbert > 0 || *retries > 0 || *shedHigh > 0 {
+	if *loss != 0 || *gilbert != 0 || *retries != 0 || *shedHigh != 0 {
 		cfg.Faults = &hybridqos.FaultsConfig{
 			LossProb:     *loss,
 			MeanBurst:    *gilbert,
@@ -153,7 +153,7 @@ func main() {
 	if !(*telEvery >= 0) { // negative or NaN
 		fatal("telemetry: snapshot cadence %g, want positive", *telEvery)
 	}
-	if *telAddr != "" && (*cells > 0 || cfg.Cluster != nil) {
+	if *telAddr != "" && (*cells != 0 || cfg.Cluster != nil) {
 		fatal("-telemetry-addr is single-cell: a cluster run (-cells) serves no live snapshots")
 	}
 	if *telAddr != "" || *telEvery > 0 {
@@ -174,9 +174,9 @@ func main() {
 	}
 	// Cluster mode applies on top of a loaded -config too, and before
 	// -saveconfig so the federation persists in canned configurations.
-	if *cells > 0 {
+	if *cells != 0 {
 		every := *handoffEv
-		if every <= 0 {
+		if every == 0 {
 			every = cfg.Horizon / 100
 		}
 		cfg.Cluster = &hybridqos.ClusterOptions{
@@ -218,6 +218,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serving profiling on http://%s/debug/pprof/\n", dbg.Addr)
 	}
 
+	if *workers < 0 {
+		fatal("-workers %d negative (0 = one per spare CPU)", *workers)
+	}
 	if *workers > 0 {
 		hybridqos.SetWorkers(*workers)
 	}
@@ -272,7 +275,7 @@ func main() {
 
 	fmt.Printf("hybridqos %s — D=%d θ=%.2f λ'=%.1f K=%d α=%.2f horizon=%.0f reps=%d\n\n",
 		hybridqos.Version, cfg.NumItems, cfg.Theta, cfg.Lambda, cfg.Cutoff, cfg.Alpha,
-		cfg.Horizon, cfg.Replications)
+		cfg.Horizon, res.Replications)
 
 	tbl := report.NewTable("Per-class results",
 		"class", "weight", "mean delay", "±95% CI", "p95", "cost", "drop rate",

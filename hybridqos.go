@@ -129,7 +129,7 @@ type Config struct {
 	// WarmupFraction of the horizon is discarded from statistics.
 	WarmupFraction float64
 	// Replications is the number of independent runs aggregated by
-	// Simulate; 0 means 1.
+	// Simulate; 0 means 1, and a negative count is an error.
 	Replications int
 	// Seed is the base random seed; replication r uses Seed+r.
 	Seed uint64
@@ -248,7 +248,8 @@ type FaultsConfig struct {
 	LossProb float64
 	// MeanBurst, when ≥ 1, makes corruption bursty: a Gilbert–Elliott chain
 	// whose loss bursts average MeanBurst consecutive transmissions, with
-	// stationary loss LossProb. 0 selects i.i.d. Bernoulli loss.
+	// stationary loss LossProb. 0 selects i.i.d. Bernoulli loss; any other
+	// value below 1 is an error.
 	MeanBurst float64
 	// MaxRetries is the number of client re-requests allowed after corrupted
 	// pull deliveries; 0 disables retries (a corrupted delivery fails
@@ -267,7 +268,8 @@ type FaultsConfig struct {
 	// ShedHigh, when positive, enables class-aware overload shedding: at
 	// ShedHigh pending pull requests (queued plus awaiting retry) the server
 	// refuses lowest-class requests, restoring admission at ShedLow
-	// (hysteresis; ShedLow < ShedHigh).
+	// (hysteresis; ShedLow < ShedHigh). 0 disables shedding; a negative
+	// mark is an error.
 	ShedHigh int
 	// ShedLow is the low-water mark (≥ 0).
 	ShedLow int
@@ -282,7 +284,7 @@ func (f *FaultsConfig) lossModel() (faults.LossModel, error) {
 	if f.LossProb == 0 && f.MeanBurst == 0 {
 		return nil, nil
 	}
-	if f.MeanBurst > 0 {
+	if f.MeanBurst != 0 {
 		return faults.NewBurstLoss(f.LossProb, f.MeanBurst)
 	}
 	return faults.NewBernoulli(f.LossProb)
@@ -358,6 +360,9 @@ func PaperConfig() Config {
 
 // build lowers the public Config to internal configuration.
 func (c Config) build() (core.Config, error) {
+	if c.Replications < 0 {
+		return core.Config{}, fmt.Errorf("hybridqos: replication count %d negative", c.Replications)
+	}
 	cat, err := catalog.Generate(catalog.Config{
 		D:             c.NumItems,
 		Theta:         c.Theta,
@@ -408,7 +413,7 @@ func (c Config) build() (core.Config, error) {
 			return core.Config{}, fmt.Errorf("faults: retry count %d negative", c.Faults.MaxRetries)
 		}
 		cfg.Retry = c.Faults.retryPolicy()
-		if c.Faults.ShedHigh > 0 {
+		if c.Faults.ShedHigh != 0 {
 			cfg.Shed = &faults.ShedConfig{
 				High:           c.Faults.ShedHigh,
 				Low:            c.Faults.ShedLow,

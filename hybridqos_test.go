@@ -78,6 +78,9 @@ func TestSimulateInvalidConfigs(t *testing.T) {
 		func(c *Config) {
 			c.Bandwidth = &BandwidthConfig{Total: 10, Fractions: []float64{1}, DemandMean: 1}
 		}, // class arity mismatch
+		func(c *Config) { c.Replications = -1 },
+		func(c *Config) { c.Faults = &FaultsConfig{MeanBurst: -2} },
+		func(c *Config) { c.Faults = &FaultsConfig{ShedHigh: -5} },
 	}
 	for i, mutate := range mutations {
 		c := quickConfig()

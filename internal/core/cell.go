@@ -86,8 +86,10 @@ func (s *Server) AdvanceTo(t float64) {
 }
 
 // Finish closes the run at the horizon — time-weighted queue means, final
-// bandwidth statistics — and returns the metrics. Call it exactly once,
-// after the final AdvanceTo reached the horizon.
+// bandwidth statistics, and the trace.KindRunEnd mark to the tracer, which
+// makes a trace.Buffer behind it flush, so its Events hold the whole run —
+// and returns the metrics. Call it exactly once, after the final AdvanceTo
+// reached the horizon.
 func (s *Server) Finish() *Metrics {
 	s.metrics.QueueItems.MeanAt(s.cfg.Horizon)
 	s.metrics.QueueRequests.MeanAt(s.cfg.Horizon)
@@ -96,6 +98,7 @@ func (s *Server) Finish() *Metrics {
 			s.metrics.Bandwidth = append(s.metrics.Bandwidth, s.alloc.Stats(clients.Class(c)))
 		}
 	}
+	s.tracer.Event(trace.Event{T: s.cfg.Horizon, Kind: trace.KindRunEnd, Class: -1})
 	return s.metrics
 }
 

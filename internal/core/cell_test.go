@@ -232,6 +232,7 @@ func TestInjectShed(t *testing.T) {
 			t.Fatal("overloaded cell accepted a low-priority roamer")
 		}
 	}
+	buf.Flush()
 	sawRefusal := false
 	for _, e := range buf.Events {
 		if e.Kind == trace.KindHandoffRefused && e.Reason == trace.RefusalShed {

@@ -591,6 +591,7 @@ func TestRealtimeTelemetryAudited(t *testing.T) {
 		if s.Pending() != total {
 			t.Errorf("%s: Pending() = %d, callbacks leave %d", when, s.Pending(), total)
 		}
+		buf.Flush()
 		events := append(append([]trace.Event(nil), buf.Events...),
 			trace.Event{T: now, Kind: trace.KindSnapshot, Class: -1, Snap: snap})
 		if n, err := trace.VerifySnapshots(events); err != nil || n != 1 {

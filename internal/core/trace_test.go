@@ -96,3 +96,49 @@ func TestTraceBlockedEvents(t *testing.T) {
 		t.Fatal("expected blocking under starved bandwidth")
 	}
 }
+
+// forward passes every event on, as a timing wrapper in front of a
+// recording sink does.
+type forward struct{ next trace.Tracer }
+
+func (f forward) Event(e trace.Event) { f.next.Event(e) }
+
+// TestRunCompletesWrappedBuffer: after Run, a trace.Buffer holds exactly
+// the events a JSONL of the same run writes, whether the Buffer is the
+// tracer or sits behind a forwarding one: Finish's run-end mark flushes it
+// and is recorded by neither.
+func TestRunCompletesWrappedBuffer(t *testing.T) {
+	cfg := baseConfig(t)
+	cfg.Horizon = 4000
+	var w bytes.Buffer
+	j := trace.NewJSONL(&w)
+	cfg.Tracer = j
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := trace.Read(&w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wrapped := range []bool{false, true} {
+		buf := &trace.Buffer{}
+		cfg.Tracer = buf
+		if wrapped {
+			cfg.Tracer = forward{buf}
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if len(buf.Events) != len(want) {
+			t.Fatalf("wrapped=%v: Buffer holds %d events, JSONL wrote %d", wrapped, len(buf.Events), len(want))
+		}
+		for i := range want {
+			if buf.Events[i] != want[i] {
+				t.Fatalf("wrapped=%v: event %d = %+v, JSONL wrote %+v", wrapped, i, buf.Events[i], want[i])
+			}
+		}
+	}
+}

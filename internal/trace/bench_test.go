@@ -50,8 +50,10 @@ func BenchmarkJSONL(b *testing.B) {
 }
 
 // BenchmarkBufferEvent records the whole recorded trace into a fresh
-// Buffer per iteration: the append, growth, zeroing and copying cost a
-// recorded run pays per event.
+// Buffer per iteration and flushes it once, as a run's end does: what a
+// recorded run pays per event when it follows another one, as replications
+// do — filling the blocks the previous iteration's Flush pooled, and the
+// one exactly sized copy into Events.
 func BenchmarkBufferEvent(b *testing.B) {
 	events := recordedEvents(b, true)
 	m := startMallocs(b)
@@ -60,6 +62,7 @@ func BenchmarkBufferEvent(b *testing.B) {
 		for _, e := range events {
 			buf.Event(e)
 		}
+		buf.Flush()
 	}
 	m.report(b, len(events))
 }

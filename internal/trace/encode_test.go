@@ -75,9 +75,19 @@ func jsonlLine(e Event) ([]byte, error) {
 }
 
 // checkEncoding requires JSONL and json.Marshal to write e exactly as the
-// oracle did (or to fail where it failed), and Read to give e back.
+// oracle did (or to fail where it failed), and Read to give e back. The
+// KindRunEnd mark, which has no wire name, JSONL skips without an error.
 func checkEncoding(t *testing.T, e Event) {
 	t.Helper()
+	if e.Kind == KindRunEnd {
+		if got, err := jsonlLine(e); err != nil || len(got) != 0 {
+			t.Fatalf("%+v: JSONL wrote %q, %v for the run-end mark; want nothing", e, got, err)
+		}
+		if _, err := json.Marshal(e); err == nil {
+			t.Fatalf("%+v: json.Marshal accepted the run-end mark", e)
+		}
+		return
+	}
 	want, wantErr := oracleLine(e)
 	got, err := jsonlLine(e)
 	if (err != nil) != (wantErr != nil) {
@@ -131,10 +141,11 @@ func goldenSnapshot() *telemetry.Snapshot {
 }
 
 // TestEventJSONMatchesOracle runs the encoding check over every kind and
-// reason code (one past the end included), every float boundary in every
-// float field, and the int32 extremes.
+// reason code (one past the end included, and for kinds the run-end mark
+// before it), every float boundary in every float field, and the int32
+// extremes.
 func TestEventJSONMatchesOracle(t *testing.T) {
-	for k := 0; k <= len(kindNames); k++ {
+	for k := 0; k <= int(KindRunEnd)+1; k++ {
 		checkEncoding(t, Event{T: 1, Kind: Kind(k), Class: -1})
 	}
 	for r := 0; r <= len(reasonNames); r++ {
@@ -165,7 +176,7 @@ func FuzzEventJSON(f *testing.F) {
 	f.Add(3.0, uint8(KindDecision), 7, 2, 0.0, int32(4), false, 0, int32(1), uint8(0), int64(0), math.Inf(-1), int32(9), 0.25, 0.0, false)
 	f.Add(4.0, uint8(KindSpanEnd), 7, 2, 1.0, int32(0), false, 2, int32(0), uint8(EndServed), int64(1)<<40, 0.0, int32(0), 0.0, 3.5, false)
 	f.Add(5.0, uint8(KindSnapshot), 0, -1, 0.0, int32(0), false, 0, int32(0), uint8(0), int64(0), 0.0, int32(0), 0.0, 0.0, true)
-	f.Add(math.Copysign(0, -1), uint8(len(kindNames)), 0, 0, math.Copysign(0, -1), int32(math.MinInt32), false, 0,
+	f.Add(math.Copysign(0, -1), uint8(KindRunEnd+1), 0, 0, math.Copysign(0, -1), int32(math.MinInt32), false, 0,
 		int32(math.MaxInt32), uint8(len(reasonNames)), int64(0), math.NaN(), int32(-1), 1e21, 5e-324, false)
 	f.Add(1e-7, uint8(KindRetry), 1, 0, math.Inf(1), int32(1), false, 1, int32(0), uint8(0), int64(0), 0.0, int32(0), 0.0, 0.0, false)
 	f.Fuzz(func(t *testing.T, tm float64, kind uint8, item, class int, arrival float64, requests int32, push bool,

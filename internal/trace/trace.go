@@ -13,7 +13,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
+	"sync"
 
 	"hybridqos/internal/clients"
 	"hybridqos/internal/jsonenc"
@@ -62,6 +65,14 @@ const (
 	KindSpanHandoff // sampled request roamed out of this cell (Cell tags carry origin/destination)
 	KindSpanAttach  // sampled request re-attached after transit; Reason is the inject verdict
 	KindSpanEnd     // sampled request reached a terminal; Reason is the outcome taxonomy
+
+	// KindRunEnd marks the end of a run: core's Server.Finish sends it
+	// once, after the run's last event, through the tracer and every
+	// forwarder in front of it (a Tag, a timing wrapper). It is a signal,
+	// not a record: Buffer flushes on it and JSONL skips it, so no stored
+	// or written stream holds it, and it has no wire name (a Counter
+	// tallies it like any kind).
+	KindRunEnd
 )
 
 // kindNames is the wire name of every Kind, indexed by code.
@@ -471,9 +482,10 @@ func NewJSONL(w io.Writer) *JSONL {
 }
 
 // Event implements Tracer. An event that fails to encode writes nothing;
-// the first encoding or write error sticks and is reported by Flush.
+// the first encoding or write error sticks and is reported by Flush. The
+// KindRunEnd mark is skipped.
 func (j *JSONL) Event(e Event) {
-	if j.err != nil {
+	if j.err != nil || e.Kind == KindRunEnd {
 		return
 	}
 	b, err := e.appendJSON(j.buf[:0])
@@ -515,27 +527,108 @@ func (t Tag) Event(e Event) {
 	t.Next.Event(e)
 }
 
-// Buffer records events in memory, in emission order. Cluster runs give
-// each cell its own Buffer during the parallel advance and merge the
+// Buffer records events in memory, in emission order. Recording fills
+// blocks that are never copied while the run goes on; Flush moves them onto
+// Events and hands them back for later recordings. The KindRunEnd mark
+// that core's Server.Finish sends flushes the Buffer, behind any forwarding
+// tracer too, so after core.Run, Server.Run or Server.Finish Events is
+// complete; a reader of a Buffer mid-run calls Flush first. Cluster runs
+// give each cell its own Buffer during the parallel advance and merge the
 // streams deterministically afterwards (MergeByTime).
 type Buffer struct {
-	// Events holds every recorded event.
+	// Events holds the events recorded up to the last Flush.
 	Events []Event
+	// blocks holds the blocks recorded into since the last Flush, oldest
+	// first. The last one is cur, the block being filled (nil before the
+	// first event after a Flush); its handle's length lags cur's until
+	// grow or Flush stores it.
+	blocks []*[]Event
+	cur    []Event
 }
 
-// minBufferCap is the capacity of a Buffer's first allocation.
-const minBufferCap = 64
+// Block capacities: the first block after a Flush holds minBlockEvents
+// events, and each next one twice its predecessor's, up to maxBlockEvents
+// (384 KiB of 96-byte events).
+const (
+	minBlockEvents = 64
+	maxBlockEvents = 4096
+)
 
-// Event implements Tracer. The slice doubles when full: append's growth
-// drops to 1.25× for large slices, which for a long run re-allocates,
-// zeroes and copies the buffer several times more than doubling does.
+// blockPools holds flushed blocks for the next recording, pool i the
+// blocks of minBlockEvents<<i events. Consecutive recorded runs (the
+// replications of Simulate, the points of a sweep, a cluster's cells) then
+// fill blocks that are already allocated and mapped instead of allocating
+// and zeroing new ones. A pooled block keeps its stale events, and so the
+// snapshots they point to, until a recording overwrites it or the collector
+// drops it from the pool; Flush copies only what was recorded.
+var blockPools [7]sync.Pool
+
+// blockPool returns the pool of blocks with room for size events.
+func blockPool(size int) *sync.Pool {
+	return &blockPools[bits.TrailingZeros(uint(size/minBlockEvents))]
+}
+
+// Event implements Tracer. The KindRunEnd mark is not recorded: it
+// flushes the Buffer.
+//
+//qos:hotpath
 func (b *Buffer) Event(e Event) {
-	if len(b.Events) == cap(b.Events) {
-		grown := make([]Event, len(b.Events), max(2*cap(b.Events), minBufferCap))
-		copy(grown, b.Events)
-		b.Events = grown
+	if e.Kind == KindRunEnd {
+		b.Flush()
+		return
 	}
-	b.Events = append(b.Events, e)
+	n := len(b.cur)
+	if n == cap(b.cur) {
+		b.grow()
+		n = 0
+	}
+	b.cur = b.cur[:n+1]
+	b.cur[n] = e
+}
+
+// grow is Event's cold path: it retires the full current block and starts
+// the next one, from the pool when it has one.
+func (b *Buffer) grow() {
+	size := minBlockEvents
+	if k := len(b.blocks); k > 0 {
+		*b.blocks[k-1] = b.cur
+		size = min(2*cap(b.cur), maxBlockEvents)
+	}
+	h, _ := blockPool(size).Get().(*[]Event)
+	if h == nil {
+		blk := make([]Event, 0, size)
+		h = &blk
+	}
+	b.blocks = append(b.blocks, h)
+	b.cur = (*h)[:0]
+}
+
+// Flush appends the events recorded since the last Flush onto Events and
+// returns their blocks to the pool. Into an Events with no capacity that is
+// one exactly sized allocation; onto a longer one Events grows as append
+// grows it, so frequent Flushes stay linear. Flush may be called any number
+// of times, mid-recording too: later events go into new blocks, and the
+// next Flush appends them.
+func (b *Buffer) Flush() {
+	k := len(b.blocks)
+	if k == 0 {
+		return
+	}
+	*b.blocks[k-1] = b.cur
+	n := 0
+	for _, h := range b.blocks {
+		n += len(*h)
+	}
+	if cap(b.Events) == 0 {
+		b.Events = make([]Event, 0, n)
+	} else {
+		b.Events = slices.Grow(b.Events, n)
+	}
+	for _, h := range b.blocks {
+		b.Events = append(b.Events, *h...)
+		blockPool(cap(*h)).Put(h)
+	}
+	b.blocks, b.cur = nil, nil
 }
 
 // MergeByTime merges per-cell event streams — each already in nondecreasing
