@@ -252,7 +252,7 @@ func (s *Server) RefuseHandoff(item int, class clients.Class, reason trace.Reaso
 func (s *Server) acceptHandoff(item int, class clients.Class) {
 	s.metrics.PerClass[class].HandoffsIn++
 	if s.emitOn {
-		s.emit(trace.Event{T: s.clk.Now(), Kind: trace.KindHandoff, Item: item, Class: class})
+		s.emit(&trace.Event{T: s.clk.Now(), Kind: trace.KindHandoff, Item: item, Class: class})
 	}
 }
 
@@ -261,10 +261,10 @@ func (s *Server) acceptHandoff(item int, class clients.Class) {
 func (s *Server) refuseHandoff(item int, class clients.Class, reason trace.Reason, arrival float64, span int64) {
 	s.metrics.PerClass[class].HandoffRefusals++
 	if s.emitOn {
-		s.emit(trace.Event{T: s.clk.Now(), Kind: trace.KindHandoffRefused, Item: item, Class: class, Reason: reason})
+		s.emit(&trace.Event{T: s.clk.Now(), Kind: trace.KindHandoffRefused, Item: item, Class: class, Reason: reason})
 	}
 	if span != 0 && s.emitOn {
-		s.emit(trace.Event{
+		s.emit(&trace.Event{
 			T: s.clk.Now(), Kind: trace.KindSpanEnd, Item: item, Class: class,
 			Req: span, Reason: reason.Refused(), Arrival: arrival,
 		})
@@ -279,7 +279,7 @@ func (s *Server) spanHandoff(item int, class clients.Class, span int64) {
 	if span == 0 || !s.emitOn {
 		return
 	}
-	s.emit(trace.Event{T: s.clk.Now(), Kind: trace.KindSpanHandoff, Item: item, Class: class, Req: span})
+	s.emit(&trace.Event{T: s.clk.Now(), Kind: trace.KindSpanHandoff, Item: item, Class: class, Req: span})
 }
 
 // spanAttach emits the roam-in provenance event for a sampled request
@@ -289,5 +289,5 @@ func (s *Server) spanAttach(item int, class clients.Class, span int64, verdict t
 	if span == 0 || !s.emitOn {
 		return
 	}
-	s.emit(trace.Event{T: s.clk.Now(), Kind: trace.KindSpanAttach, Item: item, Class: class, Req: span, Reason: verdict})
+	s.emit(&trace.Event{T: s.clk.Now(), Kind: trace.KindSpanAttach, Item: item, Class: class, Req: span, Reason: verdict})
 }

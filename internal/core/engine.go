@@ -21,6 +21,8 @@
 package core
 
 import (
+	"sync"
+
 	"hybridqos/internal/admission"
 	"hybridqos/internal/bandwidth"
 	"hybridqos/internal/cache"
@@ -84,7 +86,8 @@ type Server struct {
 	txTotal   int64
 	// pushWaiters is indexed by push rank (1..cutoff); slot 0 is unused.
 	// Slices are reset to length 0 on drain, so waiter capacity is reused
-	// across broadcast cycles instead of reallocated per arrival burst.
+	// across broadcast cycles instead of reallocated per arrival burst, and
+	// across runs through waiterTables.
 	pushWaiters [][]pushWaiter
 
 	loss           faults.LossModel
@@ -94,10 +97,13 @@ type Server struct {
 	pendingRetries int // re-requests booked but not yet delivered
 
 	// emitOn gates trace-event construction on the hot path: false when the
-	// tracer is the no-op sink and telemetry is off, where emit would copy a
+	// tracer is the no-op sink and telemetry is off, where emit would build a
 	// large Event struct per call only to discard it. Guarded sites are
 	// behavior-identical because emit has no side effects in that state.
 	emitOn bool
+	// buf is the tracer when it is a *trace.Buffer, which emit records into
+	// by pointer; nil sends events to tracer by value.
+	buf *trace.Buffer
 
 	// Span provenance (nil spanRng = disabled; the zero cost of spans-off
 	// is a single nil check on the hot path).
@@ -229,6 +235,7 @@ func newServer(cfg Config, clk clock.Clock) (*Server, error) {
 	s.tele = cfg.Telemetry
 	_, nop := s.tracer.(trace.Nop)
 	s.emitOn = !nop || s.tele != nil
+	s.buf, _ = s.tracer.(*trace.Buffer)
 	s.up = cfg.Uplink
 	if s.up == nil {
 		s.up = uplink.Unlimited{}
@@ -276,7 +283,7 @@ func newServer(cfg Config, clk clock.Clock) (*Server, error) {
 
 	// The waiter table is indexed by push rank; ranks run 1..cutoff, using
 	// the effective cutoff (a "none" push scheduler zeroes it above).
-	s.pushWaiters = make([][]pushWaiter, s.cutoff+1)
+	s.pushWaiters = newWaiterTable(s.cutoff + 1)
 
 	// Build the reused handlers once; see the field comments for why each
 	// kind is single-outstanding and therefore safe to share state through
@@ -296,7 +303,7 @@ func newServer(cfg Config, clk clock.Clock) (*Server, error) {
 	s.snapH = func() {
 		k := s.snapK
 		t := float64(k) * s.tele.SnapshotEvery()
-		s.emit(trace.Event{T: t, Kind: trace.KindSnapshot, Class: -1, Snap: s.tele.TakeSnapshot(t)})
+		s.emit(&trace.Event{T: t, Kind: trace.KindSnapshot, Class: -1, Snap: s.tele.TakeSnapshot(t)})
 		s.scheduleSnapshot(k + 1)
 	}
 	s.retries.onFire = s.fireRetry
@@ -315,16 +322,54 @@ func newServer(cfg Config, clk clock.Clock) (*Server, error) {
 	return s, nil
 }
 
+// waiterTables pools the push-waiter tables of finished runs
+// (*[][]pushWaiter, every row cut to length 0 with its capacity kept), so
+// a run's waiter lists start at the size the last run grew them to. A
+// pushWaiter holds no pointers, so stale waiters keep nothing alive.
+var waiterTables sync.Pool
+
+// newWaiterTable returns an empty waiter table of rows rows: a pooled one
+// when the pool has one that large, else a new one.
+func newWaiterTable(rows int) [][]pushWaiter {
+	if t, ok := waiterTables.Get().(*[][]pushWaiter); ok && len(*t) >= rows {
+		return (*t)[:rows]
+	}
+	return make([][]pushWaiter, rows)
+}
+
+// release hands the pull queue's entries and the waiter table, with the
+// capacity the run grew them to, to the next Server built. Only Run calls
+// it, after Finish: that is the one point where nothing else can still
+// hold the Server — a cell's cluster, a serving Server's daemon and every
+// other New caller keep theirs, so their storage is left to the collector.
+// The Server is unusable afterwards.
+func (s *Server) release() {
+	s.selector.Release()
+	t := s.pushWaiters[:cap(s.pushWaiters)]
+	for i := range t {
+		t[i] = t[i][:0]
+	}
+	waiterTables.Put(&t)
+	s.selector, s.pushWaiters = nil, nil
+}
+
 // emit routes one trace event to both consumers: the configured tracer and
-// — via trace.Apply, the single definition of the event→metric mapping —
+// — via trace.Fold, the single definition of the event→metric mapping —
 // the telemetry collector. Keeping both behind one call site is what makes
 // the replay audit exact: the collector sees events in precisely the order
-// the trace records them.
+// the trace records them. Each site builds its event in place and passes
+// its address, which neither consumer keeps, so the event stays on the
+// stack: a trace.Buffer copies it once into its block, any other tracer
+// gets one copy by value, and Fold only reads it.
 //
 //qos:hotpath
-func (s *Server) emit(e trace.Event) {
-	s.tracer.Event(e)
-	trace.Apply(s.tele, e)
+func (s *Server) emit(e *trace.Event) {
+	if s.buf != nil {
+		s.buf.Record(e)
+	} else {
+		s.tracer.Event(*e)
+	}
+	trace.Fold(s.tele, e)
 }
 
 // observeBandwidth samples every class's bandwidth occupancy
@@ -448,7 +493,7 @@ func (s *Server) handleArrival() {
 		s.metrics.PerClass[class].Arrivals++
 	}
 	if s.emitOn {
-		s.emit(trace.Event{T: now, Kind: trace.KindArrival, Item: rank, Class: class})
+		s.emit(&trace.Event{T: now, Kind: trace.KindArrival, Item: rank, Class: class})
 	}
 	span := s.sampleSpan(class)
 	clientID := -1
@@ -464,11 +509,11 @@ func (s *Server) handleArrival() {
 				cm.DelayHist.Add(0)
 			}
 			if s.emitOn {
-				s.emit(trace.Event{T: now, Kind: trace.KindServed, Class: class, Arrival: now})
+				s.emit(&trace.Event{T: now, Kind: trace.KindServed, Class: class, Arrival: now})
 			}
 			if span != 0 && s.emitOn {
-				s.emit(trace.Event{T: now, Kind: trace.KindSpanStart, Item: rank, Class: class, Req: span, Reason: trace.VerdictCache})
-				s.emit(trace.Event{T: now, Kind: trace.KindSpanEnd, Item: rank, Class: class, Req: span, Reason: trace.EndServed, Arrival: now, Start: now})
+				s.emit(&trace.Event{T: now, Kind: trace.KindSpanStart, Item: rank, Class: class, Req: span, Reason: trace.VerdictCache})
+				s.emit(&trace.Event{T: now, Kind: trace.KindSpanEnd, Item: rank, Class: class, Req: span, Reason: trace.EndServed, Arrival: now, Start: now})
 			}
 			return
 		}
@@ -477,21 +522,21 @@ func (s *Server) handleArrival() {
 		// Push item: the server ignores the request (flat broadcast will
 		// deliver it); the simulator tracks the waiter to measure delay.
 		if span != 0 && s.emitOn {
-			s.emit(trace.Event{T: now, Kind: trace.KindSpanStart, Item: rank, Class: class, Req: span, Reason: trace.VerdictPush})
+			s.emit(&trace.Event{T: now, Kind: trace.KindSpanStart, Item: rank, Class: class, Req: span, Reason: trace.VerdictPush})
 		}
 		//lint:allow hotalloc amortized: waiter slices reset to length 0 on drain and reuse capacity across cycles
 		s.pushWaiters[rank] = append(s.pushWaiters[rank], pushWaiter{class: class, arrival: now, joined: now, client: clientID, tag: span})
 		return
 	}
 	if span != 0 && s.emitOn {
-		s.emit(trace.Event{T: now, Kind: trace.KindSpanStart, Item: rank, Class: class, Req: span, Reason: trace.VerdictPull})
+		s.emit(&trace.Event{T: now, Kind: trace.KindSpanStart, Item: rank, Class: class, Req: span, Reason: trace.VerdictPull})
 	}
 	if !s.up.TryRequest(now, s.uplinkRng) {
 		if now >= s.warmupEnd {
 			s.metrics.PerClass[class].UplinkLost++
 		}
 		if span != 0 && s.emitOn {
-			s.emit(trace.Event{T: now, Kind: trace.KindSpanEnd, Item: rank, Class: class, Req: span, Reason: trace.EndUplinkLost, Arrival: now})
+			s.emit(&trace.Event{T: now, Kind: trace.KindSpanEnd, Item: rank, Class: class, Req: span, Reason: trace.EndUplinkLost, Arrival: now})
 		}
 		return
 	}
@@ -521,7 +566,7 @@ func (s *Server) enqueuePull(req pullqueue.Request, now float64) {
 		// Enqueue provenance: the entry's post-add selection score, the
 		// quantity the next extraction decision will rank it by.
 		if e := s.selector.Entry(req.Item); e != nil {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: now, Kind: trace.KindSpanEnqueue, Item: req.Item, Class: req.Class,
 				Req: span, Score: trace.Score(s.selector.Score(e, now)), Requests: int32(e.NumRequests()),
 			})
@@ -552,10 +597,10 @@ func (s *Server) shedPull(req pullqueue.Request, now float64) bool {
 		s.metrics.PerClass[req.Class].Shed++
 	}
 	if s.emitOn {
-		s.emit(trace.Event{T: now, Kind: trace.KindShed, Item: req.Item, Class: req.Class})
+		s.emit(&trace.Event{T: now, Kind: trace.KindShed, Item: req.Item, Class: req.Class})
 	}
 	if req.Tag != 0 && s.emitOn {
-		s.emit(trace.Event{
+		s.emit(&trace.Event{
 			T: now, Kind: trace.KindSpanEnd, Item: req.Item, Class: req.Class,
 			Req: req.Tag, Reason: trace.EndShed, Arrival: req.Arrival,
 		})
@@ -582,7 +627,7 @@ func (s *Server) retryAfterLoss(r pullqueue.Request, now float64) bool {
 		if r.Tag != 0 && s.emitOn {
 			// The client gives up at its deadline rather than booking a
 			// retry that would land past it.
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: now, Kind: trace.KindSpanEnd, Item: r.Item, Class: r.Class,
 				Req: r.Tag, Reason: trace.EndExpired, Arrival: r.Arrival,
 			})
@@ -594,7 +639,7 @@ func (s *Server) retryAfterLoss(r pullqueue.Request, now float64) bool {
 		s.metrics.PerClass[r.Class].Retries++
 	}
 	if s.emitOn {
-		s.emit(trace.Event{
+		s.emit(&trace.Event{
 			T: now, Kind: trace.KindRetry, Item: r.Item, Class: r.Class, Attempt: r.Attempts,
 		})
 	}
@@ -629,7 +674,7 @@ func (s *Server) handleRetry(r pullqueue.Request) {
 	if r.Tag != 0 && s.emitOn {
 		// The backoff segment ends here; what follows (uplink, admission,
 		// enqueue) decides the next segment, exactly like a fresh arrival.
-		s.emit(trace.Event{
+		s.emit(&trace.Event{
 			T: now, Kind: trace.KindSpanRetry, Item: r.Item, Class: r.Class,
 			Req: r.Tag, Attempt: r.Attempts,
 		})
@@ -640,7 +685,7 @@ func (s *Server) handleRetry(r pullqueue.Request) {
 				s.metrics.PerClass[r.Class].UplinkLost++
 			}
 			if r.Tag != 0 && s.emitOn {
-				s.emit(trace.Event{
+				s.emit(&trace.Event{
 					T: now, Kind: trace.KindSpanEnd, Item: r.Item, Class: r.Class,
 					Req: r.Tag, Reason: trace.EndUplinkLost, Arrival: r.Arrival,
 				})
@@ -663,7 +708,7 @@ func (s *Server) startPush() {
 	item := s.pushSched.Next()
 	length := s.cfg.Catalog.Length(item)
 	if s.emitOn {
-		s.emit(trace.Event{T: s.clk.Now(), Kind: trace.KindPushStart, Item: item, Class: -1})
+		s.emit(&trace.Event{T: s.clk.Now(), Kind: trace.KindPushStart, Item: item, Class: -1})
 	}
 	s.pushItem = item
 	s.txTok = s.clk.After(length, s.pushH)
@@ -681,7 +726,7 @@ func (s *Server) completePush(item int) {
 		// the item's next push cycle; no cache fills, no PIX update.
 		s.metrics.CorruptedPushes++
 		if s.emitOn {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: now, Kind: trace.KindCorrupt, Item: item, Class: -1,
 				Push: true, Requests: int32(len(s.pushWaiters[item])),
 			})
@@ -691,7 +736,7 @@ func (s *Server) completePush(item int) {
 	}
 	s.noteTransmission(item)
 	if s.emitOn {
-		s.emit(trace.Event{
+		s.emit(&trace.Event{
 			T: now, Kind: trace.KindPushComplete, Item: item, Class: -1,
 			Requests: int32(len(s.pushWaiters[item])),
 		})
@@ -748,7 +793,7 @@ func (s *Server) attemptPull() {
 				// Paper: the item and all its pending requests are lost.
 				s.metrics.BlockedTransmissions++
 				if s.emitOn {
-					s.emit(trace.Event{
+					s.emit(&trace.Event{
 						T: s.clk.Now(), Kind: trace.KindBlocked, Item: entry.Item,
 						Class: entry.HighestClass(), Requests: int32(len(entry.Requests)),
 					})
@@ -758,7 +803,7 @@ func (s *Server) attemptPull() {
 						s.metrics.PerClass[r.Class].Dropped++
 					}
 					if r.Tag != 0 && s.emitOn {
-						s.emit(trace.Event{
+						s.emit(&trace.Event{
 							T: s.clk.Now(), Kind: trace.KindSpanEnd, Item: entry.Item, Class: r.Class,
 							Req: r.Tag, Reason: trace.EndBlocked, Arrival: r.Arrival,
 						})
@@ -782,7 +827,7 @@ func (s *Server) attemptPull() {
 
 		s.emitDecision(entry)
 		if s.emitOn {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: s.clk.Now(), Kind: trace.KindPullStart, Item: entry.Item,
 				Class: entry.HighestClass(), Requests: int32(len(entry.Requests)),
 			})
@@ -826,7 +871,7 @@ func (s *Server) emitDecision(entry *pullqueue.Entry) {
 		ev.RunnerUp = int32(ru.Item)
 		ev.RunnerUpScore = trace.Score(s.selector.Score(ru, now))
 	}
-	s.emit(ev)
+	s.emit(&ev)
 }
 
 // completePull satisfies all of the entry's pending requests and hands the
@@ -841,7 +886,7 @@ func (s *Server) completePull(entry *pullqueue.Entry) {
 		// client re-request (bounded backoff) or fails terminally.
 		s.metrics.CorruptedPulls++
 		if s.emitOn {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: now, Kind: trace.KindCorrupt, Item: entry.Item,
 				Class: entry.HighestClass(), Requests: int32(len(entry.Requests)),
 			})
@@ -852,7 +897,7 @@ func (s *Server) completePull(entry *pullqueue.Entry) {
 			if r.Tag != 0 && s.emitOn {
 				// The failed service segment: transmission start to the
 				// corruption being detected at completion.
-				s.emit(trace.Event{
+				s.emit(&trace.Event{
 					T: now, Kind: trace.KindSpanLoss, Item: entry.Item, Class: r.Class,
 					Req: r.Tag, Start: now - entry.Length, Attempt: r.Attempts + 1,
 				})
@@ -862,7 +907,7 @@ func (s *Server) completePull(entry *pullqueue.Entry) {
 					s.metrics.PerClass[r.Class].Failed++
 				}
 				if r.Tag != 0 && s.emitOn {
-					s.emit(trace.Event{
+					s.emit(&trace.Event{
 						T: now, Kind: trace.KindSpanEnd, Item: entry.Item, Class: r.Class,
 						Req: r.Tag, Reason: trace.EndFailed, Arrival: r.Arrival,
 					})
@@ -883,7 +928,7 @@ func (s *Server) completePull(entry *pullqueue.Entry) {
 	}
 	s.noteTransmission(entry.Item)
 	if s.emitOn {
-		s.emit(trace.Event{
+		s.emit(&trace.Event{
 			T: now, Kind: trace.KindPullComplete, Item: entry.Item,
 			Class: entry.HighestClass(), Requests: int32(len(entry.Requests)),
 		})
@@ -965,12 +1010,12 @@ func (s *Server) recordServed(class clients.Class, arrival, completion float64, 
 	expired := s.cfg.RequestTTL > 0 && d > s.cfg.RequestTTL
 	if span != 0 && s.emitOn {
 		if expired {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: completion, Kind: trace.KindSpanEnd, Item: item, Class: class,
 				Req: span, Reason: trace.EndExpired, Arrival: arrival, Start: start,
 			})
 		} else {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: completion, Kind: trace.KindSpanEnd, Item: item, Class: class,
 				Req: span, Reason: trace.EndServed, Arrival: arrival, Start: start, Push: push,
 			})
@@ -985,7 +1030,7 @@ func (s *Server) recordServed(class clients.Class, arrival, completion float64, 
 			cm.Delay.Add(d)
 			cm.DelayHist.Add(d)
 			if s.emitOn {
-				s.emit(trace.Event{
+				s.emit(&trace.Event{
 					T: completion, Kind: trace.KindServed, Class: class,
 					Arrival: arrival, Push: push,
 				})
@@ -1008,5 +1053,7 @@ func Run(cfg Config) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Run(), nil
+	m := s.Run()
+	s.release()
+	return m, nil
 }

@@ -168,7 +168,7 @@ func (s *Server) Submit(item int, class clients.Class, deadlineIn float64, done 
 	now := s.clk.Now()
 	s.metrics.PerClass[class].Arrivals++
 	if s.emitOn {
-		s.emit(trace.Event{T: now, Kind: trace.KindArrival, Item: item, Class: class})
+		s.emit(&trace.Event{T: now, Kind: trace.KindArrival, Item: item, Class: class})
 	}
 	span := s.sampleSpan(class)
 	v := s.ctl.Admit(now, int(class), s.pending)
@@ -196,7 +196,7 @@ func (s *Server) Submit(item int, class clients.Class, deadlineIn float64, done 
 	// the tie and the client hears "expired" — never a late success.
 	s.reqs.expiry[slot] = s.clk.At(now+budget, s.reqs.expireH[slot])
 	if span != 0 && s.emitOn {
-		s.emit(trace.Event{T: now, Kind: trace.KindSpanStart, Item: item, Class: class, Req: span, Reason: s.routing(item)})
+		s.emit(&trace.Event{T: now, Kind: trace.KindSpanStart, Item: item, Class: class, Req: span, Reason: s.routing(item)})
 	}
 	tag := s.reqs.handle(slot)
 	if item <= s.cutoff {
@@ -229,7 +229,7 @@ func (s *Server) refuse(item int, class clients.Class, v admission.Verdict, span
 		kind = trace.KindRateLimited
 	}
 	if s.emitOn {
-		s.emit(trace.Event{T: s.clk.Now(), Kind: kind, Item: item, Class: class})
+		s.emit(&trace.Event{T: s.clk.Now(), Kind: kind, Item: item, Class: class})
 	}
 	s.refusalSpan(item, class, span, outcome)
 }
@@ -250,8 +250,8 @@ func (s *Server) refusalSpan(item int, class clients.Class, span int64, outcome 
 		return
 	}
 	now := s.clk.Now()
-	s.emit(trace.Event{T: now, Kind: trace.KindSpanStart, Item: item, Class: class, Req: span, Reason: s.routing(item)})
-	s.emit(trace.Event{T: now, Kind: trace.KindSpanEnd, Item: item, Class: class, Req: span, Reason: outcome, Arrival: now})
+	s.emit(&trace.Event{T: now, Kind: trace.KindSpanStart, Item: item, Class: class, Req: span, Reason: s.routing(item)})
+	s.emit(&trace.Event{T: now, Kind: trace.KindSpanEnd, Item: item, Class: class, Req: span, Reason: outcome, Arrival: now})
 }
 
 // expire answers a request whose deadline arrived before its item. Its
@@ -262,9 +262,9 @@ func (s *Server) expire(slot int32) {
 	class, item := s.reqs.class[slot], int(s.reqs.item[slot])
 	s.metrics.PerClass[class].Expired++
 	if s.emitOn {
-		s.emit(trace.Event{T: now, Kind: trace.KindExpired, Item: item, Class: class})
+		s.emit(&trace.Event{T: now, Kind: trace.KindExpired, Item: item, Class: class})
 		if span := s.reqs.span[slot]; span != 0 {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: now, Kind: trace.KindSpanEnd, Item: item, Class: class,
 				Req: span, Reason: trace.EndExpired, Arrival: s.reqs.arrival[slot],
 			})

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"hybridqos/internal/clients"
 )
@@ -175,6 +176,40 @@ type Queue interface {
 	// mobility model. Returned entries are live: the caller re-Adds the
 	// requests it keeps and Recycles each drained entry when done with it.
 	Drain() []*Entry
+	// Release empties the queue and hands every queued and recycled entry,
+	// with its request-slice capacity, to the next queue built, so a run
+	// starts from the previous run's storage instead of regrowing it. The
+	// caller must hold no entry of the queue (an extracted entry not yet
+	// recycled is simply dropped) and must not use the queue afterwards.
+	Release()
+}
+
+// freelists pools the freelists of released queues (*[]*Entry). Every
+// pooled entry is parked: reset by park, its request slice cut to length 0
+// with its capacity kept. Requests hold no pointers, so stale requests
+// beyond the length keep nothing alive.
+var freelists sync.Pool
+
+// pooledFree returns a released queue's freelist, or nil when the pool is
+// empty (the collector may drop pooled items at any time, and the race
+// detector drops some on purpose): a queue then grows from empty.
+func pooledFree() []*Entry {
+	if f, ok := freelists.Get().(*[]*Entry); ok {
+		return *f
+	}
+	return nil
+}
+
+// release parks every live entry onto free, as Recycle parks an extracted
+// one, and pools the freelist.
+func release(free []*Entry, live []*Entry) {
+	for _, e := range live {
+		e.heapIndex = -1
+		park(&free, nil, e)
+	}
+	if len(free) > 0 {
+		freelists.Put(&free)
+	}
 }
 
 // freeIndex marks an entry parked on a queue's freelist (heapIndex is
@@ -289,7 +324,7 @@ func NewHeapFunc(score ScoreFunc) (*Heap, error) {
 	if score == nil {
 		return nil, fmt.Errorf("pullqueue: nil score function")
 	}
-	return &Heap{score: score}, nil
+	return &Heap{score: score, free: pooledFree()}, nil
 }
 
 // Items returns the number of distinct queued items.
@@ -449,6 +484,12 @@ func (h *Heap) Drain() []*Entry {
 	return out
 }
 
+// Release empties the heap and pools its entries for the next queue.
+func (h *Heap) Release() {
+	release(h.free, h.heap)
+	*h = Heap{score: h.score}
+}
+
 // Linear is the O(n)-scan implementation of Queue. It re-evaluates the score
 // at every extraction, so time-dependent (ageing) scores are supported; it
 // also serves as the obviously-correct reference in property tests.
@@ -478,7 +519,7 @@ func NewLinearFunc(score ScoreFunc) (*Linear, error) {
 	if score == nil {
 		return nil, fmt.Errorf("pullqueue: nil score function")
 	}
-	return &Linear{score: score}, nil
+	return &Linear{score: score, free: pooledFree()}, nil
 }
 
 // Items returns the number of distinct queued items.
@@ -591,6 +632,12 @@ func (l *Linear) Drain() []*Entry {
 	l.requests = 0
 	sort.Slice(out, func(i, j int) bool { return out[i].Item < out[j].Item })
 	return out
+}
+
+// Release empties the queue and pools its entries for the next queue.
+func (l *Linear) Release() {
+	release(l.free, l.entries)
+	*l = Linear{score: l.score}
 }
 
 var (

@@ -3,6 +3,8 @@ package pullqueue
 import (
 	"errors"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -468,4 +470,134 @@ func sizeName(n int) string {
 	default:
 		return "n=1e2"
 	}
+}
+
+// sameEntry reports whether two entries hold the same item, length,
+// requests, aggregates and cached key.
+func sameEntry(a, b *Entry) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Item == b.Item && a.Length == b.Length && a.SumPriority == b.SumPriority &&
+		a.FirstArrival == b.FirstArrival && a.key == b.key && reflect.DeepEqual(a.Requests, b.Requests)
+}
+
+// TestPropertyReleasedStorageInvisible: a queue built after another queue
+// was released — with live entries still queued and parked ones on its
+// freelist, both with grown request slices — behaves exactly like a queue
+// built from nothing, over random Add, ExtractBest, Peek, Remove, Recycle
+// and Drain sequences, for the heap (γ) and the linear queue (an ageing
+// score).
+func TestPropertyReleasedStorageInvisible(t *testing.T) {
+	// One P, so the released freelist is found by the next constructor.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	gamma, err := GammaScore(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ageing := func(e *Entry, now float64) float64 {
+		return float64(len(e.Requests)) * (now - e.FirstArrival + 1) / e.Length
+	}
+	kinds := []struct {
+		name  string
+		fresh func() Queue // built from nothing, bypassing the pool
+		build func() Queue // the constructor, which takes a pooled freelist
+	}{
+		{"heap", func() Queue { return &Heap{score: gamma} }, func() Queue { q, _ := NewHeapFunc(gamma); return q }},
+		{"linear", func() Queue { return &Linear{score: ageing} }, func() Queue { q, _ := NewLinearFunc(ageing); return q }},
+	}
+	for _, k := range kinds {
+		reused := 0
+		check := func(seed uint16, ops []uint16) bool {
+			r := rng.New(uint64(seed))
+			// Dirty a queue: grow request slices, park some entries and
+			// leave others queued, then release it.
+			old := k.build()
+			for i := 0; i < 300; i++ {
+				old.Add(req(r.Intn(30)+1, clients.Class(r.Intn(3)), float64(r.Intn(3)+1), float64(i)), float64(r.Intn(4)+1))
+				if r.Intn(8) == 0 {
+					old.Recycle(old.ExtractBest(float64(i)))
+				}
+			}
+			old.Release()
+			a, b := k.fresh(), k.build()
+			switch q := b.(type) {
+			case *Heap:
+				reused += min(len(q.free), 1)
+			case *Linear:
+				reused += min(len(q.free), 1)
+			}
+			return sameQueueRun(a, b, ops)
+		}
+		if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if reused == 0 {
+			t.Fatalf("%s: no queue was built on a released freelist", k.name)
+		}
+	}
+}
+
+// sameQueueRun applies ops to both queues and reports whether every result
+// agreed: each op adds a request, extracts the best entry (recycling it or
+// not), peeks, removes and recycles an item, or drains the queue and
+// re-adds half of it, as the cluster's mobility model does.
+func sameQueueRun(a, b Queue, ops []uint16) bool {
+	now := 0.0
+	for i, op := range ops {
+		now += float64(op%7) / 4
+		item := int(op>>3)%30 + 1
+		switch op % 8 {
+		case 0, 1, 2, 3:
+			rq := Request{Item: item, Class: clients.Class(op % 3), Priority: float64(op%3 + 1), Arrival: now, Tag: int64(i)}
+			a.Add(rq, float64(op%4+1))
+			b.Add(rq, float64(op%4+1))
+		case 4:
+			ea, eb := a.ExtractBest(now), b.ExtractBest(now)
+			if !sameEntry(ea, eb) {
+				return false
+			}
+			if op&0x100 != 0 {
+				a.Recycle(ea)
+				b.Recycle(eb)
+			}
+		case 5:
+			ea, eb := a.Remove(item), b.Remove(item)
+			if !sameEntry(ea, eb) {
+				return false
+			}
+			a.Recycle(ea)
+			b.Recycle(eb)
+		case 6:
+			if !sameEntry(a.Peek(now), b.Peek(now)) || !sameEntry(a.Entry(item), b.Entry(item)) {
+				return false
+			}
+		case 7:
+			da, db := a.Drain(), b.Drain()
+			if len(da) != len(db) {
+				return false
+			}
+			for j := range da {
+				if !sameEntry(da[j], db[j]) {
+					return false
+				}
+			}
+			for j := 0; j < len(da); j += 2 {
+				for _, rq := range da[j].Requests {
+					a.Add(rq, da[j].Length)
+				}
+				for _, rq := range db[j].Requests {
+					b.Add(rq, db[j].Length)
+				}
+			}
+			for j := range da {
+				a.Recycle(da[j])
+				b.Recycle(db[j])
+			}
+		}
+		if a.Items() != b.Items() || a.Requests() != b.Requests() {
+			return false
+		}
+	}
+	return true
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -77,7 +78,7 @@ func ParseConfig(data []byte) (Config, error) {
 	if err := dec.Decode(&cfg); err != nil {
 		return Config{}, fmt.Errorf("qosd: parsing config: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return Config{}, fmt.Errorf("qosd: trailing data after config object")
 	}
 	if err := cfg.Validate(); err != nil {
@@ -133,7 +134,7 @@ func ParseRequest(data []byte) (Request, error) {
 	if err := dec.Decode(&req); err != nil {
 		return Request{}, fmt.Errorf("qosd: parsing request: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return Request{}, fmt.Errorf("qosd: trailing data after request object")
 	}
 	if req.Item < 1 {

@@ -82,6 +82,8 @@ func TestParseConfigErrors(t *testing.T) {
 	}{
 		{"unknown field", []byte(`{"catalog":{"d":10,"theta":0.5,"min_len":1,"max_len":1},"class_weights":[2,1],"unit_ms":1,"admission":{"default_deadline":5},"bogus":1}`)},
 		{"trailing data", append(mutate(func(*Config) {}), []byte(" {}")...)},
+		{"trailing brace", append(mutate(func(*Config) {}), '}')},
+		{"trailing bracket", append(mutate(func(*Config) {}), []byte(" ]")...)},
 		{"not json", []byte("not json")},
 		{"no classes", mutate(func(c *Config) { c.ClassWeights = nil })},
 		{"non-decreasing weights", mutate(func(c *Config) { c.ClassWeights = []float64{1, 1, 2} })},
@@ -122,6 +124,9 @@ func TestParseRequestErrors(t *testing.T) {
 		{"empty", ``},
 		{"unknown field", `{"item":1,"extra":true}`},
 		{"trailing data", `{"item":1} {"item":2}`},
+		{"trailing brace", `{"item":5}}`},
+		{"trailing bracket", `{"item":5} ]`},
+		{"trailing garbage", `{"item":5}x`},
 		{"zero item", `{"item":0}`},
 		{"negative item", `{"item":-4}`},
 		{"negative deadline", `{"item":1,"deadline_in":-1}`},
@@ -199,10 +204,22 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add([]byte(`{"item":-1}`))
 	f.Add([]byte(`{"deadline_in":1e309}`))
 	f.Add([]byte(`[]`))
+	f.Add([]byte(`{"item":5}}`))
+	f.Add([]byte(`{"item":5} ]`))
+	f.Add([]byte("{\"item\":5} \n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParseRequest(data)
 		if err != nil {
 			return
+		}
+		// An accepted body is one JSON object followed only by whitespace.
+		dec := json.NewDecoder(bytes.NewReader(data))
+		var obj map[string]json.RawMessage
+		if err := dec.Decode(&obj); err != nil {
+			t.Fatalf("accepted %q, which is not a JSON object: %v", data, err)
+		}
+		if rest := data[dec.InputOffset():]; len(bytes.TrimLeft(rest, " \t\r\n")) != 0 {
+			t.Fatalf("accepted %q with trailing data %q", data, rest)
 		}
 		if req.Item < 1 {
 			t.Fatalf("accepted non-positive item %d", req.Item)

@@ -7,14 +7,17 @@ import (
 	"hybridqos/internal/telemetry"
 )
 
-// Apply folds one event into a telemetry collector. This is the single
+// Apply folds one event into a telemetry collector; it is Fold by value.
+func Apply(c *telemetry.Collector, e Event) { Fold(c, &e) }
+
+// Fold folds one event into a telemetry collector. This is the single
 // definition of the event → metric mapping: the live engine routes every
 // emitted event through it, and VerifySnapshots replays a recorded stream
 // through it, so the two sides agree by construction. Gauge-backed metrics
 // (queue depth, bandwidth occupancy) sample live engine state and are not
 // derivable from events; the engine feeds those to the collector directly
-// and the replay audit excludes them.
-func Apply(c *telemetry.Collector, e Event) {
+// and the replay audit excludes them. Fold only reads *e.
+func Fold(c *telemetry.Collector, e *Event) {
 	if c == nil {
 		return
 	}
@@ -81,9 +84,10 @@ func VerifySnapshots(events []Event) (int, error) {
 		return 0, err
 	}
 	verified := 0
-	for i, e := range events {
+	for i := range events {
+		e := &events[i]
 		if e.Kind != KindSnapshot {
-			Apply(c, e)
+			Fold(c, e)
 			continue
 		}
 		if e.Snap == nil {

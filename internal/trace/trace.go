@@ -568,11 +568,16 @@ func blockPool(size int) *sync.Pool {
 	return &blockPools[bits.TrailingZeros(uint(size/minBlockEvents))]
 }
 
-// Event implements Tracer. The KindRunEnd mark is not recorded: it
-// flushes the Buffer.
+// Event implements Tracer: it records e as Record does.
+func (b *Buffer) Event(e Event) { b.Record(&e) }
+
+// Record is Event by pointer: it copies *e into the current block, the one
+// copy of the event the Buffer makes, and keeps nothing of e. The engine
+// records through it, so an event it builds in place is never copied on
+// the way in. The KindRunEnd mark is not recorded: it flushes the Buffer.
 //
 //qos:hotpath
-func (b *Buffer) Event(e Event) {
+func (b *Buffer) Record(e *Event) {
 	if e.Kind == KindRunEnd {
 		b.Flush()
 		return
@@ -583,7 +588,7 @@ func (b *Buffer) Event(e Event) {
 		n = 0
 	}
 	b.cur = b.cur[:n+1]
-	b.cur[n] = e
+	b.cur[n] = *e
 }
 
 // grow is Event's cold path: it retires the full current block and starts
