@@ -20,6 +20,8 @@ package core
 // scheduler, applied to requests.
 
 import (
+	"sync"
+
 	"hybridqos/internal/clients"
 	"hybridqos/internal/clock"
 	"hybridqos/internal/pullqueue"
@@ -122,7 +124,9 @@ func (a *reqArena) freeGrow(slot int32) {
 // retryArena holds every booked loss retry's request between the failed
 // delivery and its backoff firing. A slot's handler is built once, when
 // the slot is created, and hands the slot to onFire; fired slots recycle
-// through a freelist, so steady-state retries allocate nothing.
+// through a freelist, so steady-state retries allocate nothing. The
+// handlers capture only the arena, so a finished run's arena, handlers
+// included, is handed to the next Server through retryArenas.
 type retryArena struct {
 	req  []pullqueue.Request
 	fire []func() // per-slot handler, built once at grow
@@ -131,6 +135,36 @@ type retryArena struct {
 	// onFire is the engine's retry path; it copies the request out and
 	// releases the slot before running the retry.
 	onFire func(slot int32)
+}
+
+// retryArenas pools the retry arenas of finished runs (*retryArena, every
+// slot free and onFire cleared), so a run's retry slots start at the count
+// the last run grew them to. A Request holds no pointers, so stale
+// requests keep nothing alive.
+var retryArenas sync.Pool
+
+// newRetryArena returns an arena whose slots fire into onFire: a pooled
+// one when the pool has one, else an empty one.
+func newRetryArena(onFire func(slot int32)) *retryArena {
+	a, ok := retryArenas.Get().(*retryArena)
+	if !ok {
+		a = &retryArena{}
+	}
+	a.onFire = onFire
+	return a
+}
+
+// pool frees every slot, drops the engine's retry path (so the pool keeps
+// no Server alive) and hands the arena to the next Server built. Retries
+// still booked are abandoned with their clock; the arena is unusable
+// afterwards.
+func (a *retryArena) pool() {
+	a.onFire = nil
+	a.free = a.free[:0]
+	for slot := range a.req {
+		a.free = append(a.free, int32(slot))
+	}
+	retryArenas.Put(a)
 }
 
 // alloc returns a free slot.

@@ -136,7 +136,7 @@ type Server struct {
 	// retries holds every booked loss retry until its backoff fires;
 	// unlike the handlers above they are multi-outstanding (every lost
 	// request books its own), so each takes an arena slot (arena.go).
-	retries retryArena
+	retries *retryArena
 
 	// txTok is the in-flight transmission's completion event, cancelled
 	// when a drain quiesces the loop (serve.go).
@@ -306,7 +306,7 @@ func newServer(cfg Config, clk clock.Clock) (*Server, error) {
 		s.emit(&trace.Event{T: t, Kind: trace.KindSnapshot, Class: -1, Snap: s.tele.TakeSnapshot(t)})
 		s.scheduleSnapshot(k + 1)
 	}
-	s.retries.onFire = s.fireRetry
+	s.retries = newRetryArena(s.fireRetry)
 
 	s.metrics = &Metrics{Horizon: cfg.Horizon, Cutoff: cfg.Cutoff}
 	for c := 0; c < cfg.Classes.NumClasses(); c++ {
@@ -337,12 +337,12 @@ func newWaiterTable(rows int) [][]pushWaiter {
 	return make([][]pushWaiter, rows)
 }
 
-// release hands the pull queue's entries and the waiter table, with the
-// capacity the run grew them to, to the next Server built. Only Run calls
-// it, after Finish: that is the one point where nothing else can still
-// hold the Server — a cell's cluster, a serving Server's daemon and every
-// other New caller keep theirs, so their storage is left to the collector.
-// The Server is unusable afterwards.
+// release hands the pull queue's entries, the waiter table and the retry
+// arena, with the capacity the run grew them to, to the next Server built.
+// Only Run calls it, after Finish: that is the one point where nothing else
+// can still hold the Server — a cell's cluster, a serving Server's daemon
+// and every other New caller keep theirs, so their storage is left to the
+// collector. The Server is unusable afterwards.
 func (s *Server) release() {
 	s.selector.Release()
 	t := s.pushWaiters[:cap(s.pushWaiters)]
@@ -350,7 +350,8 @@ func (s *Server) release() {
 		t[i] = t[i][:0]
 	}
 	waiterTables.Put(&t)
-	s.selector, s.pushWaiters = nil, nil
+	s.retries.pool()
+	s.selector, s.pushWaiters, s.retries = nil, nil, nil
 }
 
 // emit routes one trace event to both consumers: the configured tracer and

@@ -9,10 +9,11 @@ import (
 )
 
 // reuseCells are differently shaped cells whose runs hand each other their
-// pull-queue entries and push-waiter tables: a γ heap with K=40, the lossy
-// cell's linear EDF queue with retries and a trace, a traced K=80 cell with
-// spans (more waiter rows than any other), and the "none" push policy (one
-// waiter row, every request pulled).
+// pull-queue entries, push-waiter tables and retry arenas: a γ heap with
+// K=40, the lossy cell's EDF deadline heap with retries and a trace, a
+// traced K=80 cell with spans (more waiter rows than any other), the "none"
+// push policy (one waiter row, every request pulled), and RxW's linear
+// queue.
 var reuseCells = []struct {
 	name   string
 	config func(tb testing.TB) Config
@@ -33,6 +34,11 @@ var reuseCells = []struct {
 	{"K=0 none push", func(tb testing.TB) Config {
 		cfg := baseConfig(tb)
 		cfg.Horizon, cfg.PushPolicyName = 2000, "none"
+		return cfg
+	}},
+	{"rxw", func(tb testing.TB) Config {
+		cfg := baseConfig(tb)
+		cfg.Horizon, cfg.PullPolicyName = 2000, "rxw"
 		return cfg
 	}},
 }
@@ -73,7 +79,7 @@ func TestRunReuseInvisible(t *testing.T) {
 		runtime.GC() // the second drops them
 		cold[i] = runForReuse(t, c.config(t))
 	}
-	for _, i := range []int{0, 1, 2, 3, 0} {
+	for _, i := range []int{0, 1, 2, 3, 4, 0} {
 		c := reuseCells[i]
 		got := runForReuse(t, c.config(t))
 		if g, w := got.metrics, cold[i].metrics; !reflect.DeepEqual(g, w) {

@@ -15,7 +15,7 @@ import (
 // density matches the event count. cancel=1of4 replaces every fourth op with a cancel of a
 // random outstanding token followed by a reschedule.
 func BenchmarkQueueMix(b *testing.B) {
-	for _, pending := range []int{8, 64, 1024, 16384} {
+	for _, pending := range []int{8, 32, 64, 1024, 16384} {
 		for _, cancelEvery := range []int{0, 4} {
 			mix := "hold"
 			if cancelEvery > 0 {

@@ -3,14 +3,17 @@
 // timestamped events with deterministic FIFO tie-breaking, so that two runs
 // with the same seed replay the exact same event order.
 //
-// Queue is the one pending-event structure in the repository: a binary
-// min-heap on (time, insertion sequence) over an index-addressed arena.
-// The heap moves int32 slot numbers, not pointers, so steady-state
-// scheduling allocates nothing and the garbage collector has no per-event
-// pointers to trace. Simulator runs a Queue under a causal clock; the wall
-// clock in internal/clock runs one under its mutex. Pop order is exactly
-// ascending (time, seq) — TestDifferentialAgainstReferenceHeap pins both
-// Queue and Simulator against the retired container/heap implementation.
+// Queue is the one pending-event structure in the repository: a 4-ary
+// min-heap on (time, insertion sequence) beside an index-addressed arena.
+// Each heap node carries its own key and the arena slot of its handler, so
+// comparisons read the heap slice alone and the arena is touched only to
+// record a moved node's position. Nodes and Tokens hold no pointers, so
+// steady-state scheduling allocates nothing and the garbage collector has
+// no per-event pointers to trace. Simulator runs a Queue under a causal
+// clock; the wall clock in internal/clock runs one under its mutex. Pop
+// order is exactly ascending (time, seq) — TestDifferentialAgainstReferenceHeap
+// pins both Queue and Simulator against the retired container/heap
+// implementation.
 //
 // A self-rebooking handler (the simulator's arrival chain) may skip the
 // queue round trip: Simulator.TryAdvance moves the clock to its successor's
@@ -30,17 +33,27 @@ import (
 // both the virtual event loop and the wall-clock loop in internal/clock.
 type Handler = func()
 
-// event is one scheduled occurrence, stored in the Queue's arena and
-// addressed by slot index. Fired and cancelled events park on the freelist
-// and are reused by later Push calls; gen increments on every reuse so
-// stale Tokens can never cancel the recycled slot.
+// event is one scheduled occurrence's arena record, addressed by slot
+// index; its key lives in its heap node. Fired and cancelled events park on
+// the freelist and are reused by later Push calls; gen increments on every
+// reuse so stale Tokens can never cancel the recycled slot.
 type event struct {
-	time    float64
-	seq     uint64 // insertion order, breaks time ties deterministically
 	handler Handler
 	gen     uint64 // reuse generation, guards Token validity
-	pos     int32  // index in the heap, or -1 once popped/cancelled
+	pos     int32  // index of the event's node in the heap, or -1 once popped/cancelled
 }
+
+// node is one heap element: a pending event's key and its arena slot.
+type node struct {
+	time float64
+	seq  uint64 // insertion order, breaks time ties deterministically
+	slot int32
+}
+
+// arity is the heap's fan-out. Four children per level halve the tree's
+// depth against a binary heap, and a node's children are adjacent in the
+// heap slice, so a sift-down compares four keys that share cache lines.
+const arity = 4
 
 // Token identifies a scheduled event so it can be cancelled. A Token held
 // past its event's firing (or cancellation) goes stale and cancels nothing,
@@ -57,9 +70,9 @@ type Token struct {
 // zero Queue is empty and ready to use. A Queue is not safe for concurrent
 // use.
 type Queue struct {
-	events  []event // index-addressed arena; the heap references slots
+	events  []event // index-addressed arena of handlers; heap nodes reference slots
 	free    []int32 // fired/cancelled slots awaiting reuse
-	heap    []int32 // binary min-heap of pending slots on (time, seq)
+	heap    []node  // 4-ary min-heap of pending events on (time, seq)
 	nextSeq uint64
 }
 
@@ -80,20 +93,17 @@ func (q *Queue) Push(t float64, h Handler) Token {
 		i = q.grow()
 	}
 	ev := &q.events[i]
-	ev.time = t
-	ev.seq = q.nextSeq
 	ev.handler = h
 	ev.gen++
+	x := node{time: t, seq: q.nextSeq, slot: i}
 	q.nextSeq++
 	n := len(q.heap)
 	if n < cap(q.heap) {
 		q.heap = q.heap[:n+1]
-		q.heap[n] = i
 	} else {
-		q.heapGrow(i)
+		q.heapGrow()
 	}
-	ev.pos = int32(n)
-	q.up(n)
+	q.up(n, x)
 	return Token{slot: i, gen: ev.gen}
 }
 
@@ -105,9 +115,9 @@ func (q *Queue) grow() int32 {
 }
 
 // heapGrow is Push's cold path: the heap's backing array grows to the peak
-// pending count once.
-func (q *Queue) heapGrow(i int32) {
-	q.heap = append(q.heap, i)
+// pending count once. The new last node is a hole Push fills.
+func (q *Queue) heapGrow() {
+	q.heap = append(q.heap, node{})
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
@@ -133,7 +143,7 @@ func (q *Queue) PeekTime() (t float64, ok bool) {
 	if len(q.heap) == 0 {
 		return 0, false
 	}
-	return q.events[q.heap[0]].time, true
+	return q.heap[0].time, true
 }
 
 // Pop removes the earliest pending event and returns its time and handler.
@@ -141,12 +151,11 @@ func (q *Queue) PeekTime() (t float64, ok bool) {
 //
 //qos:hotpath
 func (q *Queue) Pop() (float64, Handler) {
-	i := q.heap[0]
+	top := q.heap[0]
 	q.remove(0)
-	ev := &q.events[i]
-	t, h := ev.time, ev.handler
-	q.recycle(i)
-	return t, h
+	h := q.events[top.slot].handler
+	q.recycle(top.slot)
+	return top.time, h
 }
 
 // recycle parks a popped or cancelled slot for reuse. The handler is
@@ -171,82 +180,100 @@ func (q *Queue) freeGrow(i int32) {
 	q.free = append(q.free, i)
 }
 
-// before reports whether slot a pops before slot b: ascending time,
+// before reports whether node a pops before node b: ascending time,
 // insertion sequence breaking ties. This single comparison defines the
 // queue's total order.
 //
 //qos:hotpath
-func (q *Queue) before(a, b int32) bool {
-	ea, eb := &q.events[a], &q.events[b]
-	if ea.time != eb.time {
-		return ea.time < eb.time
+func before(a, b *node) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return ea.seq < eb.seq
+	return a.seq < b.seq
 }
 
-// remove deletes the element at heap index j, restoring heap order.
+// remove deletes the node at heap index j, restoring heap order: the last
+// node fills the hole and sifts whichever way its key requires.
 //
 //qos:hotpath
 func (q *Queue) remove(j int) {
 	last := len(q.heap) - 1
-	moved := q.heap[last]
+	x := q.heap[last]
 	q.heap = q.heap[:last]
 	if j == last {
 		return
 	}
-	q.heap[j] = moved
-	q.events[moved].pos = int32(j)
-	if !q.down(j) {
-		q.up(j)
+	if j > 0 && before(&x, &q.heap[(j-1)/arity]) {
+		q.up(j, x)
+	} else {
+		q.down(j, x)
 	}
 }
 
-// up sifts the element at heap index j toward the root.
+// up places x in the hole at heap index j, moving the hole toward the root
+// past every ancestor x pops before; each displaced node and x are written
+// once.
 //
 //qos:hotpath
-func (q *Queue) up(j int) {
+func (q *Queue) up(j int, x node) {
+	h, evs := q.heap, q.events
 	for j > 0 {
-		parent := (j - 1) / 2
-		if !q.before(q.heap[j], q.heap[parent]) {
+		parent := (j - 1) / arity
+		p := h[parent]
+		if !before(&x, &p) {
 			break
 		}
-		q.swap(j, parent)
+		h[j] = p
+		evs[p.slot].pos = int32(j)
 		j = parent
 	}
+	h[j] = x
+	evs[x.slot].pos = int32(j)
 }
 
-// down sifts the element at heap index j toward the leaves, reporting
-// whether it moved.
+// down places x in the hole at heap index j, moving the hole toward the
+// leaves while x's earliest child pops before x.
 //
 //qos:hotpath
-func (q *Queue) down(j int) bool {
-	start := j
-	n := len(q.heap)
+func (q *Queue) down(j int, x node) {
+	h, evs := q.heap, q.events
+	n := len(h)
 	for {
-		left := 2*j + 1
-		if left >= n {
+		first := arity*j + 1
+		if first >= n {
 			break
 		}
-		least := left
-		if right := left + 1; right < n && q.before(q.heap[right], q.heap[left]) {
-			least = right
+		least := first
+		if first+arity <= n {
+			// Full family: two independent pairs, then their winners.
+			k := h[first : first+arity : first+arity]
+			a, b := 0, 2
+			if before(&k[1], &k[0]) {
+				a = 1
+			}
+			if before(&k[3], &k[2]) {
+				b = 3
+			}
+			if before(&k[b], &k[a]) {
+				a = b
+			}
+			least += a
+		} else {
+			for c := first + 1; c < n; c++ {
+				if before(&h[c], &h[least]) {
+					least = c
+				}
+			}
 		}
-		if !q.before(q.heap[least], q.heap[j]) {
+		if !before(&h[least], &x) {
 			break
 		}
-		q.swap(j, least)
+		h[j] = h[least]
+		evs[h[j].slot].pos = int32(j)
 		j = least
 	}
-	return j != start
-}
-
-// swap exchanges heap positions a and b, fixing back-references.
-//
-//qos:hotpath
-func (q *Queue) swap(a, b int) {
-	q.heap[a], q.heap[b] = q.heap[b], q.heap[a]
-	q.events[q.heap[a]].pos = int32(a)
-	q.events[q.heap[b]].pos = int32(b)
+	h[j] = x
+	evs[x.slot].pos = int32(j)
 }
 
 // Simulator is a causal event loop: a clock and a Queue whose events may

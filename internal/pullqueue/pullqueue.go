@@ -20,7 +20,10 @@
 // function) and Linear (O(n) scan re-evaluating the score at extraction
 // time), which supports time-dependent ageing policies (RxW-style) and
 // doubles as the obviously-correct reference in property tests and as an
-// ablation baseline.
+// ablation baseline. NewDeadlineHeap extends Heap to the one time-dependent
+// score whose order a heap can still keep: earliest deadline first, where an
+// entry's key is −(FirstArrival+TTL) until its deadline passes and −Inf for
+// good afterwards.
 //
 // Validation is front-loaded: constructors return typed errors (AlphaError),
 // and core.Config.Validate audits every catalog length and class weight
@@ -76,6 +79,7 @@ type Entry struct {
 
 	heapIndex int     // position in the heap; -1 when not enqueued
 	key       float64 // Heap's cached score, refreshed by every Add
+	expired   bool    // a deadline heap demoted key to −Inf for good
 }
 
 // NumRequests returns R_i.
@@ -112,7 +116,8 @@ func (e *Entry) HighestClass() clients.Class {
 // scores work there. Heap scores an entry once per Add, with now = 0, and
 // orders by that cached key; it requires scores to (a) ignore now and
 // (b) never decrease when a request is added to the entry. Violating either
-// silently breaks heap order.
+// silently breaks heap order. A deadline heap (NewDeadlineHeap) keys
+// entries by deadline itself and calls the score only for Score.
 type ScoreFunc func(e *Entry, now float64) float64
 
 // AlphaError reports an importance-factor mixing fraction outside [0,1].
@@ -300,6 +305,7 @@ func park(free *[]*Entry, byItem itemIndex, e *Entry) bool {
 	e.Item = 0
 	e.Length = 0
 	e.key = 0
+	e.expired = false
 	e.heapIndex = freeIndex
 	//lint:allow hotalloc amortized: the freelist grows to the steady-state entry population once, then recycles
 	*free = append(*free, e)
@@ -308,9 +314,11 @@ func park(free *[]*Entry, byItem itemIndex, e *Entry) bool {
 
 // Heap is the production pull queue: an indexed binary max-heap over entries
 // keyed by an injected time-independent score, with an item-rank index for
-// O(1) entry lookup.
+// O(1) entry lookup. A deadline heap (ttl > 0) keys entries by deadline
+// instead and demotes expired ones as they reach the top.
 type Heap struct {
 	score    ScoreFunc
+	ttl      float64 // > 0: keys are −(FirstArrival+ttl), demoted once passed
 	heap     []*Entry
 	byItem   itemIndex
 	requests int
@@ -325,6 +333,32 @@ func NewHeapFunc(score ScoreFunc) (*Heap, error) {
 		return nil, fmt.Errorf("pullqueue: nil score function")
 	}
 	return &Heap{score: score, free: pooledFree()}, nil
+}
+
+// NewDeadlineHeap returns an empty heap-backed queue in earliest-deadline-
+// first order, where an entry's deadline is FirstArrival+ttl (ttl > 0) and
+// score is the policy that defines that order:
+//
+//	score(e, now) = −(FirstArrival+ttl)  while now ≤ FirstArrival+ttl
+//	              = −Inf                 once now > FirstArrival+ttl
+//
+// The heap keys each live entry by −(FirstArrival+ttl), computed as the
+// score computes it, so the key equals score(e, now) bit for bit at every
+// now up to the deadline. ExtractBest and Peek first demote expired entries
+// at the top to −Inf, after which the top is exactly the entry a Linear
+// scan of score picks at that now, ties included. An Add never raises a
+// demoted key: expiry is permanent, since FirstArrival only falls and now
+// never decreases. Precondition: now is non-decreasing across the queue's
+// ExtractBest and Peek calls; a demotion at one now would be wrong at an
+// earlier one. Score still calls score, so reported scores are the
+// policy's own.
+func NewDeadlineHeap(score ScoreFunc, ttl float64) (*Heap, error) {
+	h, err := NewHeapFunc(score)
+	if err != nil {
+		return nil, err
+	}
+	h.ttl = ttl
+	return h, nil
 }
 
 // Items returns the number of distinct queued items.
@@ -359,8 +393,36 @@ func (h *Heap) Add(req Request, length float64) {
 		e.FirstArrival = req.Arrival
 	}
 	h.requests++
-	e.key = h.score(e, 0)
+	switch {
+	case h.ttl <= 0:
+		e.key = h.score(e, 0)
+	case !e.expired:
+		e.key = -(e.FirstArrival + h.ttl)
+	}
 	h.siftUp(e.heapIndex)
+}
+
+// demote settles a deadline heap's top at time now: while the top entry's
+// deadline has passed and it is not yet demoted, its key drops to −Inf for
+// good and it sinks. Afterwards the top's key is its score at now, and no
+// other entry scores above it: a live key only overstates an expired
+// entry's score. Without a TTL there is nothing to demote.
+//
+//qos:hotpath
+func (h *Heap) demote(now float64) {
+	if h.ttl <= 0 {
+		return
+	}
+	for len(h.heap) > 0 {
+		top := h.heap[0]
+		// −key is the deadline FirstArrival+ttl: negation is exact.
+		if top.expired || !(now > -top.key) {
+			return
+		}
+		top.expired = true
+		top.key = math.Inf(-1)
+		h.siftDown(0)
+	}
 }
 
 // less reports whether heap[i] has strictly lower selection precedence than
@@ -415,20 +477,22 @@ func (h *Heap) siftDown(i int) {
 	}
 }
 
-// Peek returns the max-score entry without removing it.
+// Peek returns the max-score entry at time now without removing it.
 //
 //qos:hotpath
-func (h *Heap) Peek(_ float64) *Entry {
+func (h *Heap) Peek(now float64) *Entry {
+	h.demote(now)
 	if len(h.heap) == 0 {
 		return nil
 	}
 	return h.heap[0]
 }
 
-// ExtractBest removes and returns the max-score entry.
+// ExtractBest removes and returns the max-score entry at time now.
 //
 //qos:hotpath
-func (h *Heap) ExtractBest(_ float64) *Entry {
+func (h *Heap) ExtractBest(now float64) *Entry {
+	h.demote(now)
 	if len(h.heap) == 0 {
 		return nil
 	}
@@ -487,7 +551,7 @@ func (h *Heap) Drain() []*Entry {
 // Release empties the heap and pools its entries for the next queue.
 func (h *Heap) Release() {
 	release(h.free, h.heap)
-	*h = Heap{score: h.score}
+	*h = Heap{score: h.score, ttl: h.ttl}
 }
 
 // Linear is the O(n)-scan implementation of Queue. It re-evaluates the score

@@ -186,13 +186,22 @@ func (p EDF) Score(e *pullqueue.Entry, now float64) float64 {
 func (p EDF) TimeDependent() bool { return p.TTL > 0 }
 
 // NewSelector returns the fastest pull queue able to realise the policy: a
-// heap over the policy's score for time-independent policies, a linear scan
-// (re-scoring at every extraction) for time-dependent ones. Selection logic
-// lives in exactly one place, pullqueue, and the queue's Score is the
-// policy's.
+// heap over the policy's score for time-independent policies, a deadline
+// heap for EDF with a TTL (its score is a fixed key until the deadline and
+// −Inf for good after it), and a linear scan (re-scoring at every
+// extraction) for the other time-dependent ones. The deadline heap is chosen
+// on the policy's concrete type, so a wrapper that forwards only the
+// PullPolicy methods gets the scan. Selection logic lives in exactly one
+// place, pullqueue, and the queue's Score is the policy's.
+//
+// A deadline heap requires the now passed to ExtractBest and Peek to be
+// non-decreasing across one queue's calls; both clocks guarantee that.
 func NewSelector(p PullPolicy) (pullqueue.Queue, error) {
 	if p == nil {
 		return nil, fmt.Errorf("sched: nil pull policy")
+	}
+	if edf, ok := p.(EDF); ok && edf.TTL > 0 {
+		return pullqueue.NewDeadlineHeap(edf.Score, edf.TTL)
 	}
 	if p.TimeDependent() {
 		return pullqueue.NewLinearFunc(p.Score)

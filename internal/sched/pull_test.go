@@ -100,6 +100,31 @@ func TestNewSelectorValidation(t *testing.T) {
 	}
 }
 
+// forwarded forwards only the PullPolicy methods, as a timing wrapper does.
+type forwarded struct{ PullPolicy }
+
+// TestNewSelectorQueueKind: time-independent policies and EDF with a TTL
+// get a heap; the other time-dependent policies, and EDF behind a wrapper
+// that hides its concrete type, get the re-scanning Linear queue.
+func TestNewSelectorQueueKind(t *testing.T) {
+	for _, c := range []struct {
+		p    PullPolicy
+		heap bool
+	}{
+		{ImportanceFactor{Alpha: 0.5}, true},
+		{EDF{}, true},
+		{EDF{TTL: 50}, true},
+		{forwarded{EDF{TTL: 50}}, false},
+		{RxW{}, false},
+		{ClassicStretch{}, false},
+	} {
+		_, isHeap := mustSelector(t, c.p).(*pullqueue.Heap)
+		if isHeap != c.heap {
+			t.Errorf("%s (%T): heap selector %v, want %v", c.p.Name(), c.p, isHeap, c.heap)
+		}
+	}
+}
+
 func TestSelectorFCFSOrder(t *testing.T) {
 	s := mustSelector(t, FCFS{})
 	s.Add(rq(5, 0, 1, 30), 1)
@@ -284,5 +309,46 @@ func TestHeapSelectorRemoveAndRequests(t *testing.T) {
 	}
 	if s.Requests() != 1 {
 		t.Fatalf("Requests after remove = %d", s.Requests())
+	}
+}
+
+// BenchmarkEDFExtract times one EDF pull decision with a TTL at the lossy
+// cell's queue size: about 55 distinct items queued, each extraction
+// followed by the arrivals that refill the queue, at an advancing now. A
+// quarter of the arrivals are retries whose older FirstArrival may already
+// be past its deadline. impl=heap is the deadline heap NewSelector builds;
+// impl=linear re-scores every entry at each extraction.
+func BenchmarkEDFExtract(b *testing.B) {
+	const queued = 55
+	pol := EDF{TTL: 400}
+	for _, impl := range []string{"heap", "linear"} {
+		b.Run("impl="+impl, func(b *testing.B) {
+			var q pullqueue.Queue = mustSelector(b, pol)
+			if impl == "linear" {
+				lin, err := pullqueue.NewLinearFunc(pol.Score)
+				if err != nil {
+					b.Fatal(err)
+				}
+				q = lin
+			}
+			r := rng.New(1)
+			now := 0.0
+			refill := func() {
+				for q.Items() < queued {
+					now += r.Float64()
+					arrival := now
+					if r.Intn(4) == 0 {
+						arrival -= 600 * r.Float64()
+					}
+					q.Add(rq(r.Intn(1000)+1, clients.Class(r.Intn(3)), float64(r.Intn(3)+1), arrival), float64(r.Intn(5)+1))
+				}
+			}
+			refill()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.Recycle(q.ExtractBest(now))
+				refill()
+			}
+		})
 	}
 }

@@ -497,10 +497,30 @@ func (s *Snapshot) Hist(name string, class int) (HistSnap, bool) {
 
 // TakeSnapshot captures the registry's current state at simulated time t and
 // invokes the OnSnapshot hook. The returned snapshot owns copies of every
-// count, so later collection does not mutate it.
+// count, so later collection does not mutate it. Every histogram's counts
+// and every reservoir's spans are carved from one []int64, each section
+// capped at its own length so an append to one cannot run into the next.
 func (c *Collector) TakeSnapshot(t float64) *Snapshot {
 	c.snapshots++
 	s := &Snapshot{T: t, Seq: c.snapshots, Cell: c.cell}
+	n := 0
+	for _, e := range c.reg.hists.order {
+		n += len(e.m.counts)
+	}
+	for _, e := range c.exemplars.order {
+		n += len(e.m.spans)
+	}
+	ints := make([]int64, n)
+	// carve copies src into the next section of ints; empty gives nil.
+	carve := func(src []int64) []int64 {
+		if len(src) == 0 {
+			return nil
+		}
+		dst := ints[:len(src):len(src)]
+		ints = ints[len(src):]
+		copy(dst, src)
+		return dst
+	}
 	s.Counters = snapSection(c.reg.counters.order, func(e member[metricKey, Counter]) CounterSnap {
 		return CounterSnap{Name: e.key.name, Class: e.key.class, V: e.m.Value()}
 	})
@@ -508,13 +528,13 @@ func (c *Collector) TakeSnapshot(t float64) *Snapshot {
 		return GaugeSnap{Name: e.key.name, Class: e.key.class, V: e.m.Value()}
 	})
 	s.Hists = snapSection(c.reg.hists.order, func(e member[metricKey, Histogram]) HistSnap {
-		return HistSnap{Name: e.key.name, Class: e.key.class, Counts: e.m.Counts(), Sum: e.m.Sum()}
+		return HistSnap{Name: e.key.name, Class: e.key.class, Counts: carve(e.m.counts), Sum: e.m.Sum()}
 	})
 	s.Exemplars = snapSection(c.exemplars.order, func(e member[exemplarKey, exemplarRes]) ExemplarSnap {
 		return ExemplarSnap{
 			Class:  e.key.class,
 			Bucket: e.key.bucket,
-			Spans:  append([]int64(nil), e.m.spans...),
+			Spans:  carve(e.m.spans),
 			Seen:   e.m.seen,
 		}
 	})

@@ -72,7 +72,7 @@ func (g *Gauge) Value() float64 { return g.v }
 // the running sum are exactly reproducible from the observation sequence, so
 // histograms participate in the replay audit.
 type Histogram struct {
-	counts []int64
+	counts []int64 // per bucket (len(delayBounds)+1, overflow last); nil until the first observation
 	sum    float64
 }
 
@@ -105,15 +105,6 @@ func (h *Histogram) N() int64 {
 
 // Sum returns the running sum of observations.
 func (h *Histogram) Sum() float64 { return h.sum }
-
-// Counts returns a copy of the per-bucket counts (len(delayBounds)+1,
-// overflow last), nil when nothing was observed.
-func (h *Histogram) Counts() []int64 {
-	if h.counts == nil {
-		return nil
-	}
-	return append([]int64(nil), h.counts...)
-}
 
 // metricKey identifies one metric instance: a name plus the service class it
 // is labelled with (ClassNone for unlabelled metrics).
