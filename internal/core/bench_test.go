@@ -15,8 +15,10 @@ import (
 // perfbench's: cell=paper is the paper's cell (Poisson λ=5, K=40, γ with
 // α=0.5, no faults, no tracing); cell=lossy-overload adds bursty MMPP
 // arrivals, burst loss with backoff retries, shedding, bandwidth blocking,
-// EDF with a TTL, telemetry, spans and a trace buffer; cell=lossy-untraced
-// is the same cell recording nothing, the shape the EXT-FAULTS sweeps run.
+// EDF with a TTL, telemetry, spans and a trace buffer; cell=lossy-telemetry
+// is the same cell with telemetry alone, no tracer (qosd's shape, and
+// hybridsim's with telemetry and no -trace); cell=lossy-untraced records
+// nothing, the shape the EXT-FAULTS sweeps run.
 // Each iteration is one replication at horizon 1000 under a fresh seed;
 // building the config is not timed. ns/req divides the timed total by the
 // arrivals it generated.
@@ -31,6 +33,7 @@ func BenchmarkRun(b *testing.B) {
 			return cfg
 		}},
 		{"lossy-overload", lossyOverloadConfig},
+		{"lossy-telemetry", lossyTelemetryConfig},
 		{"lossy-untraced", lossyUntracedConfig},
 	}
 	for _, c := range cells {
@@ -57,14 +60,21 @@ func BenchmarkRun(b *testing.B) {
 // lossyOverloadConfig is BenchmarkRun's cell=lossy-overload: the
 // lossyUntracedConfig cell with everything recorded.
 func lossyOverloadConfig(tb testing.TB, seed uint64) Config {
+	cfg := lossyTelemetryConfig(tb, seed)
+	cfg.Spans = &SpanConfig{Rates: []float64{0.2, 0.1, 0.05}}
+	cfg.Tracer = &trace.Buffer{}
+	return cfg
+}
+
+// lossyTelemetryConfig is BenchmarkRun's cell=lossy-telemetry: the
+// lossyUntracedConfig cell with a telemetry collector and no tracer.
+func lossyTelemetryConfig(tb testing.TB, seed uint64) Config {
 	cfg := lossyUntracedConfig(tb, seed)
 	tele, err := telemetry.New(telemetry.Options{SnapshotEvery: 50})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	cfg.Telemetry = tele
-	cfg.Spans = &SpanConfig{Rates: []float64{0.2, 0.1, 0.05}}
-	cfg.Tracer = &trace.Buffer{}
 	return cfg
 }
 

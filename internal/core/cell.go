@@ -98,7 +98,9 @@ func (s *Server) Finish() *Metrics {
 			s.metrics.Bandwidth = append(s.metrics.Bandwidth, s.alloc.Stats(clients.Class(c)))
 		}
 	}
-	s.tracer.Event(trace.Event{T: s.cfg.Horizon, Kind: trace.KindRunEnd, Class: -1})
+	if s.tracer != nil {
+		s.tracer.Event(trace.Event{T: s.cfg.Horizon, Kind: trace.KindRunEnd, Class: -1})
+	}
 	return s.metrics
 }
 

@@ -76,7 +76,7 @@ type Server struct {
 	alloc     *bandwidth.Allocator
 	arrivals  workload.ArrivalProcess
 	items     workload.ItemSampler
-	tracer    trace.Tracer
+	tracer    trace.Tracer // nil when the config's tracer is nil or trace.Nop
 	tele      *telemetry.Collector
 	up        uplink.Channel
 	uplinkRng *rng.Source
@@ -96,8 +96,8 @@ type Server struct {
 	shedder        *faults.Shedder
 	pendingRetries int // re-requests booked but not yet delivered
 
-	// emitOn gates trace-event construction on the hot path: false when the
-	// tracer is the no-op sink and telemetry is off, where emit would build a
+	// emitOn gates trace-event construction on the hot path: false when
+	// there is no tracer and telemetry is off, where emit would build a
 	// large Event struct per call only to discard it. Guarded sites are
 	// behavior-identical because emit has no side effects in that state.
 	emitOn bool
@@ -228,13 +228,13 @@ func newServer(cfg Config, clk clock.Clock) (*Server, error) {
 		s.alloc = a
 	}
 
-	s.tracer = cfg.Tracer
-	if s.tracer == nil {
-		s.tracer = trace.Nop{}
+	// No tracer and the no-op sink are the same: s.tracer stays nil, so
+	// emit neither copies an event into a sink that drops it nor calls it.
+	if _, nop := cfg.Tracer.(trace.Nop); !nop {
+		s.tracer = cfg.Tracer
 	}
 	s.tele = cfg.Telemetry
-	_, nop := s.tracer.(trace.Nop)
-	s.emitOn = !nop || s.tele != nil
+	s.emitOn = s.tracer != nil || s.tele != nil
 	s.buf, _ = s.tracer.(*trace.Buffer)
 	s.up = cfg.Uplink
 	if s.up == nil {
@@ -361,13 +361,14 @@ func (s *Server) release() {
 // the trace records them. Each site builds its event in place and passes
 // its address, which neither consumer keeps, so the event stays on the
 // stack: a trace.Buffer copies it once into its block, any other tracer
-// gets one copy by value, and Fold only reads it.
+// gets one copy by value, and Fold only reads it. With no tracer (nil, or
+// trace.Nop as configured) only telemetry reads the event.
 //
 //qos:hotpath
 func (s *Server) emit(e *trace.Event) {
 	if s.buf != nil {
 		s.buf.Record(e)
-	} else {
+	} else if s.tracer != nil {
 		s.tracer.Event(*e)
 	}
 	trace.Fold(s.tele, e)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"hybridqos/internal/admission"
@@ -113,35 +112,4 @@ func sortedKeys(m map[string]int) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Request is one client request, POSTed to /request as JSON.
-type Request struct {
-	// Item is the catalog rank in [1, D].
-	Item int `json:"item"`
-	// DeadlineIn optionally tightens (never extends) the class's delay
-	// budget, in broadcast units.
-	DeadlineIn float64 `json:"deadline_in,omitempty"`
-}
-
-// ParseRequest decodes and sanity-checks one request body. Item range is
-// checked against the live catalog by the daemon; here only structural
-// validity (the parser has no catalog).
-func ParseRequest(data []byte) (Request, error) {
-	var req Request
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return Request{}, fmt.Errorf("qosd: parsing request: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return Request{}, fmt.Errorf("qosd: trailing data after request object")
-	}
-	if req.Item < 1 {
-		return Request{}, fmt.Errorf("qosd: item %d not positive", req.Item)
-	}
-	if req.DeadlineIn < 0 || math.IsNaN(req.DeadlineIn) || math.IsInf(req.DeadlineIn, 0) {
-		return Request{}, fmt.Errorf("qosd: invalid deadline_in %g", req.DeadlineIn)
-	}
-	return req, nil
 }

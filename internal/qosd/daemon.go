@@ -12,10 +12,10 @@
 package qosd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -82,6 +82,9 @@ type Daemon struct {
 	keys         map[string]int
 	defaultClass int
 	state        atomic.Int32
+
+	ans   answers   // Serve's pending answers; clock goroutine only
+	calls sync.Pool // *call: handleRequest's per-request state
 }
 
 // New builds a Daemon on the given clock. exec must run its argument on
@@ -175,7 +178,7 @@ func (c Config) engine(clk clock.Clock) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qosd: %w", err)
 	}
-	return &Daemon{
+	d := &Daemon{
 		cat:          cat,
 		clk:          clk,
 		srv:          srv,
@@ -183,7 +186,10 @@ func (c Config) engine(clk clock.Clock) (*Daemon, error) {
 		ring:         ring,
 		keys:         keys,
 		defaultClass: c.defaultClass(),
-	}, nil
+	}
+	d.ans.onDone = d.answer
+	d.calls.New = func() any { return d.newCall() }
+	return d, nil
 }
 
 // Start launches the engine's broadcast loop on the clock goroutine and
@@ -244,7 +250,10 @@ func (d *Daemon) classOf(key string) (int, bool) {
 // reports the HTTP status and body via respond — synchronously for
 // refusals, from a later clock event for admitted requests. Serve must be
 // called on the clock goroutine; ServeHTTP bridges via exec. This is the
-// entry point the virtual-clock chaos tests drive.
+// entry point the virtual-clock chaos tests drive. The answer arena it
+// keeps respond in is unsynchronised and relies on that single goroutine.
+//
+//qos:hotpath
 func (d *Daemon) Serve(req Request, class int, respond func(status int, resp Response)) {
 	if d.srv.Draining() {
 		d.tele.Rejected(class)
@@ -256,21 +265,91 @@ func (d *Daemon) Serve(req Request, class int, respond func(status int, resp Res
 		respond(http.StatusBadRequest, Response{Outcome: "bad_item", Class: class})
 		return
 	}
-	verdict := d.srv.Submit(req.Item, clients.Class(class), req.DeadlineIn, func(res core.Result) {
-		if res.Outcome == core.OutcomeServed {
-			respond(http.StatusOK, Response{
-				Outcome:    "served",
-				Class:      class,
-				DelayUnits: res.Delay,
-				Push:       res.Push,
-			})
-		} else {
-			respond(http.StatusGatewayTimeout, Response{Outcome: "expired", Class: class})
-		}
-	})
+	slot := d.ans.alloc()
+	d.ans.respond[slot], d.ans.class[slot] = respond, class
+	verdict := d.srv.Submit(req.Item, clients.Class(class), req.DeadlineIn, d.ans.done[slot])
 	if verdict != admission.Admitted {
+		// A refused request's done never fires: free its slot now.
+		d.ans.release(slot)
 		respond(http.StatusTooManyRequests, Response{Outcome: verdict.String(), Class: class})
 	}
+}
+
+// answer is the engine's verdict on the admitted request in slot, relayed
+// to its respond. Like core.Server.resolve, it frees the slot before the
+// callback, so a respond that calls Serve again may reuse it.
+//
+//qos:hotpath
+func (d *Daemon) answer(slot int32, res core.Result) {
+	respond, class := d.ans.respond[slot], d.ans.class[slot]
+	d.ans.release(slot)
+	if res.Outcome == core.OutcomeServed {
+		respond(http.StatusOK, Response{
+			Outcome:    "served",
+			Class:      class,
+			DelayUnits: res.Delay,
+			Push:       res.Push,
+		})
+	} else {
+		respond(http.StatusGatewayTimeout, Response{Outcome: "expired", Class: class})
+	}
+}
+
+// answers is the arena of Serve's admitted requests awaiting the engine:
+// one slot per request, its fields in parallel slices. Each slot's done
+// adapter, the completion core.Server.Submit calls, is built once when the
+// slot is created and hands the slot to onDone, so an admitted request
+// allocates no closure; freed slots recycle through a freelist. Like the
+// engine it feeds, it is touched only on the clock goroutine.
+type answers struct {
+	respond []func(status int, resp Response)
+	class   []int
+	done    []func(core.Result) // per-slot adapter, built once at grow
+	free    []int32             // recycled slots awaiting reuse
+
+	onDone func(slot int32, res core.Result)
+}
+
+// alloc returns a free slot.
+//
+//qos:hotpath
+func (a *answers) alloc() int32 {
+	if n := len(a.free); n > 0 {
+		slot := a.free[n-1]
+		a.free = a.free[:n-1]
+		return slot
+	}
+	return a.grow()
+}
+
+// grow is alloc's cold path: the arena extends to the peak count of
+// requests in flight once, then the freelist recycles.
+func (a *answers) grow() int32 {
+	slot := int32(len(a.done))
+	a.respond = append(a.respond, nil)
+	a.class = append(a.class, 0)
+	a.done = append(a.done, func(res core.Result) { a.onDone(slot, res) })
+	return slot
+}
+
+// release frees a slot, dropping its respond so the slot does not keep
+// the answered caller alive.
+//
+//qos:hotpath
+func (a *answers) release(slot int32) {
+	a.respond[slot] = nil
+	if n := len(a.free); n < cap(a.free) {
+		a.free = a.free[:n+1]
+		a.free[n] = slot
+	} else {
+		a.freeGrow(slot)
+	}
+}
+
+// freeGrow is release's cold path: the freelist reaches the peak count of
+// requests in flight once, then recycles.
+func (a *answers) freeGrow(slot int32) {
+	a.free = append(a.free, slot)
 }
 
 // Handler returns the daemon's HTTP mux:
@@ -314,9 +393,34 @@ type answer struct {
 	resp   Response
 }
 
+// call is one /request's state between the handler goroutine and the
+// clock goroutine, pooled in Daemon.calls so a request allocates none of
+// it: the body buffer, the parsed request and class, the buffered answer
+// channel, and run and respond, built once per call. A call returns to the
+// pool only after its answer has been received, when the clock goroutine
+// is done with it.
+type call struct {
+	body    bytes.Buffer
+	req     Request
+	class   int
+	ch      chan answer // capacity 1: the clock goroutine never blocks on it
+	run     func()      // Serve(req, class, respond), for exec
+	respond func(status int, resp Response)
+}
+
+// newCall builds the pool's next call for d.
+func (d *Daemon) newCall() *call {
+	c := &call{ch: make(chan answer, 1)}
+	c.respond = func(status int, resp Response) { c.ch <- answer{status, resp} }
+	c.run = func() { d.Serve(c.req, c.class, c.respond) }
+	return c
+}
+
 // handleRequest is the HTTP face of Serve. It blocks the handler goroutine
 // until the engine resolves the request — for an admitted request that can
 // be the full deadline budget.
+//
+//qos:hotpath
 func (d *Daemon) handleRequest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -329,14 +433,20 @@ func (d *Daemon) handleRequest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not serving", http.StatusServiceUnavailable)
 		return
 	}
-	class, ok := d.classOf(r.Header.Get("X-API-Key"))
+	// net/http stores header names canonically; asking in that form skips
+	// re-canonicalising the name on every request.
+	class, ok := d.classOf(r.Header.Get("X-Api-Key"))
 	if !ok {
 		d.tele.Rejected(telemetry.ClassNone)
 		http.Error(w, "unknown API key", http.StatusUnauthorized)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
+	c := d.calls.Get().(*call)
+	defer d.calls.Put(c)
+	// MaxBytesReader, not a bare limit: past maxBody it answers 413 and
+	// closes the connection instead of reading the rest.
+	c.body.Reset()
+	if _, err := c.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
@@ -345,21 +455,16 @@ func (d *Daemon) handleRequest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "reading body", http.StatusBadRequest)
 		return
 	}
-	req, err := ParseRequest(body)
+	req, err := ParseRequest(c.body.Bytes())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Buffered: the clock goroutine must never block on a slow client.
 	// The handler goroutine owns the write; if the client is gone the
 	// response is simply discarded by net/http.
-	ch := make(chan answer, 1)
-	d.exec(func() {
-		d.Serve(req, class, func(status int, resp Response) {
-			ch <- answer{status, resp}
-		})
-	})
-	a := <-ch
+	c.req, c.class = req, class
+	d.exec(c.run)
+	a := <-c.ch
 	writeResponse(w, a.status, a.resp)
 }
 

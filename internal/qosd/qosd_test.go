@@ -3,7 +3,6 @@ package qosd
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -194,38 +193,6 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		if _, err := New(cfg, clock.NewVirtual(), func(f func()) { f() }); err != nil {
 			t.Fatalf("ParseConfig accepted a config New rejects: %v", err)
-		}
-	})
-}
-
-func FuzzParseRequest(f *testing.F) {
-	f.Add([]byte(`{"item":1}`))
-	f.Add([]byte(`{"item":42,"deadline_in":3.5}`))
-	f.Add([]byte(`{"item":-1}`))
-	f.Add([]byte(`{"deadline_in":1e309}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`{"item":5}}`))
-	f.Add([]byte(`{"item":5} ]`))
-	f.Add([]byte("{\"item\":5} \n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := ParseRequest(data)
-		if err != nil {
-			return
-		}
-		// An accepted body is one JSON object followed only by whitespace.
-		dec := json.NewDecoder(bytes.NewReader(data))
-		var obj map[string]json.RawMessage
-		if err := dec.Decode(&obj); err != nil {
-			t.Fatalf("accepted %q, which is not a JSON object: %v", data, err)
-		}
-		if rest := data[dec.InputOffset():]; len(bytes.TrimLeft(rest, " \t\r\n")) != 0 {
-			t.Fatalf("accepted %q with trailing data %q", data, rest)
-		}
-		if req.Item < 1 {
-			t.Fatalf("accepted non-positive item %d", req.Item)
-		}
-		if req.DeadlineIn < 0 || math.IsNaN(req.DeadlineIn) || math.IsInf(req.DeadlineIn, 0) {
-			t.Fatalf("accepted invalid deadline %g", req.DeadlineIn)
 		}
 	})
 }

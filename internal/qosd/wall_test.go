@@ -8,11 +8,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"hybridqos/internal/admission"
 	"hybridqos/internal/clock"
 	"hybridqos/internal/httpserve"
 )
@@ -219,5 +222,108 @@ func TestDaemonWallConcurrentScrapes(t *testing.T) {
 		if want := fmt.Sprintf("hybridqos_arrivals_total{class=\"%d\"} %d\n", class, requests); !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("final scrape lacks %s's %q:\n%s", key, want, rec.Body)
 		}
+	}
+}
+
+// TestDaemonWallNoCrossTalk drives /request from many goroutines on a Wall
+// clock with a mix whose outcome each request fixes in advance: served
+// (no deadline of its own), expired (deadline_in shorter than any item's
+// transmission, on items nothing else asks for), bad_item, and, for the
+// rate-limited bronze key, rate_limited instead of either of the first
+// two. Every answer must carry its key's class and its own request's
+// outcome, so a pooled handler call or a reused answer slot that leaked
+// one request's answer into another's fails here, as does an answer arena
+// grown past the peak count of requests in flight.
+func TestDaemonWallNoCrossTalk(t *testing.T) {
+	cfg := testConfig()
+	cfg.Admission.DefaultDeadline = 60000 // a loaded machine must not expire a served request
+	cfg.Admission.Shed = nil
+	cfg.Admission.Classes = []admission.ClassConfig{{}, {}, {Rate: 0.05, Burst: 1}}
+	wall, err := clock.NewWall(time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(cfg, wall, wall.Submit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go wall.Run()
+	defer func() {
+		wall.Stop()
+		<-wall.Done()
+	}()
+	d.Start()
+	for d.state.Load() != stateReady {
+		time.Sleep(time.Millisecond)
+	}
+	h := d.Handler()
+
+	const clients, requests = 8, 40
+	keys := sortedKeys(cfg.Keys)
+	var wg sync.WaitGroup
+	var inFlight, peak atomic.Int64
+	var mu sync.Mutex
+	seen := map[string]int{} // answers by outcome
+	errs := make(chan error, clients)
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < requests; j++ {
+				key := keys[(g+j)%len(keys)]
+				class := cfg.Keys[key]
+				var body string
+				var want []string
+				switch (g*requests + j) % 3 {
+				case 0:
+					body, want = fmt.Sprintf(`{"item":%d}`, 1+(g+j)%100), []string{"served"}
+				case 1:
+					body, want = fmt.Sprintf(`{"item":%d,"deadline_in":0.5}`, 201+(g+j)%100), []string{"expired"}
+				default:
+					body, want = `{"item":9999}`, []string{"bad_item"}
+				}
+				if class == 2 && want[0] != "bad_item" {
+					want = append(want, "rate_limited")
+				}
+				req := httptest.NewRequest(http.MethodPost, "/request", strings.NewReader(body))
+				req.Header.Set("X-API-Key", key)
+				rec := httptest.NewRecorder()
+				for n := inFlight.Add(1); ; {
+					if p := peak.Load(); n <= p || peak.CompareAndSwap(p, n) {
+						break
+					}
+				}
+				h.ServeHTTP(rec, req)
+				inFlight.Add(-1)
+				var resp Response
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					errs <- fmt.Errorf("%s %s: answered %d %q", key, body, rec.Code, rec.Body)
+					return
+				}
+				if resp.Class != class || !slices.Contains(want, resp.Outcome) {
+					errs <- fmt.Errorf("%s %s: answered %d %+v, want class %d and outcome in %v", key, body, rec.Code, resp, class, want)
+					return
+				}
+				mu.Lock()
+				seen[resp.Outcome]++
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, outcome := range []string{"served", "expired", "bad_item", "rate_limited"} {
+		if seen[outcome] == 0 {
+			t.Errorf("no request answered %s: %v", outcome, seen)
+		}
+	}
+
+	slots := make(chan int, 1)
+	wall.Submit(func() { slots <- len(d.ans.done) })
+	if n := <-slots; int64(n) > peak.Load() {
+		t.Errorf("answer arena grew to %d slots for at most %d requests in flight", n, peak.Load())
 	}
 }
