@@ -7,11 +7,14 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden output file")
 
 // TestMain runs main instead of the tests when the test binary is invoked
 // as `<binary> -- <analytic flags>`, so a test can observe main's exit.
@@ -48,5 +51,32 @@ func TestRejectsNonPositiveStep(t *testing.T) {
 				t.Fatalf("-step %s: stderr %q lacks %q", step, stderr.String(), want)
 			}
 		})
+	}
+}
+
+// TestDefaultGolden pins the default run's full output: the §4 chains,
+// Cobham's waits and the Eq. 19 sweep in all three variants.
+func TestDefaultGolden(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, os.Args[0], "--").Output()
+	if err != nil {
+		t.Fatalf("default run: %v", err)
+	}
+	golden := filepath.Join("testdata", "golden.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test -update)", err)
+	}
+	if !bytes.Equal(out, want) {
+		t.Errorf("output drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", out, want)
 	}
 }

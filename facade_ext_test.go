@@ -2,11 +2,15 @@ package hybridqos
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hybridqos/internal/trace"
 )
 
 func TestRotationDegradesStalePushSet(t *testing.T) {
@@ -92,25 +96,36 @@ func TestWriteAndReadTrace(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no events written")
 	}
-	times, ranks, err := ReadTraceArrivals(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(times) == 0 || len(times) != len(ranks) {
-		t.Fatalf("arrivals: %d times, %d ranks", len(times), len(ranks))
+	defer f.Close()
+	events, err := trace.Read(f)
+	if err != nil {
+		t.Fatal(err)
 	}
+	arrivals := 0
 	prev := math.Inf(-1)
-	for i, tm := range times {
-		if tm < prev {
+	for _, e := range events {
+		if e.Kind != trace.KindArrival {
+			continue
+		}
+		arrivals++
+		if e.T < prev {
 			t.Fatal("arrival times not monotone")
 		}
-		prev = tm
-		if ranks[i] < 1 || ranks[i] > c.NumItems {
-			t.Fatalf("rank %d out of range", ranks[i])
+		prev = e.T
+		if e.Item < 1 || e.Item > c.NumItems {
+			t.Fatalf("rank %d out of range", e.Item)
 		}
 	}
-	if _, _, err := ReadTraceArrivals(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
-		t.Fatal("missing trace file accepted")
+	if arrivals == 0 {
+		t.Fatal("no arrivals in the trace")
+	}
+	dir := t.TempDir()
+	if _, err := ExportTimeline(filepath.Join(dir, "missing.jsonl"), filepath.Join(dir, "tl")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing trace file: err = %v, want fs.ErrNotExist", err)
 	}
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
@@ -121,55 +136,6 @@ func TestWriteTraceInvalidConfig(t *testing.T) {
 	c := quickConfig()
 	c.Lambda = -1
 	if _, err := WriteTrace(c, filepath.Join(t.TempDir(), "x.jsonl")); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-}
-
-func TestAdaptiveControllerPublicAPI(t *testing.T) {
-	c := quickConfig()
-	c.Theta = 1.1
-	c.Horizon = 12000
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	if _, err := WriteTrace(c, path); err != nil {
-		t.Fatal(err)
-	}
-	times, ranks, err := ReadTraceArrivals(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl, err := NewAdaptiveController(c, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctl.Cutoff() != c.Cutoff {
-		t.Fatalf("initial cutoff %d", ctl.Cutoff())
-	}
-	for i := range ranks {
-		ctl.Observe(ranks[i], times[i])
-	}
-	plans := ctl.Plans()
-	if len(plans) == 0 {
-		t.Fatal("no plans adopted")
-	}
-	last := plans[len(plans)-1]
-	if math.Abs(last.Theta-1.1) > 0.2 {
-		t.Fatalf("fitted θ=%g, want ~1.1", last.Theta)
-	}
-	if math.Abs(last.Lambda-c.Lambda) > 1 {
-		t.Fatalf("fitted λ=%g, want ~%g", last.Lambda, c.Lambda)
-	}
-	if last.PredictedCost <= 0 {
-		t.Fatalf("plan cost %g", last.PredictedCost)
-	}
-}
-
-func TestAdaptiveControllerValidation(t *testing.T) {
-	c := quickConfig()
-	if _, err := NewAdaptiveController(c, 0); err == nil {
-		t.Fatal("zero epoch accepted")
-	}
-	c.Lambda = -1
-	if _, err := NewAdaptiveController(c, 100); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

@@ -910,94 +910,6 @@ func WriteSpans(c Config, perfettoPath, otlpPath string) ([]SpanSummary, error) 
 	return out, nil
 }
 
-// AdaptivePlan is one re-optimisation outcome of an AdaptiveController.
-type AdaptivePlan struct {
-	// Cutoff is the recommended K.
-	Cutoff int
-	// Theta and Lambda are the workload estimates behind the plan.
-	Theta, Lambda float64
-	// PredictedCost is the model's total prioritised cost at Cutoff.
-	PredictedCost float64
-}
-
-// AdaptiveController is the paper's periodic cutoff re-optimisation as an
-// online component: feed it the item rank and time of every observed
-// request; at each epoch boundary it fits the workload (Zipf skew by
-// maximum likelihood, arrival rate) and re-plans the cutoff with the
-// analytic model.
-type AdaptiveController struct {
-	inner *adaptive.EpochController
-}
-
-// NewAdaptiveController builds a controller for the configured system.
-// epochLen is the re-planning interval in broadcast units; the controller
-// starts from c.Cutoff.
-func NewAdaptiveController(c Config, epochLen float64) (*AdaptiveController, error) {
-	cfg, err := c.build()
-	if err != nil {
-		return nil, err
-	}
-	lengths := make([]float64, cfg.Catalog.D())
-	for i := range lengths {
-		lengths[i] = cfg.Catalog.Length(i + 1)
-	}
-	planner := adaptive.Planner{
-		Classes: cfg.Classes,
-		Alpha:   c.Alpha,
-		Lengths: lengths,
-	}
-	inner, err := adaptive.NewEpochController(planner, cfg.Catalog.D(), epochLen, c.Cutoff)
-	if err != nil {
-		return nil, err
-	}
-	return &AdaptiveController{inner: inner}, nil
-}
-
-// Observe feeds one request observation; it returns true when the epoch
-// boundary passed and a new plan was adopted.
-func (a *AdaptiveController) Observe(rank int, now float64) bool {
-	return a.inner.Observe(rank, now)
-}
-
-// Cutoff returns the currently recommended cutoff.
-func (a *AdaptiveController) Cutoff() int { return a.inner.Cutoff() }
-
-// Plans returns every plan adopted so far, oldest first.
-func (a *AdaptiveController) Plans() []AdaptivePlan {
-	out := make([]AdaptivePlan, 0, len(a.inner.History))
-	for _, p := range a.inner.History {
-		out = append(out, AdaptivePlan{
-			Cutoff:        p.Cutoff,
-			Theta:         p.Theta,
-			Lambda:        p.Lambda,
-			PredictedCost: p.PredictedCost,
-		})
-	}
-	return out
-}
-
-// ReadTraceArrivals parses a JSONL trace written by WriteTrace and returns
-// the (time, item rank) sequence of request arrivals — the feed an
-// AdaptiveController consumes.
-func ReadTraceArrivals(path string) (times []float64, ranks []int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	events, err := trace.Read(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, e := range events {
-		if e.Kind == trace.KindArrival {
-			times = append(times, e.T)
-			ranks = append(ranks, e.Item)
-		}
-	}
-	return times, ranks, nil
-}
-
 // IndexingPlan is one (1, m) air-indexing configuration's predicted
 // client-side costs for push items (see internal/airindex).
 type IndexingPlan struct {

@@ -8,11 +8,11 @@
 //     likelihood and estimates the arrival rate;
 //  2. a Planner feeds the estimates into the refined analytic model and
 //     returns the cost- (or delay-) optimal cutoff;
-//  3. an EpochController glues them together: observe for an epoch,
-//     re-plan, expose the recommended cutoff.
+//  3. ClosedLoop glues them together against a drifting workload: simulate
+//     an epoch, observe it, re-rank the push set, re-plan the cutoff.
 //
-// Nothing here simulates: re-planning costs microseconds, which is what
-// makes running it "periodically" on a live server plausible.
+// Re-planning itself simulates nothing: it costs microseconds, which is
+// what makes running it "periodically" on a live server plausible.
 package adaptive
 
 import (
@@ -138,8 +138,6 @@ type Plan struct {
 	Cutoff int
 	// Theta and Lambda are the estimates the plan was computed from.
 	Theta, Lambda float64
-	// PredictedCost is the model's total cost at Cutoff.
-	PredictedCost float64
 	// Ranking is the empirical popularity order the push set should use
 	// (ranks into the ORIGINAL catalog, hottest first).
 	Ranking []int
@@ -214,63 +212,9 @@ func (p Planner) Replan(e *Estimator, windowDuration float64) (Plan, error) {
 		return Plan{}, err
 	}
 	return Plan{
-		Cutoff:        best.K,
-		Theta:         theta,
-		Lambda:        lambda,
-		PredictedCost: best.TotalCost,
-		Ranking:       ranking,
+		Cutoff:  best.K,
+		Theta:   theta,
+		Lambda:  lambda,
+		Ranking: ranking,
 	}, nil
-}
-
-// EpochController runs the observe/replan loop.
-type EpochController struct {
-	planner   Planner
-	estimator *Estimator
-	epochLen  float64
-	epochEnd  float64
-	current   Plan
-	// History records every accepted plan (diagnostics).
-	History []Plan
-}
-
-// NewEpochController creates a controller with an initial cutoff guess.
-func NewEpochController(planner Planner, d int, epochLen float64, initialCutoff int) (*EpochController, error) {
-	if epochLen <= 0 || math.IsNaN(epochLen) || math.IsInf(epochLen, 0) {
-		return nil, fmt.Errorf("adaptive: invalid epoch length %g", epochLen)
-	}
-	if initialCutoff < 0 || initialCutoff > d {
-		return nil, fmt.Errorf("adaptive: initial cutoff %d out of [0,%d]", initialCutoff, d)
-	}
-	est, err := NewEstimator(d)
-	if err != nil {
-		return nil, err
-	}
-	return &EpochController{
-		planner:   planner,
-		estimator: est,
-		epochLen:  epochLen,
-		epochEnd:  epochLen,
-		current:   Plan{Cutoff: initialCutoff},
-	}, nil
-}
-
-// Cutoff returns the currently recommended cutoff.
-func (c *EpochController) Cutoff() int { return c.current.Cutoff }
-
-// Observe feeds one request (rank at simulated time now) and re-plans when
-// the epoch boundary passes. It returns true when a new plan was adopted.
-func (c *EpochController) Observe(rank int, now float64) bool {
-	c.estimator.Observe(rank)
-	if now < c.epochEnd {
-		return false
-	}
-	plan, err := c.planner.Replan(c.estimator, c.epochLen)
-	c.estimator.Reset()
-	c.epochEnd = now + c.epochLen
-	if err != nil {
-		return false // keep the previous plan; too little data this epoch
-	}
-	c.current = plan
-	c.History = append(c.History, plan)
-	return true
 }

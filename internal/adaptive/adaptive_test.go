@@ -163,9 +163,6 @@ func TestReplanTracksSkew(t *testing.T) {
 	if hot.Cutoff > flat.Cutoff {
 		t.Fatalf("hot-skew cutoff %d above flat-skew cutoff %d", hot.Cutoff, flat.Cutoff)
 	}
-	if hot.PredictedCost <= 0 {
-		t.Fatalf("plan predictions: %+v", hot)
-	}
 	if len(hot.Ranking) != 100 {
 		t.Fatalf("ranking size %d", len(hot.Ranking))
 	}
@@ -187,74 +184,5 @@ func TestReplanErrors(t *testing.T) {
 	short.Lengths = short.Lengths[:50]
 	if _, err := short.Replan(e, 100); err == nil {
 		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestEpochControllerLoop(t *testing.T) {
-	cat := catalog.MustGenerate(catalog.PaperConfig(0.6, 1))
-	p := plannerFor(t, cat)
-	ctl, err := NewEpochController(p, 100, 1000, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctl.Cutoff() != 40 || len(ctl.History) != 0 {
-		t.Fatalf("initial state: K=%d plans=%d", ctl.Cutoff(), len(ctl.History))
-	}
-	r := rng.New(5)
-	dist := zipf.Must(100, 1.2)
-	now := 0.0
-	replans := 0
-	for i := 0; i < 30000; i++ {
-		now += 0.2 // λ = 5
-		if ctl.Observe(dist.Sample(r), now) {
-			replans++
-		}
-	}
-	if replans == 0 {
-		t.Fatal("controller never re-planned")
-	}
-	if len(ctl.History) != replans {
-		t.Fatalf("history %d vs replans %d", len(ctl.History), replans)
-	}
-	last := ctl.History[len(ctl.History)-1]
-	if math.Abs(last.Theta-1.2) > 0.15 {
-		t.Fatalf("controller θ estimate %g, want ~1.2", last.Theta)
-	}
-	if math.Abs(last.Lambda-5) > 0.5 {
-		t.Fatalf("controller λ estimate %g, want ~5", last.Lambda)
-	}
-	// Hot skew: controller should shrink the cutoff from the stale 40.
-	if ctl.Cutoff() >= 40 {
-		t.Fatalf("controller kept K=%d for θ=1.2", ctl.Cutoff())
-	}
-}
-
-func TestEpochControllerValidation(t *testing.T) {
-	cat := catalog.MustGenerate(catalog.PaperConfig(0.6, 1))
-	p := plannerFor(t, cat)
-	if _, err := NewEpochController(p, 100, 0, 40); err == nil {
-		t.Fatal("epoch 0 accepted")
-	}
-	if _, err := NewEpochController(p, 100, 10, 101); err == nil {
-		t.Fatal("cutoff 101 accepted")
-	}
-}
-
-func TestEpochControllerKeepsPlanOnSparseEpoch(t *testing.T) {
-	cat := catalog.MustGenerate(catalog.PaperConfig(0.6, 1))
-	p := plannerFor(t, cat)
-	ctl, err := NewEpochController(p, 100, 10, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only 3 observations in the epoch: replan must fail silently and the
-	// stale cutoff survive.
-	ctl.Observe(1, 1)
-	ctl.Observe(2, 5)
-	if ctl.Observe(3, 11) {
-		t.Fatal("sparse epoch produced a plan")
-	}
-	if ctl.Cutoff() != 40 {
-		t.Fatalf("stale plan lost: K=%d", ctl.Cutoff())
 	}
 }

@@ -10,9 +10,10 @@ import (
 
 // The adaptive planner must be drivable from a cluster cell's event stream:
 // under a mobility-driven load shift (a hot cell eight times over its
-// neighbours, roamers spreading by least-loaded routing), feeding the hot
-// cell's observed arrival ranks into an EpochController re-estimates the
-// workload and re-optimises K away from a deliberately bad initial cutoff.
+// neighbours, roamers spreading by least-loaded routing), an Estimator fed
+// the hot cell's observed arrival ranks and re-planned each epoch
+// re-estimates the workload and re-optimises K away from a deliberately bad
+// initial cutoff.
 func TestAdaptiveReplanFromClusterTrace(t *testing.T) {
 	basec := base(t)
 	cfg := cluster.Config{
@@ -41,20 +42,25 @@ func TestAdaptiveReplanFromClusterTrace(t *testing.T) {
 		lengths[r-1] = basec.Catalog.Length(r)
 	}
 	const initialCutoff = 2 // deliberately far from optimal for λ≈40
-	ctl, err := adaptive.NewEpochController(adaptive.Planner{
+	planner := adaptive.Planner{
 		Classes: basec.Classes,
 		Alpha:   basec.Alpha,
 		Lengths: lengths,
 		KMin:    0,
 		KMax:    d,
-	}, d, 100, initialCutoff)
+	}
+	est, err := adaptive.NewEstimator(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Replay the hot cell's arrivals (local and handed-off) through the
-	// controller, exactly as a per-cell controller embedded in the cell
-	// would see them.
+	// Replay the hot cell's arrivals (local and handed-off) through an
+	// observe/replan loop with 100-unit epochs, exactly as a per-cell
+	// controller embedded in the cell would see them. An epoch too sparse
+	// to fit keeps the previous plan.
+	const epochLen = 100
+	cutoff, epochEnd := initialCutoff, float64(epochLen)
+	var last adaptive.Plan
 	observed, replans := 0, 0
 	for _, e := range res.Trace {
 		if e.Cell != 2 {
@@ -64,9 +70,18 @@ func TestAdaptiveReplanFromClusterTrace(t *testing.T) {
 			continue
 		}
 		observed++
-		if ctl.Observe(e.Item, e.T) {
-			replans++
+		est.Observe(e.Item)
+		if e.T < epochEnd {
+			continue
 		}
+		plan, err := planner.Replan(est, epochLen)
+		est.Reset()
+		epochEnd = e.T + epochLen
+		if err != nil {
+			continue
+		}
+		replans++
+		cutoff, last = plan.Cutoff, plan
 	}
 	if observed < 1000 {
 		t.Fatalf("hot cell produced only %d arrivals; load shift too weak for estimation", observed)
@@ -74,10 +89,9 @@ func TestAdaptiveReplanFromClusterTrace(t *testing.T) {
 	if replans == 0 {
 		t.Fatal("controller never re-planned despite epoch boundaries passing")
 	}
-	if ctl.Cutoff() == initialCutoff {
+	if cutoff == initialCutoff {
 		t.Errorf("re-plan kept the deliberately bad cutoff %d", initialCutoff)
 	}
-	last := ctl.History[len(ctl.History)-1]
 	if last.Lambda <= basec.Lambda {
 		t.Errorf("estimated λ=%g does not reflect the hot cell's 8× load", last.Lambda)
 	}

@@ -166,7 +166,7 @@ const (
 	// scopeLibrary: the facade (module root) and internal/ packages. All
 	// rules apply.
 	scopeLibrary scope = iota
-	// scopeMain: cmd/ and examples/ binaries. Only registrydoc applies —
+	// scopeMain: cmd/ binaries. Only registrydoc applies —
 	// wall-clock timing in a CLI is fine, but an undocumented policy name
 	// is not.
 	scopeMain
@@ -412,8 +412,8 @@ func (r *Runner) lintDir(dir string, out *pkgOutput) error {
 }
 
 // scopeOf classifies a package directory. The facade (module root) and
-// everything under internal/ is library scope; cmd/, examples/ and any other
-// package main is binary scope.
+// everything under internal/ is library scope; cmd/ and any other package
+// main is binary scope.
 func scopeOf(relDir, pkgName string) scope {
 	if relDir == "." || inInternal(relDir) {
 		return scopeLibrary

@@ -1,4 +1,4 @@
-// Command tool is a qoslint fixture: binaries (cmd/, examples/) may read
+// Command tool is a qoslint fixture: binaries (cmd/) may read
 // the wall clock for progress reporting; only registrydoc applies here.
 package main
 

@@ -111,14 +111,15 @@ func TestServeAllocsPerRequestCeiling(t *testing.T) {
 		// above allocate nothing. Headroom 1, for a pool emptied by a
 		// collection, plus poolDropHeadroom.
 		{"handleRequest", handle, 1 + 1 + poolDropHeadroom},
-		// Measured 7: the Snapshot, its counter, gauge and histogram
-		// sections, and the three classes' delay counts. Headroom 1.
-		{"TakeSnapshot", snapshot, 7 + 1},
-		// Measured 10: the snapshot's 7, the channel (two objects, as its
+		// Measured 5: the Snapshot, its counter, gauge and histogram
+		// sections, and one buffer holding every class's delay counts.
+		// Headroom 1.
+		{"TakeSnapshot", snapshot, 5 + 1},
+		// Measured 8: the snapshot's 5, the channel (two objects, as its
 		// element is a pointer) and the closure that carry it off the
 		// clock goroutine; rendering into the pooled buffer allocates
-		// nothing. Headroom 2.
-		{"handleMetrics", scrape, 10 + 2},
+		// nothing. Headroom 2, plus poolDropHeadroom for that buffer.
+		{"handleMetrics", scrape, 8 + 2 + poolDropHeadroom},
 	} {
 		t.Logf("%s: %.1f allocs per call (ceiling %g)", c.stage, c.got, c.ceiling)
 		if c.got > c.ceiling {

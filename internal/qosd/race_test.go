@@ -5,5 +5,6 @@ package qosd
 // The race detector drops a quarter of sync.Pool puts at random, and each
 // dropped call is built again, its channel, closures and body buffer
 // included: handleRequest measured 3 to 4 allocations in all with it,
-// against 1 without.
+// against 1 without, and handleMetrics, whose render buffer is pooled,
+// 10 against 8.
 func init() { poolDropHeadroom = 4 }
