@@ -36,7 +36,7 @@ type reqArena struct {
 	class   []clients.Class
 	arrival []float64
 	span    []int64 // span ID, 0 when unsampled
-	done    []func(Result)
+	done    []Done
 	expiry  []clock.Token
 	expireH []func() // per-slot expiry handler, built once at grow
 	gen     []uint32

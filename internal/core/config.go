@@ -62,10 +62,13 @@ type Config struct {
 	// Arrivals optionally replaces the Poisson(Lambda) arrival process
 	// with another workload.ArrivalProcess (bursty MMPP, batch arrivals).
 	// Lambda is ignored for gap generation when set, but must still be
-	// valid (it feeds analytic comparisons).
+	// valid (it feeds analytic comparisons). Processes with state, such as
+	// workload.Bursty's modulating chain, must not be shared across any two
+	// runs, sequential or parallel.
 	Arrivals workload.ArrivalProcess
 	// Items optionally replaces the catalog's static Zipf popularity with
-	// another workload.ItemSampler (e.g. rotating hot set).
+	// another workload.ItemSampler (e.g. rotating hot set). Like Arrivals, a
+	// sampler with state must not be shared across any two runs.
 	Items workload.ItemSampler
 	// RequestTTL, when positive, gives every request a deadline: requests
 	// whose item completes transmission after arrival+TTL count as Expired
@@ -80,9 +83,9 @@ type Config struct {
 	// bandwidth occupancy, pending retries) and, when the collector has a
 	// snapshot cadence, emits periodic trace.KindSnapshot events carrying the
 	// full registry state. Collectors are stateful — like Tracer and Loss,
-	// never share one across parallel replications. Telemetry is read-only
-	// with respect to the simulation: a run with it attached is
-	// trajectory-identical to the same run without it.
+	// never share one across any two runs, sequential or parallel. Telemetry
+	// is read-only with respect to the simulation: a run with it attached
+	// is trajectory-identical to the same run without it.
 	Telemetry *telemetry.Collector
 	// Uplink, when non-nil, models the limited request back-channel: pull
 	// requests that fail uplink contention never reach the server and are
@@ -98,8 +101,9 @@ type Config struct {
 	// transmission may be corrupted (no client decodes it). A corrupted push
 	// broadcast leaves its waiters waiting for the item's next cycle; a
 	// corrupted pull delivery sends the entry's requests through Retry. Loss
-	// models are stateful — like Uplink they must not be shared across
-	// parallel replications. Nil keeps the paper's error-free channel.
+	// models are stateful — like Uplink they must not be shared across any
+	// two runs, sequential or parallel. Nil keeps the paper's error-free
+	// channel.
 	Loss faults.LossModel
 	// Retry governs client re-requests after corrupted pull deliveries:
 	// bounded attempts with exponential backoff and jitter, re-contending on

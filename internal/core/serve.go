@@ -44,13 +44,23 @@ func (o Outcome) String() string {
 	return "expired"
 }
 
-// Result reports an admitted request's terminal state to its done callback.
+// Result reports an admitted request's terminal state to its Done.
 type Result struct {
 	Outcome Outcome
+	// Class is the class the request was submitted in.
+	Class clients.Class
 	// Delay is completion − submission in broadcast units (served only).
 	Delay float64
 	// Push reports whether a broadcast (vs an on-demand pull) served it.
 	Push bool
+}
+
+// Done receives an admitted request's Result. An interface rather than a
+// func(Result), so a caller whose answer path is already a func value (qosd's
+// respond) hands that value over as it is: a func value is pointer-shaped,
+// so converting a func type with a Done method to Done allocates nothing.
+type Done interface {
+	Done(Result)
 }
 
 // servingDelayHistBound caps each class's raw delay samples in a serving
@@ -155,7 +165,7 @@ func (s *Server) routing(item int) trace.Reason {
 // done never fires. Submitting to a simulation or draining Server, or for
 // an item outside [1, D], panics: those are caller contract violations
 // (cmd/qosd validates requests and gates on Draining first).
-func (s *Server) Submit(item int, class clients.Class, deadlineIn float64, done func(Result)) admission.Verdict {
+func (s *Server) Submit(item int, class clients.Class, deadlineIn float64, done Done) admission.Verdict {
 	if s.ctl == nil {
 		panic("core: Submit on a simulation server")
 	}
@@ -275,19 +285,20 @@ func (s *Server) expire(slot int32) {
 }
 
 // resolve is a submitted request's single terminal path: expiry timer
-// cancelled, quota released, slot recycled, callback, drain check. The slot
-// is released before the callback runs, so a done handler that submits a
-// follow-up request reuses it immediately.
+// cancelled, quota released, class stamped on res, slot recycled, callback,
+// drain check. The slot is released before the callback runs, so a Done
+// that submits a follow-up request reuses it immediately.
 //
 //qos:hotpath
 func (s *Server) resolve(slot int32, res Result) {
 	s.clk.Cancel(s.reqs.expiry[slot])
-	s.ctl.Release(int(s.reqs.class[slot]))
+	res.Class = s.reqs.class[slot]
+	s.ctl.Release(int(res.Class))
 	s.pending--
 	done := s.reqs.done[slot]
 	s.reqs.release(slot)
 	if done != nil {
-		done(res)
+		done.Done(res)
 	}
 	if s.draining && s.pending == 0 {
 		s.finishDrain()

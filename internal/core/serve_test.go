@@ -38,6 +38,12 @@ func rtClasses(t *testing.T, weights ...float64) *clients.Classification {
 	return cl
 }
 
+// doneFunc adapts a func literal to Done, so a test hands Submit its
+// callback in place.
+type doneFunc func(Result)
+
+func (f doneFunc) Done(res Result) { f(res) }
+
 // p95 returns the 95th-percentile of xs (nearest-rank).
 func p95(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -101,14 +107,14 @@ func TestRealtimeOverloadDegradesByClass(t *testing.T) {
 		v.At(0.5*float64(k), func() {
 			st := &stats[class]
 			st.submitted++
-			verdict := rt.Submit(item, clients.Class(class), 0, func(res Result) {
+			verdict := rt.Submit(item, clients.Class(class), 0, doneFunc(func(res Result) {
 				st.callbacks++
 				if res.Outcome == OutcomeServed {
 					st.effective = append(st.effective, res.Delay)
 				} else {
 					st.effective = append(st.effective, deadline)
 				}
-			})
+			}))
 			if verdict == admission.Admitted {
 				st.admitted++
 			} else {
@@ -172,7 +178,7 @@ func TestRealtimeBurstCoalesces(t *testing.T) {
 	rt.Start()
 	served := 0
 	for i := 0; i < 100; i++ {
-		verdict := rt.Submit(3, clients.Class(i%2), 0, func(res Result) {
+		verdict := rt.Submit(3, clients.Class(i%2), 0, doneFunc(func(res Result) {
 			if res.Outcome != OutcomeServed {
 				t.Errorf("burst request resolved %v", res.Outcome)
 			}
@@ -180,7 +186,7 @@ func TestRealtimeBurstCoalesces(t *testing.T) {
 				t.Errorf("burst delay %g exceeds two transmission lengths", res.Delay)
 			}
 			served++
-		})
+		}))
 		if verdict != admission.Admitted {
 			t.Fatalf("burst request %d refused: %v", i, verdict)
 		}
@@ -216,10 +222,10 @@ func TestRealtimeDeadlineTieFavorsExpiry(t *testing.T) {
 	var got *Result
 	var at float64
 	// Item length is exactly 1: completion ties the deadline.
-	rt.Submit(1, 0, 1, func(res Result) {
+	rt.Submit(1, 0, 1, doneFunc(func(res Result) {
 		got = &res
 		at = v.Now()
-	})
+	}))
 	v.RunUntil(5)
 	if got == nil {
 		t.Fatal("no callback")
@@ -257,13 +263,13 @@ func TestRealtimeDeadlineStormSkipsDeadEntries(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		// The 0.5 deadline is shorter than any transmission can finish
 		// except the first.
-		rt.Submit(i%10+1, clients.Class(i%2), 0.5, func(res Result) {
+		rt.Submit(i%10+1, clients.Class(i%2), 0.5, doneFunc(func(res Result) {
 			if v.Now() > 0.5 {
 				t.Errorf("callback at t=%g, after the deadline", v.Now())
 			}
 			expired++
 			_ = res
-		})
+		}))
 	}
 	v.RunUntil(20)
 	// The first entry's transmission was in flight before anything expired;
@@ -297,16 +303,16 @@ func TestRealtimePushServesWaiters(t *testing.T) {
 	rt.Start()
 	var pushServed, pullServed bool
 	v.At(0.25, func() {
-		rt.Submit(1, 0, 0, func(res Result) {
+		rt.Submit(1, 0, 0, doneFunc(func(res Result) {
 			if res.Outcome == OutcomeServed && res.Push {
 				pushServed = true
 			}
-		})
-		rt.Submit(4, 1, 0, func(res Result) {
+		}))
+		rt.Submit(4, 1, 0, doneFunc(func(res Result) {
 			if res.Outcome == OutcomeServed && !res.Push {
 				pullServed = true
 			}
-		})
+		}))
 	})
 	v.RunUntil(20)
 	if !pushServed {
@@ -338,10 +344,10 @@ func TestRealtimePushResubmitDuringBroadcast(t *testing.T) {
 	rt.Start()
 	var got []Result
 	v.At(0.5, func() {
-		rt.Submit(1, 0, 0, func(first Result) {
+		rt.Submit(1, 0, 0, doneFunc(func(first Result) {
 			got = append(got, first)
-			rt.Submit(1, 0, 0, func(second Result) { got = append(got, second) })
-		})
+			rt.Submit(1, 0, 0, doneFunc(func(second Result) { got = append(got, second) }))
+		}))
 	})
 	v.RunUntil(200)
 	// Item 1 is on the air over [0,1) and every 4 units after: the first
@@ -374,7 +380,7 @@ func TestRealtimeDrain(t *testing.T) {
 	}
 	rt.Start()
 
-	admitted, callbacks := 0, 0
+	admitted, callbacks, peak := 0, 0, 0
 	var lastSubmit float64
 	for k := 0; k < 40; k++ {
 		k := k
@@ -385,13 +391,19 @@ func TestRealtimeDrain(t *testing.T) {
 				return // the HTTP layer refuses with 503 here
 			}
 			deadlineAt := v.Now() + deadline
-			if rt.Submit(k%12+1, clients.Class(k%3), 0, func(res Result) {
+			if rt.Submit(k%12+1, clients.Class(k%3), 0, doneFunc(func(res Result) {
 				callbacks++
 				if v.Now() > deadlineAt {
 					t.Errorf("callback at t=%g, after its deadline %g", v.Now(), deadlineAt)
 				}
-			}) == admission.Admitted {
+			})) == admission.Admitted {
 				admitted++
+			}
+			// The request arena grows only to the peak count in flight:
+			// answered slots recycle.
+			peak = max(peak, rt.Pending())
+			if n := len(rt.reqs.gen); n > peak {
+				t.Errorf("request arena grew to %d slots for at most %d requests pending", n, peak)
 			}
 		})
 	}
@@ -428,7 +440,7 @@ func TestRealtimeDrain(t *testing.T) {
 				t.Errorf("panic %v lacks the package prefix", r)
 			}
 		}()
-		rt.Submit(3, 0, 0, func(Result) {})
+		rt.Submit(3, 0, 0, doneFunc(func(Result) {}))
 	}()
 }
 
@@ -470,7 +482,7 @@ func TestRealtimeQuotaReleasedOnExpiry(t *testing.T) {
 	rt.Start()
 	outcomes := 0
 	submit := func(item int) admission.Verdict {
-		return rt.Submit(item, 0, 0, func(Result) { outcomes++ })
+		return rt.Submit(item, 0, 0, doneFunc(func(Result) { outcomes++ }))
 	}
 	v.At(0.5, func() {
 		// Two slots fill; the transmission in flight (item 1) will serve one.
@@ -565,7 +577,7 @@ func TestRealtimeTelemetryAudited(t *testing.T) {
 			if s.Draining() {
 				return
 			}
-			if s.Submit(op.Item, clients.Class(op.Class), 0, func(Result) { pending[op.Class]-- }) == admission.Admitted {
+			if s.Submit(op.Item, clients.Class(op.Class), 0, doneFunc(func(Result) { pending[op.Class]-- })) == admission.Admitted {
 				pending[op.Class]++
 			}
 		})

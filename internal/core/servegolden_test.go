@@ -323,7 +323,7 @@ func readServeGolden(t *testing.T) map[string]goldenRun {
 type serverScriptEngine struct{ s *Server }
 
 func (e serverScriptEngine) submit(item, class int, deadlineIn float64, done func(Result)) admission.Verdict {
-	return e.s.Submit(item, clients.Class(class), deadlineIn, done)
+	return e.s.Submit(item, clients.Class(class), deadlineIn, doneFunc(done))
 }
 func (e serverScriptEngine) drain(f func()) { e.s.Drain(f) }
 func (e serverScriptEngine) draining() bool { return e.s.Draining() }

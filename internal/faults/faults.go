@@ -16,7 +16,8 @@
 //     (hysteresis).
 //
 // Loss models and shedders are stateful; like uplink channels they must not
-// be shared across parallel replications — construct one per run.
+// be shared across any two runs, sequential or parallel — construct one per
+// run.
 package faults
 
 import (

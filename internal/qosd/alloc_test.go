@@ -100,8 +100,9 @@ func TestServeAllocsPerRequestCeiling(t *testing.T) {
 		// deadline_in this short converts to a string on the stack. No
 		// headroom: AllocsPerRun counts whole allocations per run.
 		{"ParseRequest", parse, 0},
-		// Measured 0: an admitted request's completion is its answer
-		// slot's prebuilt adapter. No headroom, as for ParseRequest.
+		// Measured 0: an admitted request's completion is respond
+		// itself, held by the engine as a core.Done without boxing. No
+		// headroom, as for ParseRequest.
 		{"Serve", serve, 0},
 		// Measured 0: the header value is shared and the body buffer
 		// pooled. Headroom 1, for a pool emptied by a collection.

@@ -83,8 +83,8 @@ type Daemon struct {
 	defaultClass int
 	state        atomic.Int32
 
-	ans   answers   // Serve's pending answers; clock goroutine only
-	calls sync.Pool // *call: handleRequest's per-request state
+	calls         sync.Pool // *call: handleRequest's per-request state
+	rejectUnknown func()    // counts a 401 on the clock goroutine
 }
 
 // New builds a Daemon on the given clock. exec must run its argument on
@@ -187,7 +187,7 @@ func (c Config) engine(clk clock.Clock) (*Daemon, error) {
 		keys:         keys,
 		defaultClass: c.defaultClass(),
 	}
-	d.ans.onDone = d.answer
+	d.rejectUnknown = func() { tele.Rejected(telemetry.ClassNone) }
 	d.calls.New = func() any { return d.newCall() }
 	return d, nil
 }
@@ -248,10 +248,10 @@ func (d *Daemon) classOf(key string) (int, bool) {
 
 // Serve runs one parsed, authenticated request through the engine and
 // reports the HTTP status and body via respond — synchronously for
-// refusals, from a later clock event for admitted requests. Serve must be
-// called on the clock goroutine; ServeHTTP bridges via exec. This is the
-// entry point the virtual-clock chaos tests drive. The answer arena it
-// keeps respond in is unsynchronised and relies on that single goroutine.
+// refusals, from a later clock event for admitted requests, which the
+// engine keeps respond for in its own request arena. Serve must be called
+// on the clock goroutine; ServeHTTP bridges via exec. This is the entry
+// point the virtual-clock chaos tests drive.
 //
 //qos:hotpath
 func (d *Daemon) Serve(req Request, class int, respond func(status int, resp Response)) {
@@ -265,91 +265,30 @@ func (d *Daemon) Serve(req Request, class int, respond func(status int, resp Res
 		respond(http.StatusBadRequest, Response{Outcome: "bad_item", Class: class})
 		return
 	}
-	slot := d.ans.alloc()
-	d.ans.respond[slot], d.ans.class[slot] = respond, class
-	verdict := d.srv.Submit(req.Item, clients.Class(class), req.DeadlineIn, d.ans.done[slot])
-	if verdict != admission.Admitted {
-		// A refused request's done never fires: free its slot now.
-		d.ans.release(slot)
-		respond(http.StatusTooManyRequests, Response{Outcome: verdict.String(), Class: class})
+	if v := d.srv.Submit(req.Item, clients.Class(class), req.DeadlineIn, responder(respond)); v != admission.Admitted {
+		respond(http.StatusTooManyRequests, Response{Outcome: v.String(), Class: class})
 	}
 }
 
-// answer is the engine's verdict on the admitted request in slot, relayed
-// to its respond. Like core.Server.resolve, it frees the slot before the
-// callback, so a respond that calls Serve again may reuse it.
+// responder is Serve's respond as the engine's core.Done. A func value is
+// one pointer, so it converts to the interface without allocating.
+type responder func(status int, resp Response)
+
+// Done relays the engine's verdict on an admitted request to its respond.
 //
 //qos:hotpath
-func (d *Daemon) answer(slot int32, res core.Result) {
-	respond, class := d.ans.respond[slot], d.ans.class[slot]
-	d.ans.release(slot)
+func (r responder) Done(res core.Result) {
+	class := int(res.Class)
 	if res.Outcome == core.OutcomeServed {
-		respond(http.StatusOK, Response{
+		r(http.StatusOK, Response{
 			Outcome:    "served",
 			Class:      class,
 			DelayUnits: res.Delay,
 			Push:       res.Push,
 		})
 	} else {
-		respond(http.StatusGatewayTimeout, Response{Outcome: "expired", Class: class})
+		r(http.StatusGatewayTimeout, Response{Outcome: "expired", Class: class})
 	}
-}
-
-// answers is the arena of Serve's admitted requests awaiting the engine:
-// one slot per request, its fields in parallel slices. Each slot's done
-// adapter, the completion core.Server.Submit calls, is built once when the
-// slot is created and hands the slot to onDone, so an admitted request
-// allocates no closure; freed slots recycle through a freelist. Like the
-// engine it feeds, it is touched only on the clock goroutine.
-type answers struct {
-	respond []func(status int, resp Response)
-	class   []int
-	done    []func(core.Result) // per-slot adapter, built once at grow
-	free    []int32             // recycled slots awaiting reuse
-
-	onDone func(slot int32, res core.Result)
-}
-
-// alloc returns a free slot.
-//
-//qos:hotpath
-func (a *answers) alloc() int32 {
-	if n := len(a.free); n > 0 {
-		slot := a.free[n-1]
-		a.free = a.free[:n-1]
-		return slot
-	}
-	return a.grow()
-}
-
-// grow is alloc's cold path: the arena extends to the peak count of
-// requests in flight once, then the freelist recycles.
-func (a *answers) grow() int32 {
-	slot := int32(len(a.done))
-	a.respond = append(a.respond, nil)
-	a.class = append(a.class, 0)
-	a.done = append(a.done, func(res core.Result) { a.onDone(slot, res) })
-	return slot
-}
-
-// release frees a slot, dropping its respond so the slot does not keep
-// the answered caller alive.
-//
-//qos:hotpath
-func (a *answers) release(slot int32) {
-	a.respond[slot] = nil
-	if n := len(a.free); n < cap(a.free) {
-		a.free = a.free[:n+1]
-		a.free[n] = slot
-	} else {
-		a.freeGrow(slot)
-	}
-}
-
-// freeGrow is release's cold path: the freelist reaches the peak count of
-// requests in flight once, then recycles.
-func (a *answers) freeGrow(slot int32) {
-	a.free = append(a.free, slot)
 }
 
 // Handler returns the daemon's HTTP mux:
@@ -437,7 +376,9 @@ func (d *Daemon) handleRequest(w http.ResponseWriter, r *http.Request) {
 	// re-canonicalising the name on every request.
 	class, ok := d.classOf(r.Header.Get("X-Api-Key"))
 	if !ok {
-		d.tele.Rejected(telemetry.ClassNone)
+		// The collector belongs to the clock goroutine: count the refusal
+		// there, without waiting for it.
+		d.exec(d.rejectUnknown)
 		http.Error(w, "unknown API key", http.StatusUnauthorized)
 		return
 	}

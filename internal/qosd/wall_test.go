@@ -11,13 +11,13 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"hybridqos/internal/admission"
 	"hybridqos/internal/clock"
 	"hybridqos/internal/httpserve"
+	"hybridqos/internal/telemetry"
 )
 
 // TestDaemonWallHTTPEndToEnd runs the full serving stack — wall clock,
@@ -231,9 +231,8 @@ func TestDaemonWallConcurrentScrapes(t *testing.T) {
 // transmission, on items nothing else asks for), bad_item, and, for the
 // rate-limited bronze key, rate_limited instead of either of the first
 // two. Every answer must carry its key's class and its own request's
-// outcome, so a pooled handler call or a reused answer slot that leaked
-// one request's answer into another's fails here, as does an answer arena
-// grown past the peak count of requests in flight.
+// outcome, so a pooled handler call or a reused engine slot that leaked
+// one request's answer into another's fails here.
 func TestDaemonWallNoCrossTalk(t *testing.T) {
 	cfg := testConfig()
 	cfg.Admission.DefaultDeadline = 60000 // a loaded machine must not expire a served request
@@ -261,7 +260,6 @@ func TestDaemonWallNoCrossTalk(t *testing.T) {
 	const clients, requests = 8, 40
 	keys := sortedKeys(cfg.Keys)
 	var wg sync.WaitGroup
-	var inFlight, peak atomic.Int64
 	var mu sync.Mutex
 	seen := map[string]int{} // answers by outcome
 	errs := make(chan error, clients)
@@ -288,13 +286,7 @@ func TestDaemonWallNoCrossTalk(t *testing.T) {
 				req := httptest.NewRequest(http.MethodPost, "/request", strings.NewReader(body))
 				req.Header.Set("X-API-Key", key)
 				rec := httptest.NewRecorder()
-				for n := inFlight.Add(1); ; {
-					if p := peak.Load(); n <= p || peak.CompareAndSwap(p, n) {
-						break
-					}
-				}
 				h.ServeHTTP(rec, req)
-				inFlight.Add(-1)
 				var resp Response
 				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 					errs <- fmt.Errorf("%s %s: answered %d %q", key, body, rec.Code, rec.Body)
@@ -320,10 +312,73 @@ func TestDaemonWallNoCrossTalk(t *testing.T) {
 			t.Errorf("no request answered %s: %v", outcome, seen)
 		}
 	}
+}
 
-	slots := make(chan int, 1)
-	wall.Submit(func() { slots <- len(d.ans.done) })
-	if n := <-slots; int64(n) > peak.Load() {
-		t.Errorf("answer arena grew to %d slots for at most %d requests in flight", n, peak.Load())
+// TestDaemonWallUnknownKeyScrapes sends unknown-key /requests from one
+// goroutine while another scrapes /metrics, on a Wall clock. Every 401 is
+// counted on the clock goroutine, where the scrape's snapshot reads the
+// same counter, so under -race a count taken on the handler goroutine
+// fails here; and every 401 must be counted exactly once.
+func TestDaemonWallUnknownKeyScrapes(t *testing.T) {
+	wall, err := clock.NewWall(time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(testConfig(), wall, wall.Submit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go wall.Run()
+	defer func() {
+		wall.Stop()
+		<-wall.Done()
+	}()
+	d.Start()
+	for d.state.Load() != stateReady {
+		time.Sleep(time.Millisecond)
+	}
+	h := d.Handler()
+
+	const n = 200
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	unauthorized := 0
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			req := httptest.NewRequest(http.MethodPost, "/request", strings.NewReader(`{"item":1}`))
+			req.Header.Set("X-API-Key", "intruder")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusUnauthorized {
+				errs <- fmt.Errorf("unknown key answered %d: %q", rec.Code, rec.Body)
+				return
+			}
+			unauthorized++
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			if rec.Code != http.StatusOK {
+				errs <- fmt.Errorf("scrape answered %d: %q", rec.Code, rec.Body)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	// Submitted after every 401's count, so it runs after them all.
+	snaps := make(chan *telemetry.Snapshot, 1)
+	wall.Submit(func() { snaps <- d.tele.TakeSnapshot(wall.Now()) })
+	if got := (<-snaps).Counter(telemetry.MetricRejected, telemetry.ClassNone); got != int64(unauthorized) {
+		t.Errorf("rejected{class=none} = %d after %d unknown-key requests", got, unauthorized)
 	}
 }

@@ -82,8 +82,8 @@ type Options struct {
 
 // Collector is the engine-facing instrumentation front end: one instance per
 // simulation run (it is stateful and not safe for concurrent use — like a
-// trace.Tracer or a loss model, never share one across parallel
-// replications).
+// trace.Tracer or a loss model, never share one across any two runs,
+// sequential or parallel).
 type Collector struct {
 	reg        Registry
 	every      float64

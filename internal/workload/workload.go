@@ -97,6 +97,8 @@ func NewMMPP(rates, switchRates []float64) (*MMPP, error) {
 // Bursty returns the canonical two-state MMPP with the given mean rate and
 // burstiness factor f > 1: the burst state emits at f·mean, the quiet state
 // at mean/f, with equal sojourn rates so the long-run mean is preserved.
+// The MMPP carries its modulating state from draw to draw: build one per
+// run and never share it across any two runs, sequential or parallel.
 func Bursty(mean, f, switchRate float64) (*MMPP, error) {
 	if mean <= 0 || f <= 1 || switchRate <= 0 {
 		return nil, fmt.Errorf("workload: Bursty(mean=%g, f=%g, switch=%g)", mean, f, switchRate)

@@ -75,7 +75,7 @@ func writeGoldenServing(t *testing.T, w *trace.JSONL) {
 		item := class*20 + (k/3)%20 + 1
 		v.At(0.5*float64(k), func() {
 			if !s.Draining() {
-				s.Submit(item, clients.Class(class), 0, func(core.Result) {})
+				s.Submit(item, clients.Class(class), 0, nil)
 			}
 		})
 	}
