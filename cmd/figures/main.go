@@ -20,7 +20,7 @@ import (
 	"strings"
 
 	"hybridqos/internal/experiments"
-	"hybridqos/internal/sim"
+	"hybridqos/internal/workpool"
 )
 
 func main() {
@@ -39,7 +39,7 @@ func main() {
 	flag.Parse()
 
 	if *workers > 0 {
-		sim.SetWorkers(*workers)
+		workpool.SetWorkers(*workers)
 	}
 	stopCPU := startCPUProfile(*cpuProf)
 

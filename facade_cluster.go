@@ -156,22 +156,7 @@ func SimulateCluster(c Config) (*ClusterResult, error) {
 		SaturatedCells: res.SaturatedCells,
 	}
 	for _, cm := range res.Aggregate.PerClass {
-		out.PerClass = append(out.PerClass, ClassResult{
-			Class:      cm.Class.String(),
-			Weight:     cm.Weight,
-			MeanDelay:  cm.Delay.Mean(),
-			P95Delay:   cm.DelayHist.Percentile(95),
-			Cost:       cm.Cost(),
-			DropRate:   cm.DropRate(),
-			Served:     cm.Served,
-			Dropped:    cm.Dropped,
-			Expired:    cm.Expired,
-			CacheHits:  cm.CacheHits,
-			UplinkLost: cm.UplinkLost,
-			Retries:    cm.Retries,
-			Failed:     cm.Failed,
-			Shed:       cm.Shed,
-		})
+		out.PerClass = append(out.PerClass, classResult(cm))
 		out.Handoffs += cm.HandoffsIn
 		out.HandoffRefusals += cm.HandoffRefusals
 	}

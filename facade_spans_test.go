@@ -7,9 +7,9 @@ import (
 	"sort"
 	"testing"
 
-	"hybridqos/internal/sim"
 	"hybridqos/internal/span"
 	"hybridqos/internal/trace"
+	"hybridqos/internal/workpool"
 )
 
 // spanTraceConfig is the shared workload for the exemplar-resolution tests:
@@ -53,10 +53,10 @@ func TestExemplarSpanIDsResolve(t *testing.T) {
 	dir := t.TempDir()
 	var perWorkers [][]int64
 	for _, workers := range []int{1, 4} {
-		prev := sim.SetWorkers(workers)
+		prev := workpool.SetWorkers(workers)
 		path := filepath.Join(dir, "run.jsonl")
 		_, err := WriteTrace(spanTraceConfig(), path)
-		sim.SetWorkers(prev)
+		workpool.SetWorkers(prev)
 		if err != nil {
 			t.Fatal(err)
 		}

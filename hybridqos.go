@@ -43,6 +43,7 @@ import (
 	"hybridqos/internal/trace"
 	"hybridqos/internal/uplink"
 	"hybridqos/internal/workload"
+	"hybridqos/internal/workpool"
 )
 
 // Version identifies the library release.
@@ -566,10 +567,10 @@ type Result struct {
 // previous override; n <= 0 restores automatic sizing (GOMAXPROCS−1, at
 // least one). Results are bit-identical at any worker count, so this only
 // trades wall-clock time against CPU use. The override is process-global.
-func SetWorkers(n int) (prev int) { return sim.SetWorkers(n) }
+func SetWorkers(n int) (prev int) { return workpool.SetWorkers(n) }
 
 // Workers reports the effective work-pool size.
-func Workers() int { return sim.Workers() }
+func Workers() int { return workpool.Workers() }
 
 // Simulate runs the configured system (Replications independent runs in
 // parallel) and aggregates the results.
@@ -609,42 +610,54 @@ func (c Config) perRun() func(int, *core.Config) error {
 	}
 }
 
+// resultFromSummary reports a replicated run: pooled counts and P95 from
+// the pooled metrics, and the per-replication means (delay with its CI,
+// cost, drop and failure rates) in place of the pooled ones.
 func resultFromSummary(s *sim.Summary, c Config) *Result {
+	p := s.Pooled
 	res := &Result{
 		Cutoff:               s.Config.Cutoff,
 		Alpha:                c.Alpha,
 		TotalCost:            s.TotalCost.Mean(),
-		PushBroadcasts:       s.PushBroadcasts,
-		PullTransmissions:    s.PullTransmissions,
-		BlockedTransmissions: s.Blocked,
-		CorruptedPushes:      s.CorruptedPushes,
-		CorruptedPulls:       s.CorruptedPulls,
+		PushBroadcasts:       p.PushBroadcasts,
+		PullTransmissions:    p.PullTransmissions,
+		BlockedTransmissions: p.BlockedTransmissions,
+		CorruptedPushes:      p.CorruptedPushes,
+		CorruptedPulls:       p.CorruptedPulls,
 		MeanQueueItems:       s.QueueItems.Mean(),
 		Replications:         s.Replications,
 	}
 	res.OverallDelay, res.OverallDelayCI95 = s.OverallDelay.CI95()
-	for _, cs := range s.PerClass {
-		mean, ci := cs.Delay.CI95()
-		res.PerClass = append(res.PerClass, ClassResult{
-			Class:       cs.Class.String(),
-			Weight:      cs.Weight,
-			MeanDelay:   mean,
-			DelayCI95:   ci,
-			P95Delay:    cs.DelayHist.Percentile(95),
-			Cost:        cs.Cost.Mean(),
-			DropRate:    cs.DropRate.Mean(),
-			Served:      cs.Served,
-			Dropped:     cs.Dropped,
-			Expired:     cs.Expired,
-			CacheHits:   cs.CacheHits,
-			UplinkLost:  cs.UplinkLost,
-			Retries:     cs.Retries,
-			Failed:      cs.Failed,
-			Shed:        cs.Shed,
-			FailureRate: cs.FailureRate.Mean(),
-		})
+	for i, cs := range s.PerClass {
+		cr := classResult(p.PerClass[i])
+		cr.MeanDelay, cr.DelayCI95 = cs.Delay.CI95()
+		cr.Cost = cs.Cost.Mean()
+		cr.DropRate = cs.DropRate.Mean()
+		cr.FailureRate = cs.FailureRate.Mean()
+		res.PerClass = append(res.PerClass, cr)
 	}
 	return res
+}
+
+// classResult reports one class's pooled metrics. DelayCI95 and
+// FailureRate are replication statistics and stay zero.
+func classResult(cm *core.ClassMetrics) ClassResult {
+	return ClassResult{
+		Class:      cm.Class.String(),
+		Weight:     cm.Weight,
+		MeanDelay:  cm.Delay.Mean(),
+		P95Delay:   cm.DelayHist.Percentile(95),
+		Cost:       cm.Cost(),
+		DropRate:   cm.DropRate(),
+		Served:     cm.Served,
+		Dropped:    cm.Dropped,
+		Expired:    cm.Expired,
+		CacheHits:  cm.CacheHits,
+		UplinkLost: cm.UplinkLost,
+		Retries:    cm.Retries,
+		Failed:     cm.Failed,
+		Shed:       cm.Shed,
+	}
 }
 
 // OptimizeCutoff sweeps K over [kMin, kMax] by step and returns the result

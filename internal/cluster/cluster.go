@@ -489,55 +489,10 @@ func (c *Cluster) Result() *Result {
 			streams = append(streams, cs.buf.Events)
 		}
 	}
-	res.Aggregate = mergeMetrics(c.cfg.Base, metrics)
+	res.Aggregate = core.PoolMetrics(c.cfg.Base.DelayHistBound, metrics)
 	res.Snapshots = c.snaps
 	if len(streams) > 0 {
 		res.Trace = trace.MergeByTime(streams...)
 	}
 	return res
-}
-
-// mergeMetrics pools per-class metrics across cells.
-func mergeMetrics(base core.Config, cells []*core.Metrics) *core.Metrics {
-	if len(cells) == 0 {
-		return nil
-	}
-	agg := &core.Metrics{Horizon: cells[0].Horizon, Cutoff: cells[0].Cutoff}
-	for ci := range cells[0].PerClass {
-		cm := &core.ClassMetrics{
-			Class:  cells[0].PerClass[ci].Class,
-			Weight: cells[0].PerClass[ci].Weight,
-		}
-		if base.DelayHistBound > 0 {
-			cm.DelayHist.SetBound(base.DelayHistBound)
-		}
-		for _, m := range cells {
-			src := m.PerClass[ci]
-			cm.Arrivals += src.Arrivals
-			cm.Served += src.Served
-			cm.Dropped += src.Dropped
-			cm.Expired += src.Expired
-			cm.UplinkLost += src.UplinkLost
-			cm.CacheHits += src.CacheHits
-			cm.Retries += src.Retries
-			cm.Failed += src.Failed
-			cm.Shed += src.Shed
-			cm.HandoffsIn += src.HandoffsIn
-			cm.HandoffsOut += src.HandoffsOut
-			cm.HandoffRefusals += src.HandoffRefusals
-			cm.Delay.Merge(&src.Delay)
-			cm.PushDelay.Merge(&src.PushDelay)
-			cm.PullDelay.Merge(&src.PullDelay)
-			cm.DelayHist.Merge(&src.DelayHist)
-		}
-		agg.PerClass = append(agg.PerClass, cm)
-	}
-	for _, m := range cells {
-		agg.PushBroadcasts += m.PushBroadcasts
-		agg.PullTransmissions += m.PullTransmissions
-		agg.BlockedTransmissions += m.BlockedTransmissions
-		agg.CorruptedPushes += m.CorruptedPushes
-		agg.CorruptedPulls += m.CorruptedPulls
-	}
-	return agg
 }

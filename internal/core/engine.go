@@ -534,12 +534,7 @@ func (s *Server) handleArrival() {
 		s.emit(&trace.Event{T: now, Kind: trace.KindSpanStart, Item: rank, Class: class, Req: span, Reason: trace.VerdictPull})
 	}
 	if !s.up.TryRequest(now, s.uplinkRng) {
-		if now >= s.warmupEnd {
-			s.metrics.PerClass[class].UplinkLost++
-		}
-		if span != 0 && s.emitOn {
-			s.emit(&trace.Event{T: now, Kind: trace.KindSpanEnd, Item: rank, Class: class, Req: span, Reason: trace.EndUplinkLost, Arrival: now})
-		}
+		s.unserved(rank, class, now, span, trace.EndUplinkLost, now)
 		return
 	}
 	req := pullqueue.Request{
@@ -595,18 +590,10 @@ func (s *Server) shedPull(req pullqueue.Request, now float64) bool {
 	if s.shedder.Admit(load, int(req.Class)) {
 		return false
 	}
-	if req.Arrival >= s.warmupEnd {
-		s.metrics.PerClass[req.Class].Shed++
-	}
 	if s.emitOn {
 		s.emit(&trace.Event{T: now, Kind: trace.KindShed, Item: req.Item, Class: req.Class})
 	}
-	if req.Tag != 0 && s.emitOn {
-		s.emit(&trace.Event{
-			T: now, Kind: trace.KindSpanEnd, Item: req.Item, Class: req.Class,
-			Req: req.Tag, Reason: trace.EndShed, Arrival: req.Arrival,
-		})
-	}
+	s.unserved(req.Item, req.Class, req.Arrival, req.Tag, trace.EndShed, now)
 	return true
 }
 
@@ -623,17 +610,9 @@ func (s *Server) retryAfterLoss(r pullqueue.Request, now float64) bool {
 	}
 	retryAt := now + s.cfg.Retry.Backoff(r.Attempts, s.retryRng)
 	if s.cfg.RequestTTL > 0 && retryAt > r.Arrival+s.cfg.RequestTTL {
-		if r.Arrival >= s.warmupEnd {
-			s.metrics.PerClass[r.Class].Expired++
-		}
-		if r.Tag != 0 && s.emitOn {
-			// The client gives up at its deadline rather than booking a
-			// retry that would land past it.
-			s.emit(&trace.Event{
-				T: now, Kind: trace.KindSpanEnd, Item: r.Item, Class: r.Class,
-				Req: r.Tag, Reason: trace.EndExpired, Arrival: r.Arrival,
-			})
-		}
+		// The client gives up at its deadline rather than booking a retry
+		// that would land past it.
+		s.unserved(r.Item, r.Class, r.Arrival, r.Tag, trace.EndExpired, now)
 		return true
 	}
 	r.Attempts++
@@ -683,15 +662,7 @@ func (s *Server) handleRetry(r pullqueue.Request) {
 	}
 	if !s.up.TryRequest(now, s.uplinkRng) {
 		if !s.retryAfterLoss(r, now) {
-			if r.Arrival >= s.warmupEnd {
-				s.metrics.PerClass[r.Class].UplinkLost++
-			}
-			if r.Tag != 0 && s.emitOn {
-				s.emit(&trace.Event{
-					T: now, Kind: trace.KindSpanEnd, Item: r.Item, Class: r.Class,
-					Req: r.Tag, Reason: trace.EndUplinkLost, Arrival: r.Arrival,
-				})
-			}
+			s.unserved(r.Item, r.Class, r.Arrival, r.Tag, trace.EndUplinkLost, now)
 		}
 		return
 	}
@@ -801,15 +772,7 @@ func (s *Server) attemptPull() {
 					})
 				}
 				for _, r := range entry.Requests {
-					if r.Arrival >= s.warmupEnd {
-						s.metrics.PerClass[r.Class].Dropped++
-					}
-					if r.Tag != 0 && s.emitOn {
-						s.emit(&trace.Event{
-							T: s.clk.Now(), Kind: trace.KindSpanEnd, Item: entry.Item, Class: r.Class,
-							Req: r.Tag, Reason: trace.EndBlocked, Arrival: r.Arrival,
-						})
-					}
+					s.unserved(entry.Item, r.Class, r.Arrival, r.Tag, trace.EndBlocked, s.clk.Now())
 				}
 				s.selector.Recycle(entry)
 				if s.cfg.RetryOnBlock {
@@ -905,15 +868,7 @@ func (s *Server) completePull(entry *pullqueue.Entry) {
 				})
 			}
 			if !s.retryAfterLoss(r, now) {
-				if r.Arrival >= s.warmupEnd {
-					s.metrics.PerClass[r.Class].Failed++
-				}
-				if r.Tag != 0 && s.emitOn {
-					s.emit(&trace.Event{
-						T: now, Kind: trace.KindSpanEnd, Item: entry.Item, Class: r.Class,
-						Req: r.Tag, Reason: trace.EndFailed, Arrival: r.Arrival,
-					})
-				}
+				s.unserved(entry.Item, r.Class, r.Arrival, r.Tag, trace.EndFailed, now)
 			}
 		}
 		s.selector.Recycle(entry)
@@ -987,6 +942,38 @@ func (s *Server) CacheHitRate() float64 {
 		return 0
 	}
 	return s.caches.HitRate()
+}
+
+// unserved books a request's terminal outcome other than service: the
+// warmup-gated counter for end (trace.EndUplinkLost, EndShed, EndExpired,
+// EndBlocked or EndFailed), then a sampled request's span end. It is the one
+// mapping from a terminal reason to its ClassMetrics counter; span is the
+// request's span ID (0 when unsampled). A counter event the outcome has
+// (shed, expired) is the caller's, emitted before this call.
+//
+//qos:hotpath
+func (s *Server) unserved(item int, class clients.Class, arrival float64, span int64, end trace.Reason, now float64) {
+	if arrival >= s.warmupEnd {
+		cm := s.metrics.PerClass[class]
+		switch end {
+		case trace.EndUplinkLost:
+			cm.UplinkLost++
+		case trace.EndShed:
+			cm.Shed++
+		case trace.EndExpired:
+			cm.Expired++
+		case trace.EndBlocked:
+			cm.Dropped++
+		case trace.EndFailed:
+			cm.Failed++
+		}
+	}
+	if span != 0 && s.emitOn {
+		s.emit(&trace.Event{
+			T: now, Kind: trace.KindSpanEnd, Item: item, Class: class,
+			Req: span, Reason: end, Arrival: arrival,
+		})
+	}
 }
 
 // recordServed logs one satisfied request (post-warmup arrivals only).

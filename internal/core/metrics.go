@@ -87,6 +87,27 @@ func (cm *ClassMetrics) FailureRate() float64 {
 	return float64(failures) / float64(total)
 }
 
+// Merge pools src into cm: every counter summed, every delay statistic
+// merged. Class and Weight stay as they are.
+func (cm *ClassMetrics) Merge(src *ClassMetrics) {
+	cm.Arrivals += src.Arrivals
+	cm.Served += src.Served
+	cm.Dropped += src.Dropped
+	cm.Expired += src.Expired
+	cm.UplinkLost += src.UplinkLost
+	cm.CacheHits += src.CacheHits
+	cm.Retries += src.Retries
+	cm.Failed += src.Failed
+	cm.Shed += src.Shed
+	cm.HandoffsIn += src.HandoffsIn
+	cm.HandoffsOut += src.HandoffsOut
+	cm.HandoffRefusals += src.HandoffRefusals
+	cm.Delay.Merge(&src.Delay)
+	cm.DelayHist.Merge(&src.DelayHist)
+	cm.PushDelay.Merge(&src.PushDelay)
+	cm.PullDelay.Merge(&src.PullDelay)
+}
+
 // Metrics is the result of one run.
 type Metrics struct {
 	// PerClass holds one entry per service class, class 0 first.
@@ -157,4 +178,36 @@ func (m *Metrics) TotalHandoffRefusals() int64 {
 		n += cm.HandoffRefusals
 	}
 	return n
+}
+
+// PoolMetrics pools runs of one configuration (replications, or the cells
+// of a cluster) in slice order: per-class outcomes through
+// ClassMetrics.Merge, transmission counters summed. Class, Weight, Horizon
+// and Cutoff come from runs[0]; the queue and bandwidth trackers are
+// per-run quantities and stay zero. A positive histBound caps each class's
+// pooled delay histogram (stats.Histogram.SetBound); 0 keeps every sample.
+// It returns nil for no runs.
+func PoolMetrics(histBound int, runs []*Metrics) *Metrics {
+	if len(runs) == 0 {
+		return nil
+	}
+	pool := &Metrics{Horizon: runs[0].Horizon, Cutoff: runs[0].Cutoff}
+	for _, first := range runs[0].PerClass {
+		cm := &ClassMetrics{Class: first.Class, Weight: first.Weight}
+		if histBound > 0 {
+			cm.DelayHist.SetBound(histBound)
+		}
+		pool.PerClass = append(pool.PerClass, cm)
+	}
+	for _, m := range runs {
+		for c, cm := range pool.PerClass {
+			cm.Merge(m.PerClass[c])
+		}
+		pool.PushBroadcasts += m.PushBroadcasts
+		pool.PullTransmissions += m.PullTransmissions
+		pool.BlockedTransmissions += m.BlockedTransmissions
+		pool.CorruptedPushes += m.CorruptedPushes
+		pool.CorruptedPulls += m.CorruptedPulls
+	}
+	return pool
 }

@@ -270,16 +270,10 @@ func (s *Server) refusalSpan(item int, class clients.Class, span int64, outcome 
 func (s *Server) expire(slot int32) {
 	now := s.clk.Now()
 	class, item := s.reqs.class[slot], int(s.reqs.item[slot])
-	s.metrics.PerClass[class].Expired++
 	if s.emitOn {
 		s.emit(&trace.Event{T: now, Kind: trace.KindExpired, Item: item, Class: class})
-		if span := s.reqs.span[slot]; span != 0 {
-			s.emit(&trace.Event{
-				T: now, Kind: trace.KindSpanEnd, Item: item, Class: class,
-				Req: span, Reason: trace.EndExpired, Arrival: s.reqs.arrival[slot],
-			})
-		}
 	}
+	s.unserved(item, class, s.reqs.arrival[slot], s.reqs.span[slot], trace.EndExpired, now)
 	s.reqs.expiry[slot] = clock.Token{} // fired
 	s.resolve(slot, Result{Outcome: OutcomeExpired})
 }

@@ -129,7 +129,7 @@ func ExtFaults(p Params) (*Figure, error) {
 	// Claims. The zero-loss point doubles as a no-op audit: no corruption,
 	// no retries, no failures from the fault layer itself.
 	last := len(losses) - 1
-	zero := shedSummaries[0]
+	zero := shedSummaries[0].Pooled
 	noCorruption := zero.CorruptedPushes == 0 && zero.CorruptedPulls == 0 &&
 		zero.PerClass[0].Retries == 0 && zero.PerClass[0].Failed == 0
 	fig.Claims = append(fig.Claims, Claim{
@@ -156,8 +156,9 @@ func ExtFaults(p Params) (*Figure, error) {
 			shedSpread, flatSpread),
 	})
 
-	corrLow := shedSummaries[1].CorruptedPushes + shedSummaries[1].CorruptedPulls
-	corrHigh := shedSummaries[last].CorruptedPushes + shedSummaries[last].CorruptedPulls
+	low, high := shedSummaries[1].Pooled, shedSummaries[last].Pooled
+	corrLow := low.CorruptedPushes + low.CorruptedPulls
+	corrHigh := high.CorruptedPushes + high.CorruptedPulls
 	fig.Claims = append(fig.Claims, Claim{
 		Name: "corruption volume grows with the configured loss",
 		Pass: corrHigh > corrLow && corrLow > 0,

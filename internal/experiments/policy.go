@@ -89,8 +89,8 @@ func ExtPolicy(p Params) (*Figure, error) {
 		if label == "push=none" {
 			fig.Claims = append(fig.Claims, Claim{
 				Name:   `push scheduler "none" broadcasts nothing (pure pull)`,
-				Pass:   sums[i].PushBroadcasts == 0,
-				Detail: fmt.Sprintf("%d push broadcasts pooled over %d replications", sums[i].PushBroadcasts, p.Replications),
+				Pass:   sums[i].Pooled.PushBroadcasts == 0,
+				Detail: fmt.Sprintf("%d push broadcasts pooled over %d replications", sums[i].Pooled.PushBroadcasts, p.Replications),
 			})
 		}
 	}

@@ -49,9 +49,6 @@ type Config struct {
 	DefaultClass *int `json:"default_class,omitempty"`
 	// Admission configures the class-aware front door.
 	Admission AdmissionConfig `json:"admission"`
-	// SnapshotEvery is the telemetry snapshot cadence in broadcast units
-	// (0 disables periodic snapshots; /metrics snapshots on demand).
-	SnapshotEvery float64 `json:"snapshot_every,omitempty"`
 	// Spans enables per-request span recording, served at /debug/spans.
 	Spans *SpansConfig `json:"spans,omitempty"`
 }

@@ -142,7 +142,7 @@ func (c Config) engine(clk clock.Clock) (*Daemon, error) {
 		}
 		keys[k] = c.Keys[k]
 	}
-	tele, err := telemetry.New(telemetry.Options{SnapshotEvery: c.SnapshotEvery})
+	tele, err := telemetry.New(telemetry.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("qosd: %w", err)
 	}

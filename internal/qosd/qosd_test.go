@@ -93,7 +93,6 @@ func TestParseConfigErrors(t *testing.T) {
 		{"default class out of range", mutate(func(c *Config) { dc := 3; c.DefaultClass = &dc })},
 		{"too many admission classes", mutate(func(c *Config) { c.Admission.Classes = make([]admission.ClassConfig, 4) })},
 		{"no deadline", mutate(func(c *Config) { c.Admission.DefaultDeadline = 0 })},
-		{"negative snapshot cadence", mutate(func(c *Config) { c.SnapshotEvery = -1 })},
 		{"span rate above 1", mutate(func(c *Config) { c.Spans = &SpansConfig{Rate: 1.5} })},
 		{"negative span rate", mutate(func(c *Config) { c.Spans = &SpansConfig{Rate: -0.5} })},
 		{"negative span buffer", mutate(func(c *Config) { c.Spans = &SpansConfig{Rate: 0.5, Buffer: -1} })},

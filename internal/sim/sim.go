@@ -15,7 +15,8 @@ import (
 	"hybridqos/internal/workpool"
 )
 
-// ClassSummary aggregates one class's results across replications.
+// ClassSummary collects one class's per-replication rates and means; the
+// pooled counts and delay samples are in Summary.Pooled.
 type ClassSummary struct {
 	// Class is the service class.
 	Class clients.Class
@@ -28,16 +29,6 @@ type ClassSummary struct {
 	Cost stats.Welford
 	// DropRate collects per-replication drop rates.
 	DropRate stats.Welford
-	// DelayHist pools every served request's delay across replications,
-	// for percentile queries (P95 etc.).
-	DelayHist stats.Histogram
-	// Served, Dropped, Expired, UplinkLost and CacheHits are pooled counts
-	// over all replications.
-	Served, Dropped, Expired, UplinkLost, CacheHits int64
-	// Retries, Failed and Shed pool the fault-layer counts: client
-	// re-requests after corrupted deliveries, retry-budget exhaustions and
-	// admission-control refusals.
-	Retries, Failed, Shed int64
 	// FailureRate collects per-replication failure rates (drops, expiries,
 	// retry exhaustion and shedding over completed requests).
 	FailureRate stats.Welford
@@ -55,10 +46,10 @@ type Summary struct {
 	OverallDelay, TotalCost stats.Welford
 	// QueueItems collects per-replication mean distinct-item queue lengths.
 	QueueItems stats.Welford
-	// PullTransmissions, PushBroadcasts, Blocked pool counts.
-	PullTransmissions, PushBroadcasts, Blocked int64
-	// CorruptedPushes, CorruptedPulls pool downlink corruption counts.
-	CorruptedPushes, CorruptedPulls int64
+	// Pooled pools every replication's metrics (core.PoolMetrics): outcome
+	// and transmission counts summed, every served request's delay kept for
+	// percentile queries.
+	Pooled *core.Metrics
 }
 
 // MeanDelay returns class c's mean delay across replications.
@@ -66,15 +57,6 @@ func (s *Summary) MeanDelay(c clients.Class) float64 { return s.PerClass[c].Dela
 
 // MeanCost returns class c's mean prioritised cost across replications.
 func (s *Summary) MeanCost(c clients.Class) float64 { return s.PerClass[c].Cost.Mean() }
-
-// SetWorkers overrides the shared work-pool size for subsequent runs and
-// returns the previous override; n <= 0 restores automatic sizing
-// (GOMAXPROCS−1, at least one). The override is process-global.
-func SetWorkers(n int) (prev int) { return workpool.SetWorkers(n) }
-
-// Workers reports the effective work-pool size used by sweeps and
-// replications.
-func Workers() int { return workpool.Workers() }
 
 // PointError reports which sweep point a SweepConfigs failure occurred at.
 // Err carries the underlying (replication-wrapped) error; the error text is
@@ -173,7 +155,7 @@ func SweepConfigs(cfgs []core.Config, reps int, perRun func(point, rep int, c *c
 // aggregate folds one point's per-replication metrics, in replication-index
 // order, into a Summary.
 func aggregate(cfg core.Config, reps int, results []*core.Metrics) *Summary {
-	s := &Summary{Config: cfg, Replications: reps}
+	s := &Summary{Config: cfg, Replications: reps, Pooled: core.PoolMetrics(0, results)}
 	for c := 0; c < cfg.Classes.NumClasses(); c++ {
 		s.PerClass = append(s.PerClass, &ClassSummary{
 			Class:  clients.Class(c),
@@ -187,16 +169,7 @@ func aggregate(cfg core.Config, reps int, results []*core.Metrics) *Summary {
 				cs.Delay.Add(cm.Delay.Mean())
 				cs.Cost.Add(cm.Cost())
 			}
-			cs.DelayHist.Merge(&cm.DelayHist)
 			cs.DropRate.Add(cm.DropRate())
-			cs.Served += cm.Served
-			cs.Dropped += cm.Dropped
-			cs.Expired += cm.Expired
-			cs.UplinkLost += cm.UplinkLost
-			cs.CacheHits += cm.CacheHits
-			cs.Retries += cm.Retries
-			cs.Failed += cm.Failed
-			cs.Shed += cm.Shed
 			cs.FailureRate.Add(cm.FailureRate())
 		}
 		if v := m.OverallMeanDelay(); !math.IsNaN(v) {
@@ -206,11 +179,6 @@ func aggregate(cfg core.Config, reps int, results []*core.Metrics) *Summary {
 		if v := m.QueueItems.Mean(); !math.IsNaN(v) {
 			s.QueueItems.Add(v)
 		}
-		s.PullTransmissions += m.PullTransmissions
-		s.PushBroadcasts += m.PushBroadcasts
-		s.Blocked += m.BlockedTransmissions
-		s.CorruptedPushes += m.CorruptedPushes
-		s.CorruptedPulls += m.CorruptedPulls
 	}
 	return s
 }

@@ -9,6 +9,7 @@ import (
 	"hybridqos/internal/catalog"
 	"hybridqos/internal/clients"
 	"hybridqos/internal/core"
+	"hybridqos/internal/workpool"
 )
 
 func baseConfig(t *testing.T) core.Config {
@@ -58,7 +59,7 @@ func TestRunReplicationsDeterministic(t *testing.T) {
 		if a.PerClass[c].Delay.Mean() != b.PerClass[c].Delay.Mean() {
 			t.Fatalf("class %d delay differs across identical replication sets", c)
 		}
-		if a.PerClass[c].Served != b.PerClass[c].Served {
+		if a.Pooled.PerClass[c].Served != b.Pooled.PerClass[c].Served {
 			t.Fatalf("class %d served counts differ", c)
 		}
 	}
@@ -95,10 +96,9 @@ func TestSummaryAggregates(t *testing.T) {
 		t.Fatalf("%d class summaries", len(s.PerClass))
 	}
 	for c, cs := range s.PerClass {
-		if cs.Served == 0 {
+		if pc := s.Pooled.PerClass[c]; pc.Served == 0 {
 			t.Fatalf("class %d served 0", c)
-		}
-		if cs.Dropped != 0 {
+		} else if pc.Dropped != 0 {
 			t.Fatalf("class %d dropped without bandwidth constraint", c)
 		}
 		if math.IsNaN(cs.Delay.Mean()) || cs.Delay.Mean() <= 0 {
@@ -117,7 +117,7 @@ func TestSummaryAggregates(t *testing.T) {
 	if s.MeanCost(1) != s.PerClass[1].Cost.Mean() {
 		t.Fatal("MeanCost accessor wrong")
 	}
-	if s.PushBroadcasts == 0 || s.PullTransmissions == 0 {
+	if s.Pooled.PushBroadcasts == 0 || s.Pooled.PullTransmissions == 0 {
 		t.Fatal("pooled transmission counts empty")
 	}
 }
@@ -206,24 +206,6 @@ func TestOptimalSelectors(t *testing.T) {
 	}
 }
 
-func TestWorkersAtLeastOne(t *testing.T) {
-	if Workers() < 1 {
-		t.Fatal("Workers < 1")
-	}
-}
-
-func TestSetWorkersRoundTrip(t *testing.T) {
-	prev := SetWorkers(3)
-	defer SetWorkers(prev)
-	if Workers() != 3 {
-		t.Fatalf("Workers = %d after SetWorkers(3)", Workers())
-	}
-	if p := SetWorkers(prev); p != 3 {
-		t.Fatalf("SetWorkers returned %d, want 3", p)
-	}
-	SetWorkers(prev)
-}
-
 // TestSweepConfigsMatchesPerPointRuns pins the tentpole contract: flattening
 // (point × replication) into the shared pool must be bit-identical to
 // running each point on its own, at any worker count.
@@ -248,7 +230,7 @@ func TestSweepConfigsMatchesPerPointRuns(t *testing.T) {
 				i, swept[i].OverallDelay.Mean(), solo.OverallDelay.Mean())
 		}
 		for c := range solo.PerClass {
-			if swept[i].PerClass[c].Served != solo.PerClass[c].Served {
+			if swept[i].Pooled.PerClass[c].Served != solo.Pooled.PerClass[c].Served {
 				t.Fatalf("point %d class %d served differs", i, c)
 			}
 		}
@@ -278,7 +260,7 @@ func TestPooledDelayHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c, cs := range s.PerClass {
+	for c, cs := range s.Pooled.PerClass {
 		if int64(cs.DelayHist.N()) != cs.Served {
 			t.Fatalf("class %d: hist N %d vs served %d", c, cs.DelayHist.N(), cs.Served)
 		}
@@ -298,8 +280,8 @@ func TestParallelWorkersBitIdentical(t *testing.T) {
 	ks := []int{10, 30, 50, 70}
 
 	sweep := func(workers int) []SweepPoint {
-		prev := SetWorkers(workers)
-		defer SetWorkers(prev)
+		prev := workpool.SetWorkers(workers)
+		defer workpool.SetWorkers(prev)
 		points, err := SweepCutoffs(cfg, ks, 3, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -311,30 +293,31 @@ func TestParallelWorkersBitIdentical(t *testing.T) {
 
 	for i := range ks {
 		a, b := seq[i].Summary, par[i].Summary
+		pa, pb := a.Pooled, b.Pooled
 		if a.OverallDelay.Mean() != b.OverallDelay.Mean() {
 			t.Fatalf("K=%d overall delay differs: %x vs %x", ks[i], a.OverallDelay.Mean(), b.OverallDelay.Mean())
 		}
 		if a.TotalCost.Mean() != b.TotalCost.Mean() {
 			t.Fatalf("K=%d total cost differs", ks[i])
 		}
-		if a.PullTransmissions != b.PullTransmissions || a.PushBroadcasts != b.PushBroadcasts {
+		if pa.PullTransmissions != pb.PullTransmissions || pa.PushBroadcasts != pb.PushBroadcasts {
 			t.Fatalf("K=%d transmission counts differ", ks[i])
 		}
 		for c := range a.PerClass {
-			ca, cb := a.PerClass[c], b.PerClass[c]
+			if a.PerClass[c].Delay.Mean() != b.PerClass[c].Delay.Mean() {
+				t.Fatalf("K=%d class %d delay differs: %x vs %x", ks[i], c, a.PerClass[c].Delay.Mean(), b.PerClass[c].Delay.Mean())
+			}
+			ca, cb := pa.PerClass[c], pb.PerClass[c]
 			if ca.Served != cb.Served || ca.Dropped != cb.Dropped {
 				t.Fatalf("K=%d class %d counts differ", ks[i], c)
-			}
-			if ca.Delay.Mean() != cb.Delay.Mean() {
-				t.Fatalf("K=%d class %d delay differs: %x vs %x", ks[i], c, ca.Delay.Mean(), cb.Delay.Mean())
 			}
 			if ca.DelayHist.N() != cb.DelayHist.N() {
 				t.Fatalf("K=%d class %d hist N differs", ks[i], c)
 			}
 			for _, p := range []float64{50, 95, 99} {
-				pa, pb := ca.DelayHist.Percentile(p), cb.DelayHist.Percentile(p)
-				if pa != pb {
-					t.Fatalf("K=%d class %d P%g differs: %x vs %x", ks[i], c, p, pa, pb)
+				qa, qb := ca.DelayHist.Percentile(p), cb.DelayHist.Percentile(p)
+				if qa != qb {
+					t.Fatalf("K=%d class %d P%g differs: %x vs %x", ks[i], c, p, qa, qb)
 				}
 			}
 		}
@@ -357,14 +340,14 @@ func TestBoundedDelayHistKeepsTrueCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c, cs := range s.PerClass {
+	for c, cs := range s.Pooled.PerClass {
 		if int64(cs.DelayHist.N()) != cs.Served {
 			t.Fatalf("class %d: hist N %d vs served %d", c, cs.DelayHist.N(), cs.Served)
 		}
 		if cs.Served <= 3*128 {
 			t.Fatalf("class %d: %d served across 3 reps cannot exercise bound 128", c, cs.Served)
 		}
-		if reflect.DeepEqual(cs.DelayHist, exact.PerClass[c].DelayHist) {
+		if reflect.DeepEqual(cs.DelayHist, exact.Pooled.PerClass[c].DelayHist) {
 			t.Fatalf("class %d: bounded run pooled the same samples as the exact run", c)
 		}
 		p50, p95 := cs.DelayHist.Percentile(50), cs.DelayHist.Percentile(95)
