@@ -139,6 +139,8 @@ type Config struct {
 	// reservoir), so long-horizon runs use constant memory. Percentiles
 	// (Result.P95Delay) become estimates over at least DelayHistBound/2
 	// samples; 0 keeps the exact unbounded histograms. Must be 0 or >= 2.
+	// The facade always keeps delay samples, since Result.P95Delay reads
+	// them: this field sets core.DelaySamples.Bound.
 	DelayHistBound int
 	// Rotation, when non-nil, makes item popularity drift: every Period
 	// broadcast units the popularity ranking rotates by Shift positions
@@ -391,7 +393,8 @@ func (c Config) build() (core.Config, error) {
 		Horizon:        c.Horizon,
 		WarmupFraction: c.WarmupFraction,
 		Seed:           c.Seed,
-		DelayHistBound: c.DelayHistBound,
+		// Result.P95Delay reads each class's delay samples.
+		DelaySamples: &core.DelaySamples{Bound: c.DelayHistBound},
 	}
 	// Policy selection is by name only: the core engine resolves the names
 	// through the policy registry, so externally registered policies work

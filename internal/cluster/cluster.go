@@ -452,7 +452,8 @@ type Result struct {
 	// PerCell holds each cell's outcome, cell 0 first.
 	PerCell []CellResult
 	// Aggregate pools the per-class metrics across cells: counters summed,
-	// delay statistics and histograms merged. Queue and bandwidth trackers
+	// delay statistics merged, and delay samples kept as Base.DelaySamples
+	// says (core.PoolMetrics). Queue and bandwidth trackers
 	// are per-cell quantities and stay in PerCell only.
 	Aggregate *core.Metrics
 	// SaturatedCells counts cells whose saturation detector fired.
@@ -489,7 +490,7 @@ func (c *Cluster) Result() *Result {
 			streams = append(streams, cs.buf.Events)
 		}
 	}
-	res.Aggregate = core.PoolMetrics(c.cfg.Base.DelayHistBound, metrics)
+	res.Aggregate = core.PoolMetrics(c.cfg.Base.DelaySamples, metrics)
 	res.Snapshots = c.snaps
 	if len(streams) > 0 {
 		res.Trace = trace.MergeByTime(streams...)

@@ -64,12 +64,12 @@ func TestSingleCellMatchesCore(t *testing.T) {
 	}
 }
 
-// With DelayHistBound set, the aggregate's per-class delay histograms are
+// With bounded DelaySamples, the aggregate's per-class delay histograms are
 // bounded too: each equals a histogram bounded at the same cap that merged
 // the cells' histograms in cell order.
 func TestAggregateDelayHistBounded(t *testing.T) {
 	b := base(t)
-	b.DelayHistBound = 32
+	b.DelaySamples = &core.DelaySamples{Bound: 32}
 	cl, err := cluster.New(cluster.Config{Cells: 3, Base: b, CatalogOverlap: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -80,11 +80,11 @@ func TestAggregateDelayHistBounded(t *testing.T) {
 	}
 	for ci, agg := range res.Aggregate.PerClass {
 		var want stats.Histogram
-		want.SetBound(b.DelayHistBound)
+		want.SetBound(b.DelaySamples.Bound)
 		for _, pc := range res.PerCell {
-			want.Merge(&pc.Metrics.PerClass[ci].DelayHist)
+			want.Merge(pc.Metrics.PerClass[ci].DelayHist)
 		}
-		if !reflect.DeepEqual(agg.DelayHist, want) {
+		if !reflect.DeepEqual(agg.DelayHist, &want) {
 			t.Errorf("class %d: aggregate delay histogram is not the bounded merge of the cells'", ci)
 		}
 	}

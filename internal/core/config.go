@@ -11,6 +11,7 @@ import (
 	"hybridqos/internal/policy"
 	"hybridqos/internal/pullqueue"
 	"hybridqos/internal/sched"
+	"hybridqos/internal/stats"
 	"hybridqos/internal/telemetry"
 	"hybridqos/internal/trace"
 	"hybridqos/internal/uplink"
@@ -123,11 +124,11 @@ type Config struct {
 	WarmupFraction float64
 	// Seed drives all randomness in the run.
 	Seed uint64
-	// DelayHistBound, when positive, caps each per-class delay histogram at
-	// that many retained samples (a deterministic systematic reservoir;
-	// see stats.Histogram.SetBound), so long-horizon runs stop pooling raw
-	// samples. Zero keeps the exact unbounded histograms. Must be 0 or >= 2.
-	DelayHistBound int
+	// DelaySamples, when non-nil, keeps each class's raw access-time
+	// samples in ClassMetrics.DelayHist, for a reader that asks for a
+	// percentile; see DelaySamples for how. Nil keeps none: DelayHist stays
+	// nil and only the counters and the Delay moments are tracked.
+	DelaySamples *DelaySamples
 	// Spans, when non-nil, enables per-request span provenance: head-based,
 	// per-class deterministic sampling at arrival, with sampled requests
 	// emitting span-* trace events at every lifecycle point (admission
@@ -150,6 +151,28 @@ type SpanConfig struct {
 	// so IDs stay globally unique after stream merging and cross-cell
 	// parent links resolve unambiguously.
 	IDBase int64
+}
+
+// DelaySamples says how a run keeps its raw delay samples.
+type DelaySamples struct {
+	// Bound, when positive, caps each class's histogram at that many
+	// retained samples (a deterministic systematic reservoir; see
+	// stats.Histogram.SetBound), so long-horizon runs keep constant memory.
+	// Zero keeps every sample, for exact percentiles. Must be 0 or >= 2.
+	Bound int
+}
+
+// histogram returns an empty per-class delay histogram kept as d says, or
+// nil for a nil d.
+func (d *DelaySamples) histogram() *stats.Histogram {
+	if d == nil {
+		return nil
+	}
+	h := new(stats.Histogram)
+	if d.Bound > 0 {
+		h.SetBound(d.Bound)
+	}
+	return h
 }
 
 // CacheConfig parameterises the client-side caches.
@@ -255,8 +278,8 @@ func (c Config) validate(generated bool) error {
 	if c.PushDisks < 0 {
 		return fmt.Errorf("core: negative push disk count %d", c.PushDisks)
 	}
-	if c.DelayHistBound < 0 || c.DelayHistBound == 1 {
-		return fmt.Errorf("core: delay histogram bound %d (want 0 or >= 2)", c.DelayHistBound)
+	if d := c.DelaySamples; d != nil && (d.Bound < 0 || d.Bound == 1) {
+		return fmt.Errorf("core: delay histogram bound %d (want 0 or >= 2)", d.Bound)
 	}
 	// Dry-resolve the policy names so an unknown name or a parameter the
 	// factory rejects fails before the run starts.

@@ -100,6 +100,7 @@ func TestTTLOracleFullPush(t *testing.T) {
 	}
 	ttl := cycle / 2
 	cfg.RequestTTL = ttl
+	cfg.DelaySamples = &DelaySamples{}
 	m, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

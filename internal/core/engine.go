@@ -310,14 +310,11 @@ func newServer(cfg Config, clk clock.Clock) (*Server, error) {
 
 	s.metrics = &Metrics{Horizon: cfg.Horizon, Cutoff: cfg.Cutoff}
 	for c := 0; c < cfg.Classes.NumClasses(); c++ {
-		cm := &ClassMetrics{
-			Class:  clients.Class(c),
-			Weight: cfg.Classes.Weight(clients.Class(c)),
-		}
-		if cfg.DelayHistBound > 0 {
-			cm.DelayHist.SetBound(cfg.DelayHistBound)
-		}
-		s.metrics.PerClass = append(s.metrics.PerClass, cm)
+		s.metrics.PerClass = append(s.metrics.PerClass, &ClassMetrics{
+			Class:     clients.Class(c),
+			Weight:    cfg.Classes.Weight(clients.Class(c)),
+			DelayHist: cfg.DelaySamples.histogram(),
+		})
 	}
 	return s, nil
 }
@@ -508,7 +505,9 @@ func (s *Server) handleArrival() {
 				cm.CacheHits++
 				cm.Served++
 				cm.Delay.Add(0)
-				cm.DelayHist.Add(0)
+				if cm.DelayHist != nil {
+					cm.DelayHist.Add(0)
+				}
 			}
 			if s.emitOn {
 				s.emit(&trace.Event{T: now, Kind: trace.KindServed, Class: class, Arrival: now})
@@ -1017,7 +1016,9 @@ func (s *Server) recordServed(class clients.Class, arrival, completion float64, 
 		} else {
 			cm.Served++
 			cm.Delay.Add(d)
-			cm.DelayHist.Add(d)
+			if cm.DelayHist != nil {
+				cm.DelayHist.Add(d)
+			}
 			if s.emitOn {
 				s.emit(&trace.Event{
 					T: completion, Kind: trace.KindServed, Class: class,

@@ -49,8 +49,10 @@ type ClassMetrics struct {
 	HandoffRefusals int64
 	// Delay accumulates access times (arrival → end of transmission).
 	Delay stats.Welford
-	// DelayHist holds the raw access-time samples for percentiles.
-	DelayHist stats.Histogram
+	// DelayHist holds the raw access-time samples for percentiles when the
+	// run's Config.DelaySamples asked for them, and is nil otherwise, so a
+	// reader that forgot to ask fails instead of reading no samples.
+	DelayHist *stats.Histogram
 	// PushDelay and PullDelay split Delay by the serving subsystem.
 	PushDelay, PullDelay stats.Welford
 }
@@ -88,7 +90,8 @@ func (cm *ClassMetrics) FailureRate() float64 {
 }
 
 // Merge pools src into cm: every counter summed, every delay statistic
-// merged. Class and Weight stay as they are.
+// merged. Class and Weight stay as they are. src's delay samples are
+// dropped when cm keeps none; it panics when cm keeps them and src does not.
 func (cm *ClassMetrics) Merge(src *ClassMetrics) {
 	cm.Arrivals += src.Arrivals
 	cm.Served += src.Served
@@ -103,7 +106,12 @@ func (cm *ClassMetrics) Merge(src *ClassMetrics) {
 	cm.HandoffsOut += src.HandoffsOut
 	cm.HandoffRefusals += src.HandoffRefusals
 	cm.Delay.Merge(&src.Delay)
-	cm.DelayHist.Merge(&src.DelayHist)
+	if cm.DelayHist != nil {
+		if src.DelayHist == nil {
+			panic("core: pooling delay samples from a run that kept none")
+		}
+		cm.DelayHist.Merge(src.DelayHist)
+	}
 	cm.PushDelay.Merge(&src.PushDelay)
 	cm.PullDelay.Merge(&src.PullDelay)
 }
@@ -184,20 +192,19 @@ func (m *Metrics) TotalHandoffRefusals() int64 {
 // of a cluster) in slice order: per-class outcomes through
 // ClassMetrics.Merge, transmission counters summed. Class, Weight, Horizon
 // and Cutoff come from runs[0]; the queue and bandwidth trackers are
-// per-run quantities and stay zero. A positive histBound caps each class's
-// pooled delay histogram (stats.Histogram.SetBound); 0 keeps every sample.
-// It returns nil for no runs.
-func PoolMetrics(histBound int, runs []*Metrics) *Metrics {
+// per-run quantities and stay zero. samples says whether and how each
+// class's pooled delay histogram keeps the runs' samples, as
+// Config.DelaySamples does for a run; nil pools none. It returns nil for no
+// runs.
+func PoolMetrics(samples *DelaySamples, runs []*Metrics) *Metrics {
 	if len(runs) == 0 {
 		return nil
 	}
 	pool := &Metrics{Horizon: runs[0].Horizon, Cutoff: runs[0].Cutoff}
 	for _, first := range runs[0].PerClass {
-		cm := &ClassMetrics{Class: first.Class, Weight: first.Weight}
-		if histBound > 0 {
-			cm.DelayHist.SetBound(histBound)
-		}
-		pool.PerClass = append(pool.PerClass, cm)
+		pool.PerClass = append(pool.PerClass, &ClassMetrics{
+			Class: first.Class, Weight: first.Weight, DelayHist: samples.histogram(),
+		})
 	}
 	for _, m := range runs {
 		for c, cm := range pool.PerClass {

@@ -78,7 +78,7 @@ func TestPoolMergesEveryField(t *testing.T) {
 		return m
 	}
 	a, b := run(1), run(10)
-	pool := PoolMetrics(0, []*Metrics{a, b})
+	pool := PoolMetrics(&DelaySamples{}, []*Metrics{a, b})
 	if pool.Horizon != 100 || pool.Cutoff != 7 {
 		t.Errorf("pooled horizon %g, cutoff %d: want the first run's", pool.Horizon, pool.Cutoff)
 	}
@@ -90,8 +90,13 @@ func TestPoolMergesEveryField(t *testing.T) {
 		check(t, "ClassMetrics", reflect.ValueOf(cm).Elem(),
 			reflect.ValueOf(a.PerClass[c]).Elem(), reflect.ValueOf(b.PerClass[c]).Elem())
 	}
-	if PoolMetrics(0, nil) != nil {
+	if PoolMetrics(nil, nil) != nil {
 		t.Error("pooling no runs gave metrics")
+	}
+	for c, cm := range PoolMetrics(nil, []*Metrics{a, b}).PerClass {
+		if cm.DelayHist != nil {
+			t.Errorf("class %d: a pool that asked for no delay samples kept some", c)
+		}
 	}
 }
 
@@ -108,9 +113,10 @@ func fill(t *testing.T, v reflect.Value, scale int64) {
 			for k := int64(0); k < n; k++ {
 				f.Add(float64(k))
 			}
-		case *stats.Histogram:
+		case **stats.Histogram:
+			*f = new(stats.Histogram)
 			for k := int64(0); k < n; k++ {
-				f.Add(float64(k))
+				(*f).Add(float64(k))
 			}
 		}
 	}
@@ -130,9 +136,9 @@ func check(t *testing.T, typ string, pool, a, b reflect.Value) {
 		case *stats.Welford:
 			got = f.N()
 			want = a.Field(i).Addr().Interface().(*stats.Welford).N() + b.Field(i).Addr().Interface().(*stats.Welford).N()
-		case *stats.Histogram:
-			got = int64(f.N())
-			want = int64(a.Field(i).Addr().Interface().(*stats.Histogram).N() + b.Field(i).Addr().Interface().(*stats.Histogram).N())
+		case **stats.Histogram:
+			got = int64((*f).N())
+			want = int64(a.Field(i).Interface().(*stats.Histogram).N() + b.Field(i).Interface().(*stats.Histogram).N())
 		default:
 			switch name {
 			case "ClassMetrics.Class", "ClassMetrics.Weight", "Metrics.PerClass", "Metrics.Horizon", "Metrics.Cutoff",

@@ -63,15 +63,12 @@ type Done interface {
 	Done(Result)
 }
 
-// servingDelayHistBound caps each class's raw delay samples in a serving
-// Server when the configuration leaves DelayHistBound 0: a daemon has no
-// horizon, so an exact histogram would grow without limit.
-const servingDelayHistBound = 1024
-
 // NewServing builds a serving Server on clk with adm as its front door.
 // Only the slot-loop parts of cfg apply: Catalog, Classes, Cutoff, Alpha,
 // the policy names (or injected policies), Tracer, Telemetry, Spans, Seed
-// (which seeds the span sampling stream) and DelayHistBound. The
+// (which seeds the span sampling stream) and DelaySamples, nil by default,
+// since a daemon reads no percentile (a caller that does should bound the
+// samples: a daemon has no horizon). The
 // generated-workload knobs (Lambda, Horizon, WarmupFraction) are ignored;
 // bandwidth pools, faults, TTL, the shedder, uplink, client caches and
 // custom arrival or item processes are refused — admission, not the
@@ -95,9 +92,6 @@ func NewServing(cfg Config, clk clock.Clock, adm admission.Config) (*Server, err
 	}
 	if got, want := ctl.NumClasses(), cfg.Classes.NumClasses(); got != want {
 		return nil, fmt.Errorf("core: admission configures %d classes, classification has %d", got, want)
-	}
-	if cfg.DelayHistBound == 0 {
-		cfg.DelayHistBound = servingDelayHistBound
 	}
 	s, err := newServer(cfg, clk)
 	if err != nil {

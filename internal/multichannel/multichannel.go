@@ -253,7 +253,6 @@ func (s *server) record(class clients.Class, arrival, completion float64, push b
 	d := completion - arrival
 	cm.Served++
 	cm.Delay.Add(d)
-	cm.DelayHist.Add(d)
 	if push {
 		cm.PushDelay.Add(d)
 	} else {

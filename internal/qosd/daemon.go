@@ -84,6 +84,7 @@ type Daemon struct {
 	state        atomic.Int32
 
 	calls         sync.Pool // *call: handleRequest's per-request state
+	scrapes       sync.Pool // *scrape: handleMetrics's per-scrape state
 	rejectUnknown func()    // counts a 401 on the clock goroutine
 }
 
@@ -189,6 +190,7 @@ func (c Config) engine(clk clock.Clock) (*Daemon, error) {
 	}
 	d.rejectUnknown = func() { tele.Rejected(telemetry.ClassNone) }
 	d.calls.New = func() any { return d.newCall() }
+	d.scrapes.New = func() any { return d.newScrape() }
 	return d, nil
 }
 
@@ -430,6 +432,22 @@ func writeResponse(w http.ResponseWriter, status int, resp Response) {
 	bufPool.Put(buf)
 }
 
+// scrape is one /metrics request's state between the handler goroutine
+// and the clock goroutine, pooled in Daemon.scrapes as call is: the
+// buffered snapshot channel and take, built once per scrape. A scrape
+// returns to the pool only after its snapshot has been received.
+type scrape struct {
+	ch   chan *telemetry.Snapshot // capacity 1: the clock goroutine never blocks on it
+	take func()                   // TakeSnapshot into ch, for exec
+}
+
+// newScrape builds the pool's next scrape for d.
+func (d *Daemon) newScrape() *scrape {
+	sc := &scrape{ch: make(chan *telemetry.Snapshot, 1)}
+	sc.take = func() { sc.ch <- d.tele.TakeSnapshot(d.clk.Now()) }
+	return sc
+}
+
 // handleMetrics snapshots the registry on the clock goroutine, then renders
 // the snapshot, which owns its counts, here on the handler goroutine: a
 // scrape holds the engine loop only for the copy.
@@ -439,9 +457,10 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "drained", http.StatusServiceUnavailable)
 		return
 	}
-	ch := make(chan *telemetry.Snapshot, 1)
-	d.exec(func() { ch <- d.tele.TakeSnapshot(d.clk.Now()) })
-	snap := <-ch
+	sc := d.scrapes.Get().(*scrape)
+	d.exec(sc.take)
+	snap := <-sc.ch
+	d.scrapes.Put(sc)
 	buf := bufPool.Get().(*[]byte)
 	*buf = telemetry.AppendProm((*buf)[:0], snap)
 	w.Header()["Content-Type"] = promContentType

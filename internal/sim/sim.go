@@ -47,8 +47,8 @@ type Summary struct {
 	// QueueItems collects per-replication mean distinct-item queue lengths.
 	QueueItems stats.Welford
 	// Pooled pools every replication's metrics (core.PoolMetrics): outcome
-	// and transmission counts summed, every served request's delay kept for
-	// percentile queries.
+	// and transmission counts summed and, when Config.DelaySamples asks for
+	// them, every replication's delay samples kept for percentile queries.
 	Pooled *core.Metrics
 }
 
@@ -155,7 +155,13 @@ func SweepConfigs(cfgs []core.Config, reps int, perRun func(point, rep int, c *c
 // aggregate folds one point's per-replication metrics, in replication-index
 // order, into a Summary.
 func aggregate(cfg core.Config, reps int, results []*core.Metrics) *Summary {
-	s := &Summary{Config: cfg, Replications: reps, Pooled: core.PoolMetrics(0, results)}
+	// The pool keeps every sample the replications kept: a bounded
+	// replication's reservoir is not thinned again.
+	var samples *core.DelaySamples
+	if cfg.DelaySamples != nil {
+		samples = &core.DelaySamples{}
+	}
+	s := &Summary{Config: cfg, Replications: reps, Pooled: core.PoolMetrics(samples, results)}
 	for c := 0; c < cfg.Classes.NumClasses(); c++ {
 		s.PerClass = append(s.PerClass, &ClassSummary{
 			Class:  clients.Class(c),

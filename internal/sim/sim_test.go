@@ -256,6 +256,7 @@ func TestSweepConfigsPointError(t *testing.T) {
 
 func TestPooledDelayHistogram(t *testing.T) {
 	cfg := baseConfig(t)
+	cfg.DelaySamples = &core.DelaySamples{}
 	s, err := RunReplications(cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +277,7 @@ func TestPooledDelayHistogram(t *testing.T) {
 // identical summaries, including bounded-histogram percentiles.
 func TestParallelWorkersBitIdentical(t *testing.T) {
 	cfg := baseConfig(t)
-	cfg.DelayHistBound = 512
+	cfg.DelaySamples = &core.DelaySamples{Bound: 512}
 	ks := []int{10, 30, 50, 70}
 
 	sweep := func(workers int) []SweepPoint {
@@ -331,11 +332,12 @@ func TestParallelWorkersBitIdentical(t *testing.T) {
 // internal/stats.
 func TestBoundedDelayHistKeepsTrueCounts(t *testing.T) {
 	cfg := baseConfig(t)
+	cfg.DelaySamples = &core.DelaySamples{}
 	exact, err := RunReplications(cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DelayHistBound = 128
+	cfg.DelaySamples = &core.DelaySamples{Bound: 128}
 	s, err := RunReplications(cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)

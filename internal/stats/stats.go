@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -208,9 +209,9 @@ type Histogram struct {
 // It panics on a bound below 2 or when observations were already recorded
 // (the thinning schedule must see the stream from the start to stay
 // deterministic). Bounded mode's thin keeps every second sample in the
-// order they are held, which is arrival order only until Percentile sorts
-// them in place; so a bounded histogram's Percentile is defined only after
-// its last Add or Merge.
+// order they are held, which is arrival order only until Percentile
+// reorders them in place (by selection, or by sorting); so a bounded
+// histogram's Percentile is defined only after its last Add or Merge.
 func (h *Histogram) SetBound(bound int) {
 	if bound < 2 {
 		panic(fmt.Sprintf("stats: histogram bound %d < 2", bound))
@@ -263,28 +264,164 @@ func (h *Histogram) N() int { return int(h.n) }
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. NaN when empty; panics on p outside
 // [0, 100].
+//
+// It finds the two closest-rank order statistics by selection, in expected
+// linear time, and leaves the samples partly reordered. The result is the
+// one reading them off sort.Float64s's order gives, bit for bit: an order
+// statistic depends only on the multiset of samples, unless two samples
+// that sort.Float64s holds equal differ in bits (a −0 and a +0, or NaNs
+// with different payloads). Only then does Percentile sort the samples in
+// place instead, and read them from sorted order until the next Add or
+// Merge.
 func (h *Histogram) Percentile(p float64) float64 {
 	if p < 0 || p > 100 || math.IsNaN(p) {
 		panic(fmt.Sprintf("stats: percentile %g out of [0,100]", p))
 	}
-	if len(h.samples) == 0 {
+	s := h.samples
+	if len(s) == 0 {
 		return math.NaN()
 	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
+	if len(s) == 1 {
+		return s[0]
 	}
-	if len(h.samples) == 1 {
-		return h.samples[0]
-	}
-	rank := p / 100 * float64(len(h.samples)-1)
+	rank := p / 100 * float64(len(s)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	var a, b float64
+	if !h.sorted {
+		if nans, tied := ties(s); tied {
+			sort.Float64s(s)
+			h.sorted = true
+		} else {
+			a, b = orderStats(s, nans, lo, hi)
+		}
+	}
+	if h.sorted {
+		a, b = s[lo], s[hi]
+	}
 	if lo == hi {
-		return h.samples[lo]
+		return a
 	}
 	frac := rank - float64(lo)
-	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
+	return a*(1-frac) + b*frac
+}
+
+// ties counts the NaNs in s and reports whether s holds two samples that
+// sort.Float64s orders as equal but whose bits differ: a −0 and a +0, or
+// two NaN payloads. Without such a pair every position of the sorted order
+// holds a value fixed by the multiset alone.
+func ties(s []float64) (nans int, tied bool) {
+	var zero, nan uint64
+	zeros := false
+	for _, x := range s {
+		if x == 0 {
+			u := math.Float64bits(x)
+			if zeros && u != zero {
+				return nans, true
+			}
+			zero, zeros = u, true
+		} else if x != x {
+			u := math.Float64bits(x)
+			if nans > 0 && u != nan {
+				return nans, true
+			}
+			nan = u
+			nans++
+		}
+	}
+	return nans, false
+}
+
+// orderStats returns the lo-th and hi-th (lo or lo+1) values of
+// sort.Float64s's order of s, which holds nans NaNs and no tie (see ties):
+// it gathers the NaNs at the front, where that order puts them, and selects
+// among the rest.
+func orderStats(s []float64, nans, lo, hi int) (a, b float64) {
+	if nans > 0 {
+		j := 0
+		for i, x := range s {
+			if x != x {
+				s[i], s[j] = s[j], x
+				j++
+			}
+		}
+	}
+	rest := s[nans:]
+	if lo < nans {
+		a = s[lo]
+	} else {
+		selectNth(rest, lo-nans)
+		a = rest[lo-nans]
+	}
+	switch {
+	case hi == lo:
+		b = a
+	case hi < nans:
+		b = s[hi]
+	case lo < nans:
+		b = minOf(rest)
+	default:
+		// selectNth left every value above rank lo to its right.
+		b = minOf(rest[hi-nans:])
+	}
+	return a, b
+}
+
+// selectNth reorders s, which holds no NaN, so that s[k] holds the value
+// sorting would put there, s[:k] nothing larger and s[k+1:] nothing
+// smaller: Hoare's FIND with median-of-three pivots. A range still wider
+// than a dozen after 2·log2(len(s)) partitions is sorted instead, which
+// bounds the worst case at O(n log n).
+func selectNth(s []float64, k int) {
+	lo, hi := 0, len(s)-1
+	for budget := 2 * bits.Len(uint(len(s))); hi-lo > 12 && budget > 0; budget-- {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < s[lo] {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if s[hi] < s[lo] {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if s[hi] < s[mid] {
+			s[hi], s[mid] = s[mid], s[hi]
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for pivot < s[j] {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// Now s[lo:j+1] <= pivot <= s[i:hi+1], and s[j+1:i] equals pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	sort.Float64s(s[lo : hi+1])
+}
+
+// minOf returns the smallest value of the non-empty, NaN-free s.
+func minOf(s []float64) float64 {
+	m := s[0]
+	for _, x := range s[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
 }
 
 // Merge folds other into h: retained samples are appended (and re-thinned
