@@ -181,12 +181,12 @@ func TestAllocsPerRequestCeiling(t *testing.T) {
 	}
 	cfg := benchCoreConfig(t)
 	requests := cfg.Horizon * cfg.Lambda
-	perRun := testing.AllocsPerRun(3, func() {
+	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := core.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	got := perRun / requests
+	got := allocs / requests
 	t.Logf("%.4f allocs per simulated request", got)
 	if got > maxAllocsPerRequest {
 		t.Fatalf("%.4f allocs/request exceeds budget %.3f", got, maxAllocsPerRequest)
@@ -318,7 +318,7 @@ func BenchmarkCutoffOptimizers(b *testing.B) {
 		cfg := benchCoreConfig(b)
 		cfg.Horizon = 1500
 		for i := 0; i < b.N; i++ {
-			points, err := sim.SweepCutoffs(cfg, []int{10, 30, 50, 70, 90}, 1, nil)
+			points, err := sim.SweepCutoffs(cfg, []int{10, 30, 50, 70, 90}, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"hybridqos/internal/cluster"
-	"hybridqos/internal/core"
 	"hybridqos/internal/trace"
 )
 
@@ -108,6 +107,8 @@ func (c Config) clusterConfig() (cluster.Config, error) {
 	if err != nil {
 		return cluster.Config{}, err
 	}
+	// The cluster builds one collector per cell from TelemetryEvery.
+	base.Telemetry = nil
 	o := c.Cluster
 	cc := cluster.Config{
 		Cells:            o.Cells,
@@ -128,7 +129,6 @@ func (c Config) clusterConfig() (cluster.Config, error) {
 		cc.TelemetryEvery = c.Telemetry.SnapshotEvery
 	}
 	cc.Exemplars = c.exemplarCount()
-	cc.PerCell = func(_ int, cfg *core.Config) error { return c.attach(cfg) }
 	return cc, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hybridqos/internal/trace"
@@ -76,6 +77,42 @@ func TestOnSnapshotDeliversProm(t *testing.T) {
 	for _, needle := range []string{"hybridqos_sim_time", "hybridqos_arrivals_total", "hybridqos_delay_bucket"} {
 		if !strings.Contains(last, needle) {
 			t.Errorf("exposition missing %q", needle)
+		}
+	}
+}
+
+// TestOnSnapshotOneRunUnderSweep holds OptimizeCutoff to OnSnapshot's
+// promise on a parallel sweep: the hook hears one run (the first cutoff's
+// replication 0), so no two calls overlap and simulated time strictly
+// increases from call to call. times is appended without a lock on
+// purpose: a second run calling the hook is a data race under -race.
+func TestOnSnapshotOneRunUnderSweep(t *testing.T) {
+	defer SetWorkers(SetWorkers(4))
+	c := quickConfig()
+	var inFlight, overlaps atomic.Int32
+	var times []float64
+	c.Telemetry = &TelemetryConfig{
+		SnapshotEvery: 50,
+		OnSnapshot: func(simTime float64, _ []byte) {
+			if inFlight.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			times = append(times, simTime)
+			inFlight.Add(-1)
+		},
+	}
+	if _, err := OptimizeCutoff(c, 10, 90, 20, "cost"); err != nil {
+		t.Fatal(err)
+	}
+	if n := overlaps.Load(); n > 0 {
+		t.Errorf("%d OnSnapshot calls overlapped another", n)
+	}
+	if want := int(c.Horizon / 50); len(times) != want {
+		t.Errorf("hook fired %d times, want %d (one run)", len(times), want)
+	}
+	for i := 1; i < len(times); i++ {
+		if times[i] <= times[i-1] {
+			t.Fatalf("call %d at t=%g follows t=%g", i, times[i], times[i-1])
 		}
 	}
 }

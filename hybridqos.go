@@ -163,7 +163,8 @@ type Config struct {
 	// channel; a zero-valued FaultsConfig is equivalent to nil.
 	Faults *FaultsConfig
 	// Telemetry, when non-nil, enables the deterministic telemetry layer on
-	// replication 0: per-class counters, delay histograms and queue/bandwidth
+	// one run (replication 0; under OptimizeCutoff, the first cutoff's
+	// replication 0): per-class counters, delay histograms and queue/bandwidth
 	// gauges, snapshotted into the trace every SnapshotEvery broadcast units.
 	// Telemetry never perturbs results — a run with it enabled is
 	// bit-identical to the same run without it.
@@ -206,16 +207,17 @@ type TelemetryConfig struct {
 	// OnSnapshot, when non-nil, receives every snapshot as it is taken,
 	// rendered in the Prometheus text exposition format, with the simulated
 	// time it was taken at. It is called synchronously from the simulation
-	// loop of replication 0; keep it fast. Cluster runs never call it, so
+	// loop of one run — replication 0, and under OptimizeCutoff replication
+	// 0 of the first cutoff (kMin) — so calls never overlap and their times
+	// strictly increase; keep it fast. Cluster runs never call it, so
 	// SimulateCluster and WriteClusterTrace refuse it
 	// (ErrClusterSnapshotHook). The field does not survive
 	// SaveConfig/LoadConfig.
 	OnSnapshot func(simTime float64, prom []byte) `json:"-"`
 }
 
-// newCollector builds a fresh per-run collector (collectors are stateful;
-// one is created per traced replication). exemplars > 0 additionally arms
-// exemplar span-ID sampling with a reservoir stream derived from seed.
+// newCollector builds the collector of one run. exemplars > 0 additionally
+// arms exemplar span-ID sampling with a reservoir stream derived from seed.
 func (tc *TelemetryConfig) newCollector(exemplars int, seed uint64) (*telemetry.Collector, error) {
 	if tc.SnapshotEvery <= 0 || math.IsNaN(tc.SnapshotEvery) || math.IsInf(tc.SnapshotEvery, 0) {
 		return nil, fmt.Errorf("hybridqos: telemetry snapshot cadence %g, want positive", tc.SnapshotEvery)
@@ -281,8 +283,7 @@ type FaultsConfig struct {
 	MaxShedClasses int
 }
 
-// lossModel constructs a fresh loss model, nil when loss is disabled. Loss
-// models are stateful and must be built once per replication.
+// lossModel constructs the loss model, nil when loss is disabled.
 func (f *FaultsConfig) lossModel() (faults.LossModel, error) {
 	if f.LossProb == 0 && f.MeanBurst == 0 {
 		return nil, nil
@@ -426,9 +427,9 @@ func (c Config) build() (core.Config, error) {
 		}
 	}
 	if c.Telemetry != nil {
-		// Validate eagerly; the per-run collector is created in perRun (it is
-		// stateful and attaches to replication 0 only).
-		if _, err := c.Telemetry.newCollector(0, 0); err != nil {
+		// One collector, a sink: sim hands it to the first run only
+		// (replication 0, seed c.Seed); clusterConfig drops it.
+		if cfg.Telemetry, err = c.Telemetry.newCollector(c.exemplarCount(), c.Seed); err != nil {
 			return core.Config{}, err
 		}
 	}
@@ -449,45 +450,25 @@ func (c Config) build() (core.Config, error) {
 			Policy:     cachePol,
 		}
 	}
-	// Judge the per-run components by attaching them once to a copy; each
-	// run attaches its own.
-	probe := cfg
-	if err := c.attach(&probe); err != nil {
-		return core.Config{}, err
+	if c.Rotation != nil {
+		if cfg.Items, err = workload.NewRotatingPopularity(cat, c.Rotation.Period, c.Rotation.Shift); err != nil {
+			return core.Config{}, err
+		}
 	}
-	if err := probe.Validate(); err != nil {
+	if c.Uplink != nil {
+		if cfg.Uplink, err = uplink.NewTokenBucket(c.Uplink.Rate, c.Uplink.Burst); err != nil {
+			return core.Config{}, err
+		}
+	}
+	if c.Faults != nil {
+		if cfg.Loss, err = c.Faults.lossModel(); err != nil {
+			return core.Config{}, err
+		}
+	}
+	if err := cfg.Validate(); err != nil {
 		return core.Config{}, err
 	}
 	return cfg, nil
-}
-
-// attach installs the per-run stateful components on cfg: rotation over
-// cfg's own catalog, a fresh uplink token bucket and a fresh loss model. A
-// bucket and a Gilbert–Elliott chain are stateful, so no two replications
-// or cells may share one.
-func (c Config) attach(cfg *core.Config) error {
-	if c.Rotation != nil {
-		rot, err := workload.NewRotatingPopularity(cfg.Catalog, c.Rotation.Period, c.Rotation.Shift)
-		if err != nil {
-			return err
-		}
-		cfg.Items = rot
-	}
-	if c.Uplink != nil {
-		tb, err := uplink.NewTokenBucket(c.Uplink.Rate, c.Uplink.Burst)
-		if err != nil {
-			return err
-		}
-		cfg.Uplink = tb
-	}
-	if c.Faults != nil {
-		lm, err := c.Faults.lossModel()
-		if err != nil {
-			return err
-		}
-		cfg.Loss = lm
-	}
-	return nil
 }
 
 func cachePolicyByName(name string) (cache.PolicyKind, error) {
@@ -586,31 +567,11 @@ func Simulate(c Config) (*Result, error) {
 	if reps <= 0 {
 		reps = 1
 	}
-	summary, err := sim.RunReplications(cfg, reps, c.perRun())
+	summary, err := sim.RunReplications(cfg, reps)
 	if err != nil {
 		return nil, err
 	}
 	return resultFromSummary(summary, c), nil
-}
-
-// perRun returns the per-replication hook: attach's fresh stateful
-// components, plus the telemetry collector on replication 0 (a snapshot
-// stream is a single-trajectory view; cross-replication aggregates come
-// from Simulate's Result). It is nil when none are configured.
-func (c Config) perRun() func(int, *core.Config) error {
-	if c.Rotation == nil && c.Uplink == nil && c.Faults == nil && c.Telemetry == nil {
-		return nil
-	}
-	return func(rep int, cfg *core.Config) error {
-		if c.Telemetry != nil && rep == 0 {
-			col, err := c.Telemetry.newCollector(c.exemplarCount(), cfg.Seed)
-			if err != nil {
-				return err
-			}
-			cfg.Telemetry = col
-		}
-		return c.attach(cfg)
-	}
 }
 
 // resultFromSummary reports a replicated run: pooled counts and P95 from
@@ -691,7 +652,7 @@ func OptimizeCutoff(c Config, kMin, kMax, step int, objective string) (*Result, 
 	for k := kMin; k <= kMax; k += step {
 		ks = append(ks, k)
 	}
-	points, err := sim.SweepCutoffs(cfg, ks, reps, c.perRun())
+	points, err := sim.SweepCutoffs(cfg, ks, reps)
 	if err != nil {
 		return nil, err
 	}
@@ -831,11 +792,6 @@ func WriteTrace(c Config, path string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if hook := c.perRun(); hook != nil {
-		if err := hook(0, &cfg); err != nil {
-			return 0, err
-		}
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
@@ -886,11 +842,6 @@ func WriteSpans(c Config, perfettoPath, otlpPath string) ([]SpanSummary, error) 
 	cfg, err := c.build()
 	if err != nil {
 		return nil, err
-	}
-	if hook := c.perRun(); hook != nil {
-		if err := hook(0, &cfg); err != nil {
-			return nil, err
-		}
 	}
 	buf := &trace.Buffer{}
 	cfg.Tracer = buf

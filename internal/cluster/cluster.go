@@ -63,10 +63,14 @@ type Config struct {
 	Cells int
 	// Base is the per-cell engine configuration template. Cell i runs a
 	// copy with its own derived seed, its own catalog (see CatalogOverlap)
-	// and its own tracer/telemetry. Stateful injected components (Tracer,
-	// Telemetry, Arrivals, Items, Loss, Uplink, PullPolicy) must be nil —
-	// one instance cannot be shared across parallel cells; use PerCell to
-	// install per-cell instances.
+	// and its own tracer/telemetry. Loss, Uplink and Items are shared as
+	// given: each cell's run starts its own loss chain and token bucket
+	// (core copies them), and an item sampler draws ranks from D and θ,
+	// which every cell catalog shares with Base's. Tracer and Telemetry
+	// must be nil (the cluster owns per-cell sinks: CollectTrace,
+	// TelemetryEvery), as must Arrivals (the cluster sets each cell's rate
+	// through Lambda, and an injected process ignores Lambda) and
+	// PullPolicy (parallel cells would call one instance concurrently).
 	Base core.Config
 	// CatalogOverlap is the fraction of catalog ranks replicated in every
 	// cell, in [0,1]. Ranks 1..round(Overlap·D) are global; the rest are
@@ -111,10 +115,6 @@ type Config struct {
 	// collector, sampled with a deterministic per-cell reservoir. 0
 	// disables exemplars.
 	Exemplars int
-	// PerCell, when non-nil, is called with each cell's derived core config
-	// before the cell is built — the hook for installing per-cell stateful
-	// components (loss models, uplink channels, workloads).
-	PerCell func(cell int, cfg *core.Config) error
 }
 
 // Validate reports whether the cluster configuration is usable. Per-cell
@@ -129,8 +129,11 @@ func (c Config) Validate() error {
 	if c.Base.Tracer != nil || c.Base.Telemetry != nil {
 		return fmt.Errorf("cluster: Base.Tracer/Telemetry must be nil (the cluster owns per-cell tracing; see CollectTrace and TelemetryEvery)")
 	}
-	if c.Base.Arrivals != nil || c.Base.Items != nil || c.Base.Loss != nil || c.Base.Uplink != nil || c.Base.PullPolicy != nil {
-		return fmt.Errorf("cluster: stateful injected components in Base must be nil — install per-cell instances via PerCell")
+	if c.Base.Arrivals != nil {
+		return fmt.Errorf("cluster: Base.Arrivals must be nil (the cluster sets each cell's rate through Lambda, which an injected arrival process ignores)")
+	}
+	if c.Base.PullPolicy != nil {
+		return fmt.Errorf("cluster: Base.PullPolicy must be nil (parallel cells would call one injected policy concurrently; select it by PullPolicyName)")
 	}
 	if c.CatalogOverlap < 0 || c.CatalogOverlap > 1 || math.IsNaN(c.CatalogOverlap) {
 		return fmt.Errorf("cluster: catalog overlap %g outside [0,1]", c.CatalogOverlap)
@@ -273,11 +276,6 @@ func New(cfg Config) (*Cluster, error) {
 				return nil, err
 			}
 			cc.Telemetry = tele
-		}
-		if cfg.PerCell != nil {
-			if err := cfg.PerCell(i, &cc); err != nil {
-				return nil, fmt.Errorf("cluster: per-cell hook for cell %d: %w", i, err)
-			}
 		}
 		srv, err := core.New(cc)
 		if err != nil {

@@ -9,8 +9,11 @@ import (
 	"hybridqos/internal/clients"
 	"hybridqos/internal/cluster"
 	"hybridqos/internal/core"
+	"hybridqos/internal/faults"
 	"hybridqos/internal/stats"
 	"hybridqos/internal/trace"
+	"hybridqos/internal/uplink"
+	"hybridqos/internal/workload"
 	"hybridqos/internal/workpool"
 )
 
@@ -34,17 +37,49 @@ func base(t *testing.T) core.Config {
 	}
 }
 
-// A 1-cell cluster with mobility off must reproduce a plain core run
-// bit-for-bit — the refactor's single-cell compatibility contract — and the
-// epoch segmentation itself must not perturb the trajectory.
-func TestSingleCellMatchesCore(t *testing.T) {
-	ref, err := core.New(base(t))
+// statefulBase is base with a Gilbert–Elliott loss chain, an uplink token
+// bucket and a rotating hot set: one instance of each, shared by every cell
+// and every run of the config.
+func statefulBase(t *testing.T) core.Config {
+	t.Helper()
+	b := base(t)
+	loss, err := faults.NewBurstLoss(0.2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ref.Run()
-	for _, every := range []float64{0, 50} {
-		cl, err := cluster.New(cluster.Config{Cells: 1, Base: base(t), HandoffEvery: every})
+	tb, err := uplink.NewTokenBucket(5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot, err := workload.NewRotatingPopularity(b.Catalog, 60, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Loss, b.Uplink, b.Items = loss, tb, rot
+	b.Retry = faults.RetryPolicy{MaxAttempts: 2, Base: 1, Multiplier: 2}
+	return b
+}
+
+// A 1-cell cluster with mobility off must reproduce a plain core run
+// bit-for-bit — the refactor's single-cell compatibility contract — and the
+// epoch segmentation itself must not perturb the trajectory. With stateful
+// fields in Base, the same config value runs core twice and the cluster
+// twice, and every run must match the first.
+func TestSingleCellMatchesCore(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { testSingleCellMatchesCore(t, base(t)) })
+	t.Run("stateful", func(t *testing.T) { testSingleCellMatchesCore(t, statefulBase(t)) })
+}
+
+func testSingleCellMatchesCore(t *testing.T, b core.Config) {
+	want, err := core.Run(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := core.Run(b); err != nil || !reflect.DeepEqual(again, want) {
+		t.Errorf("a second core.Run of one config diverged (err %v)", err)
+	}
+	for _, every := range []float64{0, 50, 50} {
+		cl, err := cluster.New(cluster.Config{Cells: 1, Base: b, HandoffEvery: every})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,11 +253,17 @@ func TestSaturationDetection(t *testing.T) {
 
 // Resume must replay a snapshotted run to the checkpoint, verify the state
 // bit-for-bit, and continue to a final result identical to the
-// uninterrupted run.
+// uninterrupted run — also when Base's loss chain, token bucket and
+// rotation are the ones the uninterrupted run used.
 func TestSnapshotResume(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { testSnapshotResume(t, base(t)) })
+	t.Run("stateful", func(t *testing.T) { testSnapshotResume(t, statefulBase(t)) })
+}
+
+func testSnapshotResume(t *testing.T, b core.Config) {
 	cfg := cluster.Config{
 		Cells:               8,
-		Base:                base(t),
+		Base:                b,
 		CatalogOverlap:      0.7,
 		Mobility:            cluster.Mobility{Rate: 0.05, AttachDelay: 1},
 		Routing:             "nearest",
@@ -325,6 +366,7 @@ func TestValidate(t *testing.T) {
 		{"negative saturation load", func(c *cluster.Config) { c.SaturationLoad = -1 }},
 		{"negative telemetry cadence", func(c *cluster.Config) { c.TelemetryEvery = -1 }},
 		{"shared tracer", func(c *cluster.Config) { c.Base.Tracer = &discard{} }},
+		{"injected arrivals", func(c *cluster.Config) { c.Base.Arrivals = workload.Poisson{Lambda: 5} }},
 	}
 	for _, tc := range cases {
 		cfg := good()
@@ -335,6 +377,11 @@ func TestValidate(t *testing.T) {
 	}
 	if err := good().Validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
+	}
+	stateful := good()
+	stateful.Base = statefulBase(t)
+	if err := stateful.Validate(); err != nil {
+		t.Errorf("Base with loss, uplink and items rejected: %v", err)
 	}
 }
 

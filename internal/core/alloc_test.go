@@ -21,8 +21,8 @@ import (
 // arena 254–259 for cell=lossy-untraced. The race detector drops pooled
 // items on purpose, so this file is left out of race builds.
 const (
-	maxPaperRunAllocs    = 180
-	maxUntracedRunAllocs = 270
+	maxPaperCellAllocs    = 180
+	maxUntracedCellAllocs = 270
 )
 
 // TestSteadyStateRunAllocs bounds the allocations of back-to-back runs of
@@ -43,8 +43,8 @@ func TestSteadyStateRunAllocs(t *testing.T) {
 			cfg := baseConfig(tb)
 			cfg.Horizon, cfg.WarmupFraction, cfg.Seed = 1000, 0, seed
 			return cfg
-		}, maxPaperRunAllocs},
-		{"lossy-untraced", lossyUntracedConfig, maxUntracedRunAllocs},
+		}, maxPaperCellAllocs},
+		{"lossy-untraced", lossyUntracedConfig, maxUntracedCellAllocs},
 	}
 	const runs = 4
 	for _, c := range cells {

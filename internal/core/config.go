@@ -63,13 +63,15 @@ type Config struct {
 	// Arrivals optionally replaces the Poisson(Lambda) arrival process
 	// with another workload.ArrivalProcess (bursty MMPP, batch arrivals).
 	// Lambda is ignored for gap generation when set, but must still be
-	// valid (it feeds analytic comparisons). Processes with state, such as
-	// workload.Bursty's modulating chain, must not be shared across any two
-	// runs, sequential or parallel.
+	// valid (it feeds analytic comparisons). A process with state, such as
+	// workload.Bursty's modulating chain, is copied in its initial state at
+	// the start of every run (its Fresh method), so the config's own value
+	// is never advanced and the config may run any number of times.
 	Arrivals workload.ArrivalProcess
 	// Items optionally replaces the catalog's static Zipf popularity with
-	// another workload.ItemSampler (e.g. rotating hot set). Like Arrivals, a
-	// sampler with state must not be shared across any two runs.
+	// another workload.ItemSampler (e.g. rotating hot set). Runs share it
+	// as given, so it must keep no state between calls; the rotating hot
+	// set is a function of the draw and the arrival time.
 	Items workload.ItemSampler
 	// RequestTTL, when positive, gives every request a deadline: requests
 	// whose item completes transmission after arrival+TTL count as Expired
@@ -83,15 +85,19 @@ type Config struct {
 	// the engine feeds it every traced event plus live gauges (queue depth,
 	// bandwidth occupancy, pending retries) and, when the collector has a
 	// snapshot cadence, emits periodic trace.KindSnapshot events carrying the
-	// full registry state. Collectors are stateful — like Tracer and Loss,
-	// never share one across any two runs, sequential or parallel. Telemetry
-	// is read-only with respect to the simulation: a run with it attached
-	// is trajectory-identical to the same run without it.
+	// full registry state. Like Tracer it is a sink, not state the run
+	// reads: it accumulates whatever runs it is given, so give each run
+	// whose telemetry is read its own (sim.SweepConfigs hands a config's
+	// sinks to its first run only). Telemetry is read-only with respect to
+	// the simulation: a run with it attached is trajectory-identical to the
+	// same run without it.
 	Telemetry *telemetry.Collector
 	// Uplink, when non-nil, models the limited request back-channel: pull
 	// requests that fail uplink contention never reach the server and are
 	// counted as UplinkLost (push requests need no uplink — clients simply
-	// tune in to the broadcast).
+	// tune in to the broadcast). Like Arrivals, a channel with state (a
+	// token bucket) is copied in its initial state at the start of every
+	// run.
 	Uplink uplink.Channel
 	// ClientCache, when non-nil, gives every client a fixed-capacity item
 	// cache (broadcast-disk style): a request hitting the requester's own
@@ -101,10 +107,10 @@ type Config struct {
 	// Loss, when non-nil, makes the downlink lossy: every completed
 	// transmission may be corrupted (no client decodes it). A corrupted push
 	// broadcast leaves its waiters waiting for the item's next cycle; a
-	// corrupted pull delivery sends the entry's requests through Retry. Loss
-	// models are stateful — like Uplink they must not be shared across any
-	// two runs, sequential or parallel. Nil keeps the paper's error-free
-	// channel.
+	// corrupted pull delivery sends the entry's requests through Retry. Like
+	// Arrivals, a model with state (a Gilbert–Elliott chain) is copied in
+	// its initial state at the start of every run. Nil keeps the paper's
+	// error-free channel.
 	Loss faults.LossModel
 	// Retry governs client re-requests after corrupted pull deliveries:
 	// bounded attempts with exponential backoff and jitter, re-contending on

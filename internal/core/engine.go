@@ -166,7 +166,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.vclk = vclk
 	s.warmupEnd = cfg.Horizon * cfg.WarmupFraction
-	s.arrivals = cfg.Arrivals
+	s.arrivals = fresh(cfg.Arrivals)
 	if s.arrivals == nil {
 		p, err := workload.NewPoisson(cfg.Lambda)
 		if err != nil {
@@ -179,6 +179,18 @@ func New(cfg Config) (*Server, error) {
 		s.items = workload.StaticPopularity{Catalog: cfg.Catalog}
 	}
 	return s, nil
+}
+
+// fresh returns v's own copy in its initial state when v keeps state between
+// calls (it has a Fresh method: a Gilbert–Elliott chain, a token bucket, an
+// MMPP), and v itself when it keeps none. Every run takes its loss model,
+// uplink and arrival process through it, so one Config can be run any number
+// of times, in sequence or in parallel.
+func fresh[T any](v T) T {
+	if f, ok := any(v).(interface{ Fresh() T }); ok {
+		return f.Fresh()
+	}
+	return v
 }
 
 // newServer builds the slot loop shared by New and NewServing on clk:
@@ -236,7 +248,7 @@ func newServer(cfg Config, clk clock.Clock) (*Server, error) {
 	s.tele = cfg.Telemetry
 	s.emitOn = s.tracer != nil || s.tele != nil
 	s.buf, _ = s.tracer.(*trace.Buffer)
-	s.up = cfg.Uplink
+	s.up = fresh(cfg.Uplink)
 	if s.up == nil {
 		s.up = uplink.Unlimited{}
 	}
@@ -253,7 +265,7 @@ func newServer(cfg Config, clk clock.Clock) (*Server, error) {
 	// Fault-layer streams are split last so enabling the layer never
 	// perturbs the streams above — a run with Loss nil (or a 0-probability
 	// model) is bit-identical to one without the fault layer at all.
-	s.loss = cfg.Loss
+	s.loss = fresh(cfg.Loss)
 	s.lossRng = root.Split("faults-loss")
 	s.retryRng = root.Split("faults-retry")
 	if cfg.Shed != nil {

@@ -12,17 +12,17 @@ import (
 // range checks on each cutoff are core's own config validation.
 func TestSweepErrors(t *testing.T) {
 	cfg := cellBase(t)
-	if _, err := sim.SweepCutoffs(cfg, nil, 1, nil); err == nil {
+	if _, err := sim.SweepCutoffs(cfg, nil, 1); err == nil {
 		t.Fatal("empty cutoff list accepted")
 	}
-	if _, err := sim.SweepCutoffs(cfg, []int{-1, 10}, 1, nil); err == nil {
+	if _, err := sim.SweepCutoffs(cfg, []int{-1, 10}, 1); err == nil {
 		t.Fatal("negative cutoff accepted")
 	}
-	if _, err := sim.SweepCutoffs(cfg, []int{10, cfg.Catalog.D() + 1}, 1, nil); err == nil {
+	if _, err := sim.SweepCutoffs(cfg, []int{10, cfg.Catalog.D() + 1}, 1); err == nil {
 		t.Fatal("cutoff beyond the catalog accepted")
 	}
 	cfg.Catalog = nil
-	if _, err := sim.SweepCutoffs(cfg, []int{10}, 1, nil); err == nil {
+	if _, err := sim.SweepCutoffs(cfg, []int{10}, 1); err == nil {
 		t.Fatal("nil catalog accepted")
 	}
 }

@@ -229,7 +229,7 @@ func DelayVsCutoff(p Params, alpha float64, thetas []float64) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		points, err := sim.SweepCutoffs(cfg, ks, p.Replications, nil)
+		points, err := sim.SweepCutoffs(cfg, ks, p.Replications)
 		if err != nil {
 			return nil, err
 		}
@@ -372,7 +372,7 @@ func Fig5(p Params) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		points, err := sim.SweepCutoffs(cfg, ks, p.Replications, nil)
+		points, err := sim.SweepCutoffs(cfg, ks, p.Replications)
 		if err != nil {
 			return nil, err
 		}
@@ -429,7 +429,7 @@ func Fig6(p Params) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			points, err := sim.SweepCutoffs(cfg, ks, p.Replications, nil)
+			points, err := sim.SweepCutoffs(cfg, ks, p.Replications)
 			if err != nil {
 				return nil, err
 			}
@@ -483,7 +483,7 @@ func Fig7(p Params) (*Figure, error) {
 	for i, k := range ks {
 		xs[i] = float64(k)
 	}
-	points, err := sim.SweepCutoffs(cfg, ks, p.Replications, nil)
+	points, err := sim.SweepCutoffs(cfg, ks, p.Replications)
 	if err != nil {
 		return nil, err
 	}
@@ -552,7 +552,7 @@ func ExtBlocking(p Params) (*Figure, error) {
 		}
 		cfgs[i] = cfg
 	}
-	sums, err := sim.SweepConfigs(cfgs, p.Replications, nil)
+	sums, err := sim.SweepConfigs(cfgs, p.Replications)
 	if err != nil {
 		return nil, err
 	}

@@ -39,12 +39,17 @@ func ExtFaults(p Params) (*Figure, error) {
 	}
 	classNames := []string{"Class-A", "Class-B", "Class-C"}
 
-	build := func(flat bool) (core.Config, error) {
+	build := func(flat bool, loss float64) (core.Config, error) {
 		cfg, err := p.buildConfig(0.60, 0.5)
 		if err != nil {
 			return core.Config{}, err
 		}
 		cfg.Cutoff = cutoff
+		if loss > 0 {
+			if cfg.Loss, err = faults.NewBurstLoss(loss, meanBurst); err != nil {
+				return core.Config{}, err
+			}
+		}
 		cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, Base: 1, Multiplier: 2, Jitter: 0.5}
 		if flat {
 			cfg.Alpha = 1 // stretch-only: class-blind selection
@@ -60,29 +65,18 @@ func ExtFaults(p Params) (*Figure, error) {
 	// Both systems at every loss level share the work pool: even points are
 	// γ+shed, odd points the flat baseline, at losses[point/2].
 	cfgs := make([]core.Config, 0, 2*len(losses))
-	for range losses {
-		shedCfg, err := build(false)
+	for _, loss := range losses {
+		shedCfg, err := build(false, loss)
 		if err != nil {
 			return nil, err
 		}
-		flatCfg, err := build(true)
+		flatCfg, err := build(true, loss)
 		if err != nil {
 			return nil, err
 		}
 		cfgs = append(cfgs, shedCfg, flatCfg)
 	}
-	sums, err := sim.SweepConfigs(cfgs, p.Replications, func(point, _ int, c *core.Config) error {
-		loss := losses[point/2]
-		if loss == 0 {
-			return nil
-		}
-		lm, err := faults.NewBurstLoss(loss, meanBurst)
-		if err != nil {
-			return err
-		}
-		c.Loss = lm
-		return nil
-	})
+	sums, err := sim.SweepConfigs(cfgs, p.Replications)
 	if err != nil {
 		var pe *sim.PointError
 		if errors.As(err, &pe) {

@@ -56,7 +56,7 @@ func ExtMultiClass(p Params) (*Figure, error) {
 			Seed:           p.Seed,
 		}
 	}
-	sums, err := sim.SweepConfigs(cfgs, p.Replications, nil)
+	sums, err := sim.SweepConfigs(cfgs, p.Replications)
 	if err != nil {
 		return nil, err
 	}

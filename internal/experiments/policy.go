@@ -74,7 +74,7 @@ func ExtPolicy(p Params) (*Figure, error) {
 		labels = append(labels, "push="+name)
 		cfgs = append(cfgs, cfg)
 	}
-	sums, err := sim.SweepConfigs(cfgs, p.Replications, nil)
+	sums, err := sim.SweepConfigs(cfgs, p.Replications)
 	if err != nil {
 		var pe *sim.PointError
 		if errors.As(err, &pe) {

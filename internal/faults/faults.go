@@ -15,9 +15,10 @@
 //     a high-water mark and restores admission at a low-water mark
 //     (hysteresis).
 //
-// Loss models and shedders are stateful; like uplink channels they must not
-// be shared across any two runs, sequential or parallel — construct one per
-// run.
+// A Gilbert–Elliott chain keeps state between calls; core gives every run
+// its own copy (GilbertElliott.Fresh), so one loss model may be configured
+// for any number of runs. A Shedder is built by each run from its
+// ShedConfig.
 package faults
 
 import (
@@ -153,6 +154,15 @@ func (g *GilbertElliott) Corrupted(_ float64, r *rng.Source) bool {
 		loss = g.lossBad
 	}
 	return r.Float64() < loss
+}
+
+// Fresh returns a copy of the chain in its initial, Good state. core calls
+// it once per run, so each run of one configuration starts its own chain; a
+// forwarding wrapper around a GilbertElliott must forward it.
+func (g *GilbertElliott) Fresh() LossModel {
+	c := *g
+	c.bad = false
+	return &c
 }
 
 // RetryPolicy governs client re-requests after a corrupted pull delivery:

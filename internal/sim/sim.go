@@ -78,15 +78,9 @@ func (e *PointError) Unwrap() error { return e.Err }
 // seed (base seed + replication index), in parallel across the shared work
 // pool. The returned summary is deterministic: the same cfg and reps always
 // produce identical numbers regardless of scheduling order or worker count.
-//
-// Stateful per-run components (uplink channels, loss models, MMPP arrival
-// processes, tracers, telemetry collectors) must NOT be shared across
-// replications: construct fresh instances in perRun, which (when non-nil) is
-// called with each replication's config, after the seed is set, before the
-// run starts. The hook runs concurrently across replications and must only
-// touch its own config.
-func RunReplications(cfg core.Config, reps int, perRun func(rep int, c *core.Config) error) (*Summary, error) {
-	sums, err := SweepConfigs([]core.Config{cfg}, reps, forEveryPoint(perRun))
+// cfg's sinks (Tracer, Telemetry) see replication 0 only; see SweepConfigs.
+func RunReplications(cfg core.Config, reps int) (*Summary, error) {
+	sums, err := SweepConfigs([]core.Config{cfg}, reps)
 	if err != nil {
 		var pe *PointError
 		if errors.As(err, &pe) {
@@ -97,26 +91,23 @@ func RunReplications(cfg core.Config, reps int, perRun func(rep int, c *core.Con
 	return sums[0], nil
 }
 
-// forEveryPoint adapts a per-replication hook to SweepConfigs' per-point form.
-func forEveryPoint(perRun func(rep int, c *core.Config) error) func(point, rep int, c *core.Config) error {
-	if perRun == nil {
-		return nil
-	}
-	return func(_, rep int, c *core.Config) error { return perRun(rep, c) }
-}
-
 // SweepConfigs runs reps replications of every configuration, flattening the
 // (point × replication) grid into the shared deterministic work pool, and
-// returns one Summary per configuration in input order. perRun, when
-// non-nil, is called with the point index, replication index and that
-// replication's config (after the seed is set) before the run starts; it
-// runs concurrently and must only touch its own config.
+// returns one Summary per configuration in input order. Replication r of a
+// point runs with seed Seed+r; every run starts its own loss chain, token
+// bucket and MMPP (core copies them), so the points may share those.
+//
+// Sinks (Tracer, Telemetry) go to job 0 only — point 0, replication 0,
+// with cfgs[0]'s sinks — and every other job runs without them: a trace or
+// snapshot stream is one trajectory, read from one run, and no second run
+// writes to it concurrently. Cross-replication figures come from the
+// Summaries.
 //
 // Every (point, replication) pair is one job in the shared work pool;
 // results land in index-addressed slots and are aggregated in input order,
 // so the output is bit-identical whatever the worker count. Failures are
 // reported as *PointError wrapping the lowest-indexed failing job's error.
-func SweepConfigs(cfgs []core.Config, reps int, perRun func(point, rep int, c *core.Config) error) ([]*Summary, error) {
+func SweepConfigs(cfgs []core.Config, reps int) ([]*Summary, error) {
 	if reps <= 0 {
 		return nil, &PointError{Point: 0, Err: fmt.Errorf("sim: replications %d", reps)}
 	}
@@ -130,10 +121,8 @@ func SweepConfigs(cfgs []core.Config, reps int, perRun func(point, rep int, c *c
 		p, r := i/reps, i%reps
 		repCfg := cfgs[p]
 		repCfg.Seed = cfgs[p].Seed + uint64(r)
-		if perRun != nil {
-			if err := perRun(p, r, &repCfg); err != nil {
-				return &PointError{Point: p, Err: fmt.Errorf("sim: replication %d: %w", r, err)}
-			}
+		if i > 0 {
+			repCfg.Tracer, repCfg.Telemetry = nil, nil
 		}
 		m, err := core.Run(repCfg)
 		if err != nil {
@@ -199,9 +188,9 @@ type SweepPoint struct {
 
 // SweepCutoffs runs reps replications at each cutoff, reusing the base seed
 // so the cutoffs are compared under common random numbers. All (cutoff ×
-// replication) pairs share the deterministic work pool; perRun is
-// RunReplications' per-replication hook.
-func SweepCutoffs(cfg core.Config, cutoffs []int, reps int, perRun func(rep int, c *core.Config) error) ([]SweepPoint, error) {
+// replication) pairs share the deterministic work pool; cfg's sinks see the
+// first cutoff's replication 0 only (see SweepConfigs).
+func SweepCutoffs(cfg core.Config, cutoffs []int, reps int) ([]SweepPoint, error) {
 	if len(cutoffs) == 0 {
 		return nil, fmt.Errorf("sim: no cutoffs")
 	}
@@ -210,7 +199,7 @@ func SweepCutoffs(cfg core.Config, cutoffs []int, reps int, perRun func(rep int,
 		cfgs[i] = cfg
 		cfgs[i].Cutoff = k
 	}
-	sums, err := SweepConfigs(cfgs, reps, forEveryPoint(perRun))
+	sums, err := SweepConfigs(cfgs, reps)
 	if err != nil {
 		var pe *PointError
 		if errors.As(err, &pe) {

@@ -36,22 +36,22 @@ func baseConfig(t *testing.T) core.Config {
 
 func TestRunReplicationsErrors(t *testing.T) {
 	cfg := baseConfig(t)
-	if _, err := RunReplications(cfg, 0, nil); err == nil {
+	if _, err := RunReplications(cfg, 0); err == nil {
 		t.Fatal("reps=0 accepted")
 	}
 	cfg.Lambda = -1
-	if _, err := RunReplications(cfg, 2, nil); err == nil {
+	if _, err := RunReplications(cfg, 2); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestRunReplicationsDeterministic(t *testing.T) {
 	cfg := baseConfig(t)
-	a, err := RunReplications(cfg, 6, nil)
+	a, err := RunReplications(cfg, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunReplications(cfg, 6, nil)
+	b, err := RunReplications(cfg, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRunReplicationsDeterministic(t *testing.T) {
 
 func TestReplicationsActuallyIndependent(t *testing.T) {
 	cfg := baseConfig(t)
-	s, err := RunReplications(cfg, 8, nil)
+	s, err := RunReplications(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestReplicationsActuallyIndependent(t *testing.T) {
 
 func TestSummaryAggregates(t *testing.T) {
 	cfg := baseConfig(t)
-	s, err := RunReplications(cfg, 4, nil)
+	s, err := RunReplications(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestSummaryAggregates(t *testing.T) {
 
 func TestCIWidthShrinksWithReps(t *testing.T) {
 	cfg := baseConfig(t)
-	few, err := RunReplications(cfg, 4, nil)
+	few, err := RunReplications(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunReplications(cfg, 16, nil)
+	many, err := RunReplications(cfg, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCIWidthShrinksWithReps(t *testing.T) {
 
 func TestSweepCutoffs(t *testing.T) {
 	cfg := baseConfig(t)
-	points, err := SweepCutoffs(cfg, []int{20, 40, 60}, 3, nil)
+	points, err := SweepCutoffs(cfg, []int{20, 40, 60}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +156,14 @@ func TestSweepCutoffs(t *testing.T) {
 			t.Fatalf("summary config cutoff %d", points[i].Summary.Config.Cutoff)
 		}
 	}
-	if _, err := SweepCutoffs(cfg, nil, 3, nil); err == nil {
+	if _, err := SweepCutoffs(cfg, nil, 3); err == nil {
 		t.Fatal("empty cutoffs accepted")
 	}
 }
 
 func TestOptimalSelectors(t *testing.T) {
 	cfg := baseConfig(t)
-	points, err := SweepCutoffs(cfg, []int{10, 40, 90}, 2, nil)
+	points, err := SweepCutoffs(cfg, []int{10, 40, 90}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,12 +216,12 @@ func TestSweepConfigsMatchesPerPointRuns(t *testing.T) {
 		cfgs[i] = cfg
 		cfgs[i].Cutoff = k
 	}
-	swept, err := SweepConfigs(cfgs, 3, nil)
+	swept, err := SweepConfigs(cfgs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range cfgs {
-		solo, err := RunReplications(cfgs[i], 3, nil)
+		solo, err := RunReplications(cfgs[i], 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestSweepConfigsPointError(t *testing.T) {
 	cfg := baseConfig(t)
 	bad := cfg
 	bad.Lambda = -1
-	_, err := SweepConfigs([]core.Config{cfg, bad}, 2, nil)
+	_, err := SweepConfigs([]core.Config{cfg, bad}, 2)
 	if err == nil {
 		t.Fatal("invalid point accepted")
 	}
@@ -257,7 +257,7 @@ func TestSweepConfigsPointError(t *testing.T) {
 func TestPooledDelayHistogram(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.DelaySamples = &core.DelaySamples{}
-	s, err := RunReplications(cfg, 3, nil)
+	s, err := RunReplications(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestParallelWorkersBitIdentical(t *testing.T) {
 	sweep := func(workers int) []SweepPoint {
 		prev := workpool.SetWorkers(workers)
 		defer workpool.SetWorkers(prev)
-		points, err := SweepCutoffs(cfg, ks, 3, nil)
+		points, err := SweepCutoffs(cfg, ks, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,12 +333,12 @@ func TestParallelWorkersBitIdentical(t *testing.T) {
 func TestBoundedDelayHistKeepsTrueCounts(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.DelaySamples = &core.DelaySamples{}
-	exact, err := RunReplications(cfg, 3, nil)
+	exact, err := RunReplications(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.DelaySamples = &core.DelaySamples{Bound: 128}
-	s, err := RunReplications(cfg, 3, nil)
+	s, err := RunReplications(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

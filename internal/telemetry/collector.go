@@ -80,10 +80,11 @@ type Options struct {
 	ExemplarRNG *rng.Source
 }
 
-// Collector is the engine-facing instrumentation front end: one instance per
-// simulation run (it is stateful and not safe for concurrent use — like a
-// trace.Tracer or a loss model, never share one across any two runs,
-// sequential or parallel).
+// Collector is the engine-facing instrumentation front end. Like a
+// trace.Tracer it is a sink of one run: the run writes to it and never reads
+// it, and it accumulates whatever runs it is given, so whoever reads a
+// collector builds it for the run it reads. It is not safe for concurrent
+// use; sim.SweepConfigs hands a config's collector to one job only.
 type Collector struct {
 	reg        Registry
 	every      float64

@@ -72,3 +72,10 @@ func (tb *TokenBucket) TryRequest(now float64, _ *rng.Source) bool {
 	}
 	return false
 }
+
+// Fresh returns a copy of the bucket in its initial state: full, at time 0.
+// core calls it once per run, so each run of one configuration starts its
+// own bucket; a forwarding wrapper around a TokenBucket must forward it.
+func (tb *TokenBucket) Fresh() Channel {
+	return &TokenBucket{rate: tb.rate, burst: tb.burst, tokens: tb.burst}
+}

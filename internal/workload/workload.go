@@ -17,7 +17,8 @@ import (
 // ArrivalProcess generates the request-arrival point process. Next returns
 // the gap to the next arrival event and the number of requests that event
 // carries (≥ 1). Implementations may hold state (e.g. the MMPP modulating
-// chain) and are not safe for concurrent use; construct one per simulation.
+// chain) and are not safe for concurrent use; one with state has a Fresh
+// method, through which core gives every run its own copy.
 type ArrivalProcess interface {
 	// Name identifies the process in reports.
 	Name() string
@@ -97,8 +98,9 @@ func NewMMPP(rates, switchRates []float64) (*MMPP, error) {
 // Bursty returns the canonical two-state MMPP with the given mean rate and
 // burstiness factor f > 1: the burst state emits at f·mean, the quiet state
 // at mean/f, with equal sojourn rates so the long-run mean is preserved.
-// The MMPP carries its modulating state from draw to draw: build one per
-// run and never share it across any two runs, sequential or parallel.
+// The MMPP carries its modulating state from draw to draw; core starts each
+// run from its own copy (MMPP.Fresh), so one config may run any number of
+// times.
 func Bursty(mean, f, switchRate float64) (*MMPP, error) {
 	if mean <= 0 || f <= 1 || switchRate <= 0 {
 		return nil, fmt.Errorf("workload: Bursty(mean=%g, f=%g, switch=%g)", mean, f, switchRate)
@@ -141,6 +143,16 @@ func (m *MMPP) Rate() float64 {
 		den += w
 	}
 	return num / den
+}
+
+// Fresh returns a copy of the process with its modulating chain in the
+// initial state 0. core calls it once per run, so each run of one
+// configuration starts its own chain; a forwarding wrapper around an MMPP
+// must forward it.
+func (m *MMPP) Fresh() ArrivalProcess {
+	c := *m
+	c.state = 0
+	return &c
 }
 
 // BatchPoisson is a compound Poisson process: events at rate EventRate, each
