@@ -199,20 +199,21 @@ func TestAllocsPerRequestCeiling(t *testing.T) {
 // overshoot the event count by less than one block, and Server.Finish
 // flushes them into one exactly sized Events, so with every block newly
 // allocated the buffer costs about two event sizes per event and the
-// engine, telemetry and spans add a quarter of one: 2.25 measured. Flushed
-// blocks go back to a pool, and here the second and third runs fill the
-// first run's, which brings the three-run mean to 1.55. The budget is set
-// for the cold pool all the same, since the collector may drop pooled
-// blocks between runs (the race detector drops some at random): it leaves
-// 11% of margin over 2.25, and a doubling buffer (3.08 with the unused tail
-// of its final capacity excluded, 3.97 with it) fails it.
+// engine, telemetry and spans add a tenth of one: 2.11 measured. Flushed
+// blocks go back to a pool as one chain, and here the second and third
+// runs fill the first run's, which brings the three-run mean to 1.40. The
+// budget is set for the cold pool all the same, since the collector may
+// drop a pooled chain between runs (the race detector drops some at
+// random): it leaves 18% of margin over 2.11, and a doubling buffer (3.08
+// with the unused tail of its final capacity excluded, 3.97 with it) fails
+// it.
 const maxTracedBytesPerEvent = 2.5
 
 // maxTracedHeapBytesPerEvent is the same budget in bytes. The relative
 // budget above scales with sizeof(trace.Event), so it cannot see the event
-// itself grow; this one can. A 96-byte event measures 216 B per recorded
-// event with a cold block pool (148 B with the pool warm after the first
-// run); the ceiling leaves 24 B (11%) of margin over the cold figure for
+// itself grow; this one can. A 96-byte event measures 202 B per recorded
+// event with a cold block pool (134 B with the pool warm after the first
+// run); the ceiling leaves 38 B (19%) of margin over the cold figure for
 // engine or telemetry drift, while a 128-byte event (about 285 B) or a
 // doubling buffer (296 B with its unused tail excluded, 382 B with it)
 // fails it.

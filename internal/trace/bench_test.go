@@ -53,18 +53,42 @@ func BenchmarkJSONL(b *testing.B) {
 // Buffer per iteration and flushes it once, as a run's end does: what a
 // recorded run pays per event when it follows another one, as replications
 // do — filling the blocks the previous iteration's Flush pooled, and the
-// one exactly sized copy into Events.
+// one exactly sized copy into Events. The collected variant also runs a
+// collection, with the timer stopped, between iterations and once
+// mid-recording, as a recorded run meets them; its B/event shows what the
+// recording allocates again because of them.
 func BenchmarkBufferEvent(b *testing.B) {
 	events := recordedEvents(b, true)
-	m := startMallocs(b)
-	for i := 0; i < b.N; i++ {
-		buf := &Buffer{}
-		for _, e := range events {
-			buf.Event(e)
+	half := len(events) / 2
+	for _, collect := range []bool{false, true} {
+		name := "warm"
+		if collect {
+			name = "collected"
 		}
-		buf.Flush()
+		b.Run(name, func(b *testing.B) {
+			gc := func() {
+				if collect {
+					b.StopTimer()
+					runtime.GC()
+					b.StartTimer()
+				}
+			}
+			m := startMallocs(b)
+			for i := 0; i < b.N; i++ {
+				buf := &Buffer{}
+				for _, e := range events[:half] {
+					buf.Event(e)
+				}
+				gc()
+				for _, e := range events[half:] {
+					buf.Event(e)
+				}
+				buf.Flush()
+				gc()
+			}
+			m.report(b, len(events))
+		})
 	}
-	m.report(b, len(events))
 }
 
 // mallocs counts a benchmark loop's heap allocations.
@@ -79,8 +103,8 @@ func startMallocs(b *testing.B) *mallocs {
 	return m
 }
 
-// report stops the timer and adds ns/event and allocs/event for a loop
-// of n events per op.
+// report stops the timer and adds ns/event, allocs/event and B/event for
+// a loop of n events per op.
 func (m *mallocs) report(b *testing.B, n int) {
 	b.StopTimer()
 	var after runtime.MemStats
@@ -88,6 +112,7 @@ func (m *mallocs) report(b *testing.B, n int) {
 	events := float64(b.N) * float64(n)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
 	b.ReportMetric(float64(after.Mallocs-m.before.Mallocs)/events, "allocs/event")
+	b.ReportMetric(float64(after.TotalAlloc-m.before.TotalAlloc)/events, "B/event")
 }
 
 // TestJSONLAllocationFree: once its line buffer has grown, JSONL encodes a

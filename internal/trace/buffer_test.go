@@ -2,9 +2,11 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"hybridqos/internal/telemetry"
 )
@@ -73,39 +75,144 @@ func TestBufferFlush(t *testing.T) {
 	}
 }
 
-// TestBufferReusesBlocks: a Buffer recording after another one flushed
-// may fill that Buffer's blocks, and neither stream shows through the
-// other: the first Events stays as recorded, and the second holds only its
-// own events although the blocks it reuses still carry the first's. The
-// pools hold one block size per doubling from minBlockEvents to
-// maxBlockEvents.
-func TestBufferReusesBlocks(t *testing.T) {
-	if minBlockEvents<<(len(blockPools)-1) != maxBlockEvents {
-		t.Fatalf("%d block pools for capacities %d..%d", len(blockPools), minBlockEvents, maxBlockEvents)
+// poolDropsPuts is set under the race detector (race_test.go), which drops
+// sync.Pool puts at random.
+var poolDropsPuts bool
+
+// record returns a flushed Buffer holding events.
+func record(events []Event) *Buffer {
+	buf := &Buffer{}
+	for _, e := range events {
+		buf.Event(e)
 	}
-	for _, n1 := range []int{minBlockEvents - 14, 3 * maxBlockEvents} {
-		for _, n2 := range []int{minBlockEvents - 14, 1000, 3 * maxBlockEvents} {
-			first := &Buffer{}
-			want1 := bufferStream(n1)
-			for _, e := range want1 {
-				first.Event(e)
-			}
-			first.Flush()
-			want2 := make([]Event, n2)
-			for i := range want2 {
-				want2[i] = Event{T: float64(-i), Kind: KindServed, Item: i + 1, Class: 2}
-			}
-			for range 2 {
-				second := &Buffer{}
+	buf.Flush()
+	return buf
+}
+
+// servedStream returns n events unlike bufferStream's, so a block that
+// still shows another stream's events is caught.
+func servedStream(n int) []Event {
+	events := make([]Event, n)
+	for i := range events {
+		events[i] = Event{T: float64(-i), Kind: KindServed, Item: i + 1, Class: 2}
+	}
+	return events
+}
+
+// sameBlock reports whether two blocks share their backing array.
+func sameBlock(a, b []Event) bool { return &a[:1][0] == &b[:1][0] }
+
+// TestBufferReusesBlocks: a Buffer that records into the chain another one
+// flushed fills that chain's blocks in order, and neither stream shows
+// through the other: the first Events stays as recorded, and the second
+// holds only its own events although the blocks it reuses still carry the
+// first's. The chain may come from a shorter recording, which the second
+// extends past its end, or from a longer one, whose unused remainder it
+// keeps; a Buffer may also take back its own chain after a mid-recording
+// Flush. Chains are handed over directly, as the pool hands them, so each
+// case reuses a chain whatever the collector or the race detector does;
+// the pool itself is exercised by the buffers recorded after them.
+func TestBufferReusesBlocks(t *testing.T) {
+	lengths := []int{minBlockEvents - 14, 1000, 3 * maxBlockEvents}
+	for _, n1 := range lengths {
+		for _, n2 := range lengths {
+			t.Run(fmt.Sprintf("%d-then-%d", n1, n2), func(t *testing.T) {
+				want1 := bufferStream(n1)
+				first := &Buffer{}
+				for _, e := range want1 {
+					first.Event(e)
+				}
+				c := first.detach()
+				had := slices.Clone(c.blocks)
+				want2 := servedStream(n2)
+				second := &Buffer{chain: c}
 				for _, e := range want2 {
 					second.Event(e)
 				}
-				second.Flush()
+				used := second.used
+				if second.detach() != c {
+					t.Fatal("the flush detached another chain")
+				}
+				for i := range min(len(had), used) {
+					if !sameBlock(c.blocks[i], had[i]) {
+						t.Fatalf("block %d of the chain was replaced", i)
+					}
+				}
+				if len(c.blocks) != max(len(had), used) {
+					t.Fatalf("chain holds %d blocks after recording into %d of it, had %d", len(c.blocks), used, len(had))
+				}
+				chains.Put(c)
 				checkEvents(t, second.Events, want2)
 				checkEvents(t, first.Events, want1)
-			}
+				for range 2 {
+					checkEvents(t, record(want2).Events, want2)
+					checkEvents(t, first.Events, want1)
+				}
+			})
 		}
 	}
+	for _, k := range []int{minBlockEvents - 14, 1000, 2 * maxBlockEvents} {
+		t.Run(fmt.Sprintf("own-chain-after-flush-at-%d", k), func(t *testing.T) {
+			want := bufferStream(3 * maxBlockEvents)
+			buf := &Buffer{}
+			for _, e := range want[:k] {
+				buf.Event(e)
+			}
+			c := buf.detach()
+			head := c.blocks[0]
+			buf.chain = c
+			for _, e := range want[k:] {
+				buf.Event(e)
+			}
+			if !sameBlock(c.blocks[0], head) {
+				t.Fatal("the chain's first block was replaced")
+			}
+			buf.Flush()
+			checkEvents(t, buf.Events, want)
+		})
+	}
+}
+
+// TestBufferChainSurvivesCollections: a recording takes its chain whole at
+// its first event, so collections during the recording cannot drop the
+// blocks it has yet to fill. A Buffer that records as long a stream as the
+// last flushed one, with two collections after its first event and one
+// midway, allocates less than one minimal block before its Flush. With a
+// pool per block size, those collections emptied the pools of every block
+// but the first.
+func TestBufferChainSurvivesCollections(t *testing.T) {
+	if poolDropsPuts {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	// One P, so the pooled chain sits where this goroutine looks for it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	n := 5 * maxBlockEvents
+	for size := minBlockEvents; size < maxBlockEvents; size *= 2 {
+		n += size
+	}
+	want := bufferStream(n)
+	record(want)
+	runtime.GC()
+	buf := &Buffer{}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, e := range want {
+		buf.Event(e)
+		switch i {
+		case 0:
+			runtime.GC()
+			runtime.GC()
+		case n / 2:
+			runtime.GC()
+		}
+	}
+	runtime.ReadMemStats(&after)
+	block := uint64(minBlockEvents) * uint64(unsafe.Sizeof(Event{}))
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= block {
+		t.Errorf("recording %d events after a flushed recording of as many allocated %d B, want under one %d B block", n, grown, block)
+	}
+	buf.Flush()
+	checkEvents(t, buf.Events, want)
 }
 
 // TestBuffersShareBlocksConcurrently: buffers on several goroutines, as a

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -529,24 +528,28 @@ func (t Tag) Event(e Event) {
 
 // Buffer records events in memory, in emission order. Recording fills
 // blocks that are never copied while the run goes on; Flush moves them onto
-// Events and hands them back for later recordings. The KindRunEnd mark
-// that core's Server.Finish sends flushes the Buffer, behind any forwarding
-// tracer too, so after core.Run, Server.Run or Server.Finish Events is
-// complete; a reader of a Buffer mid-run calls Flush first. Cluster runs
-// give each cell its own Buffer during the parallel advance and merge the
-// streams deterministically afterwards (MergeByTime).
+// Events and hands them back, as one chain, for later recordings. The
+// KindRunEnd mark that core's Server.Finish sends flushes the Buffer,
+// behind any forwarding tracer too, so after core.Run, Server.Run or
+// Server.Finish Events is complete; a reader of a Buffer mid-run calls
+// Flush first. Cluster runs give each cell its own Buffer during the
+// parallel advance and merge the streams deterministically afterwards
+// (MergeByTime).
 type Buffer struct {
 	// Events holds the events recorded up to the last Flush.
 	Events []Event
-	// blocks holds the blocks recorded into since the last Flush, oldest
-	// first. The last one is cur, the block being filled (nil before the
-	// first event after a Flush); its handle's length lags cur's until
-	// grow or Flush stores it.
-	blocks []*[]Event
-	cur    []Event
+	// chain holds the blocks recorded into since the last Flush (nil
+	// before the first event after a Flush). Its first used blocks have
+	// been filled, oldest first; the last of them is cur, the block being
+	// filled, whose length in the chain lags cur's until grow or Flush
+	// stores it. Blocks past used are the unused remainder of a longer
+	// earlier recording.
+	chain *blockChain
+	used  int
+	cur   []Event
 }
 
-// Block capacities: the first block after a Flush holds minBlockEvents
+// Block capacities: the first block of a chain holds minBlockEvents
 // events, and each next one twice its predecessor's, up to maxBlockEvents
 // (384 KiB of 96-byte events).
 const (
@@ -554,19 +557,19 @@ const (
 	maxBlockEvents = 4096
 )
 
-// blockPools holds flushed blocks for the next recording, pool i the
-// blocks of minBlockEvents<<i events. Consecutive recorded runs (the
-// replications of Simulate, the points of a sweep, a cluster's cells) then
-// fill blocks that are already allocated and mapped instead of allocating
-// and zeroing new ones. A pooled block keeps its stale events, and so the
-// snapshots they point to, until a recording overwrites it or the collector
-// drops it from the pool; Flush copies only what was recorded.
-var blockPools [7]sync.Pool
+// blockChain is one recording's blocks in recording order.
+type blockChain struct{ blocks [][]Event }
 
-// blockPool returns the pool of blocks with room for size events.
-func blockPool(size int) *sync.Pool {
-	return &blockPools[bits.TrailingZeros(uint(size/minBlockEvents))]
-}
+// chains holds flushed block chains for the next recording. Consecutive
+// recorded runs (the replications of Simulate, the points of a sweep, a
+// cluster's cells) then fill blocks that are already allocated and mapped
+// instead of allocating and zeroing new ones. A Buffer takes its chain
+// whole at the first event after a Flush, so a collection later in the
+// recording cannot drop the blocks it has yet to fill, and it allocates
+// only past the chain's end. A pooled block keeps its stale events, and so
+// the snapshots they point to, until a recording overwrites it or the
+// collector drops the chain; Flush copies only what was recorded.
+var chains sync.Pool
 
 // Event implements Tracer: it records e as Record does.
 func (b *Buffer) Event(e Event) { b.Record(&e) }
@@ -592,48 +595,65 @@ func (b *Buffer) Record(e *Event) {
 }
 
 // grow is Event's cold path: it retires the full current block and starts
-// the next one, from the pool when it has one.
+// the chain's next one, taking a chain from the pool at a recording's first
+// event and allocating a block only past the chain's end.
 func (b *Buffer) grow() {
+	if b.chain == nil {
+		b.chain, _ = chains.Get().(*blockChain)
+		if b.chain == nil {
+			b.chain = new(blockChain)
+		}
+	}
+	c := b.chain
 	size := minBlockEvents
-	if k := len(b.blocks); k > 0 {
-		*b.blocks[k-1] = b.cur
+	if b.used > 0 {
+		c.blocks[b.used-1] = b.cur
 		size = min(2*cap(b.cur), maxBlockEvents)
 	}
-	h, _ := blockPool(size).Get().(*[]Event)
-	if h == nil {
-		blk := make([]Event, 0, size)
-		h = &blk
+	if b.used == len(c.blocks) {
+		c.blocks = append(c.blocks, make([]Event, 0, size))
 	}
-	b.blocks = append(b.blocks, h)
-	b.cur = (*h)[:0]
+	b.cur = c.blocks[b.used][:0]
+	b.used++
 }
 
 // Flush appends the events recorded since the last Flush onto Events and
-// returns their blocks to the pool. Into an Events with no capacity that is
-// one exactly sized allocation; onto a longer one Events grows as append
-// grows it, so frequent Flushes stay linear. Flush may be called any number
-// of times, mid-recording too: later events go into new blocks, and the
-// next Flush appends them.
+// returns their chain, unused remainder included, to the pool. Into an
+// Events with no capacity that is one exactly sized allocation; onto a
+// longer one Events grows as append grows it, so frequent Flushes stay
+// linear. Flush may be called any number of times, mid-recording too:
+// later events go into the blocks of the chain the next event takes, and
+// the next Flush appends them.
 func (b *Buffer) Flush() {
-	k := len(b.blocks)
-	if k == 0 {
-		return
+	if c := b.detach(); c != nil {
+		chains.Put(c)
 	}
-	*b.blocks[k-1] = b.cur
+}
+
+// detach is Flush without the pool: it appends the recorded events onto
+// Events and returns the chain they were recorded into, or nil when
+// nothing was.
+func (b *Buffer) detach() *blockChain {
+	c := b.chain
+	if c == nil {
+		return nil
+	}
+	used := c.blocks[:b.used]
+	used[len(used)-1] = b.cur
 	n := 0
-	for _, h := range b.blocks {
-		n += len(*h)
+	for _, blk := range used {
+		n += len(blk)
 	}
 	if cap(b.Events) == 0 {
 		b.Events = make([]Event, 0, n)
 	} else {
 		b.Events = slices.Grow(b.Events, n)
 	}
-	for _, h := range b.blocks {
-		b.Events = append(b.Events, *h...)
-		blockPool(cap(*h)).Put(h)
+	for _, blk := range used {
+		b.Events = append(b.Events, blk...)
 	}
-	b.blocks, b.cur = nil, nil
+	b.chain, b.used, b.cur = nil, 0, nil
+	return c
 }
 
 // MergeByTime merges per-cell event streams — each already in nondecreasing
